@@ -17,13 +17,14 @@ from .search import SolveReport
 
 __all__ = ["BaselineConfig", "omp", "iht", "htp"]
 
+# IHT stops once no entry of the iterate moves by more than this
+MOVE_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class BaselineConfig:
     step_size: Optional[float] = None  # None: 1 / (||A||^2 / gamma + lam)
     max_iters: int = 1000
-    tol: float = 1e-10
-    restricted_tol: float = 1e-12
 
     def __post_init__(self):
         if self.step_size is not None and self.step_size <= 0:
@@ -45,7 +46,6 @@ def _report(sol, t0, converged=True):
 
 def omp(inst, cfg=None):
     """Orthogonal matching pursuit: k rounds of pick-largest-gradient + re-solve."""
-    cfg = cfg or BaselineConfig()
     t0 = time.perf_counter()
     chosen = []
     x = np.zeros(inst.d)
@@ -54,7 +54,7 @@ def omp(inst, cfg=None):
         score = np.abs(inst.objective_grad(x))
         score[chosen] = -np.inf  # never re-pick; ties go to the smallest index
         chosen.append(int(np.argmax(score)))
-        sol = solve_restricted(inst, chosen, cfg.restricted_tol)
+        sol = solve_restricted(inst, chosen)
         x = sol.x
     return _report(sol, t0)
 
@@ -63,7 +63,7 @@ def iht(inst, cfg=None, x0=None):
     """Iterative hard thresholding with a terminal restricted polish.
 
     Stops once the support repeats and the iterate has stopped moving
-    (within cfg.tol), i.e. a thresholded fixed point; hitting max_iters
+    (within MOVE_TOL), i.e. a thresholded fixed point; hitting max_iters
     instead is reported via converged=False.  x0 defaults to zero.
     """
     cfg = cfg or BaselineConfig()
@@ -75,12 +75,12 @@ def iht(inst, cfg=None, x0=None):
     for _ in range(cfg.max_iters):
         x_new = truncate_top(inst.k, x - step * inst.objective_grad(x))
         new_support = tuple(np.flatnonzero(x_new))
-        if new_support == support and np.max(np.abs(x_new - x)) <= cfg.tol:
+        if new_support == support and np.max(np.abs(x_new - x)) <= MOVE_TOL:
             x = x_new
             converged = True
             break
         support, x = new_support, x_new
-    sol = solve_restricted(inst, np.flatnonzero(x), cfg.restricted_tol)
+    sol = solve_restricted(inst, np.flatnonzero(x))
     return _report(sol, t0, converged)
 
 
@@ -102,7 +102,7 @@ def htp(inst, cfg=None, x0=None):
     for _ in range(cfg.max_iters):
         z = x - step * inst.objective_grad(x)
         support = tuple(np.flatnonzero(truncate_top(inst.k, z)))
-        sol = solve_restricted(inst, support, cfg.restricted_tol)
+        sol = solve_restricted(inst, support)
         if best is None or sol.value < best.value:
             best = sol
         if support == prev:

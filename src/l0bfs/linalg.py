@@ -35,34 +35,14 @@ def top_norm(j, z):
     return float(np.linalg.norm(top))
 
 
-def spectral_norm(A, tol=1e-10, max_iter=10_000):
-    """Largest singular value of A by power iteration on A^T A.
+def spectral_norm(A):
+    """Largest singular value of A.
 
-    Starts from the normalized all-ones vector (deterministic) and stops when
-    the estimate's relative change drops below tol.  If the start vector is
-    annihilated by A, it is re-drawn from a fixed-seed generator.
+    The square root of the top eigenvalue of the smaller Gram matrix
+    (A^T A or A A^T), so the cost is that of a min(n, d)-sized eigvalsh.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    n, d = A.shape
-    if A.size == 0 or not np.any(A):
+    if A.size == 0:
         return 0.0
-    v = np.full(d, 1.0 / np.sqrt(d))
-    sigma = 0.0
-    for _ in range(max_iter):
-        w = A @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            # all-ones start lies in the nullspace; deterministic re-draw
-            v = np.random.default_rng(0).standard_normal(d)
-            v /= np.linalg.norm(v)
-            continue
-        new_sigma = nw
-        u = A.T @ w
-        nu = np.linalg.norm(u)
-        if nu == 0.0:
-            return float(new_sigma)
-        v = u / nu
-        if abs(new_sigma - sigma) <= tol * max(new_sigma, 1e-300):
-            return float(new_sigma)
-        sigma = new_sigma
-    return float(sigma)
+    gram = A.T @ A if A.shape[0] >= A.shape[1] else A @ A.T
+    return float(np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)))

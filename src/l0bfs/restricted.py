@@ -65,7 +65,7 @@ class Instance:
 
     @property
     def op_norm(self):
-        """Largest singular value of A (power iteration, cached)."""
+        """Largest singular value of A (cached)."""
         if "op" not in self._cache:
             self._cache["op"] = spectral_norm(self.A)
         return self._cache["op"]
@@ -146,7 +146,7 @@ def _solve_quadratic(A_S, b, lam, n, tol):
 def _solve_accelerated(A_S, loss, lam, tol, max_iters):
     """Accelerated gradient with gradient-based restarts on phi(w) = L(A_S w) + (lam/2)||w||^2."""
     s = A_S.shape[1]
-    lip = np.linalg.norm(A_S, 2) ** 2 / loss.gamma + lam
+    lip = spectral_norm(A_S) ** 2 / loss.gamma + lam
     q = lam / lip
     momentum = (1.0 - np.sqrt(q)) / (1.0 + np.sqrt(q))
 

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .state_space import root_node
-from .subtree import PRUNED, SolverConfig, subtree_solve
+from .subtree import PRUNED, ZERO_TOL, SolverConfig, subtree_solve
 
 __all__ = ["SolveReport", "bfs_solve", "exhaustive_solve"]
 
@@ -82,7 +82,7 @@ def bfs_solve(inst, delta=0.0, cfg=None, record_bounds=False):
     pruned_count = 0
     while heap:
         low, _, node, res = heapq.heappop(heap)
-        if res.value <= low + delta + cfg.zero_tol:
+        if res.value <= low + delta + ZERO_TOL:
             return SolveReport(x=res.x, objective=res.value,
                                solver_calls=calls, pruned=pruned_count,
                                heap_peak=heap_peak,
@@ -106,7 +106,7 @@ def bfs_solve(inst, delta=0.0, cfg=None, record_bounds=False):
         "heap exhausted before termination; leaf bounds should always fire")
 
 
-def exhaustive_solve(inst, tol=1e-12):
+def exhaustive_solve(inst):
     """Brute force over all size-k supports via restricted solves."""
     from .restricted import solve_restricted
 
@@ -114,7 +114,7 @@ def exhaustive_solve(inst, tol=1e-12):
     best = None
     calls = 0
     for support in itertools.combinations(range(inst.d), inst.k):
-        sol = solve_restricted(inst, support, tol)
+        sol = solve_restricted(inst, support)
         calls += 1
         if best is None or sol.value < best.value:
             best = sol

@@ -14,18 +14,25 @@ objective over the subtree below S together with a feasible candidate:
     applied to L, then minimizing the linearized objective over supports
     reachable below S).
 
-Two dual maximizers are provided: a primal-dual iteration with linesearch
-(pdal_maximize) and projected supergradient ascent with step backtracking
-(sga_maximize).  Both support warm starting from the parent's final state
-and early termination ("pruning") as soon as some D value exceeds the
-incumbent objective, which certifies the subtree cannot win.  A pdal child
-inherits only the parent's iterates (beta, y); its step schedule (tau, rho,
-theta) restarts from pdal_root_state, because the parent's spent schedule
-barely moves the child and would stop its ascent at a loose bound.  An sga
-child inherits beta and the parent's first accepted step.
+Two dual maximizers are provided, both run by one ascent loop (_ascend)
+that owns the prune test at entry and after each iteration, the running
+max D_max, the convergence test, the polish restricted solve and the
+iteration cap.  Each maximizer holds only its method's state and a step
+closure that makes one iteration:
+
+  * pdal_maximize: a primal-dual iteration with linesearch, whose step
+    returns before its linesearch when the new D already prunes;
+  * sga_maximize: projected supergradient ascent with step backtracking.
+
+Pruning stops the ascent as soon as some D value exceeds the incumbent
+objective, which certifies the subtree cannot win.  Warm starting hands a
+child its parent's final state: for pdal the dual and primal iterates
+(beta, y), with the step schedule restarted at every call, because the
+parent's spent schedule barely moves the child and would stop its ascent
+at a loose bound; for sga beta and the parent's first accepted step.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -35,7 +42,7 @@ from .restricted import ConvergenceError, solve_restricted
 from .topk_prox import prox_topk_sq_conjugate
 
 __all__ = [
-    "EXACT", "DUAL_BOUND", "PRUNED",
+    "EXACT", "DUAL_BOUND", "PRUNED", "ZERO_TOL",
     "SolverConfig", "DualState", "SgaState", "BoundResult",
     "dual_value", "pdal_maximize", "sga_maximize", "subtree_solve",
     "pdal_root_state", "sga_root_state",
@@ -45,31 +52,31 @@ EXACT = "exact"
 DUAL_BOUND = "dual_bound"
 PRUNED = "pruned"
 
+# magnitude below which differences count as zero in prune/termination tests
+ZERO_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class SolverConfig:
     """Knobs for subtree_solve and the search driver.
 
     epsilon is the relative dual-improvement tolerance (measured against the
-    incumbent objective).  gamma overrides the loss's analytic smoothness
-    parameter when set; leave None to use it.  zero_tol is the magnitude
-    below which differences are treated as zero in prune/termination tests.
+    incumbent objective).
     """
 
     epsilon: float = 1e-5
     subroutine: str = "pdal"  # or "sga"
     max_dual_iters: int = 50_000
-    restricted_tol: float = 1e-12
     warm_start: bool = True
     pruning: bool = True
-    zero_tol: float = 1e-12
-    gamma: Optional[float] = None
 
     def __post_init__(self):
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
         if self.subroutine not in ("pdal", "sga"):
             raise ValueError("subroutine must be 'pdal' or 'sga'")
+        if self.max_dual_iters < 1:
+            raise ValueError("max_dual_iters must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -78,9 +85,6 @@ class DualState:
 
     beta: np.ndarray  # dual point, length n
     y: np.ndarray     # primal point, length d
-    tau: float
-    rho: float
-    theta: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -102,11 +106,8 @@ class BoundResult:
 
 
 def pdal_root_state(inst):
-    """Cold start at the tree root: zero iterates, tau = 1/||A||_2, rho = 1."""
-    return DualState(
-        beta=np.zeros(inst.n), y=np.zeros(inst.d),
-        tau=1.0 / inst.op_norm, rho=1.0, theta=1.0,
-    )
+    """Cold start at the tree root: zero dual and primal iterates."""
+    return DualState(beta=np.zeros(inst.n), y=np.zeros(inst.d))
 
 
 def sga_root_state(inst):
@@ -139,13 +140,42 @@ def _converged(improve, incumbent, epsilon):
     return improve <= epsilon
 
 
-def _polish(inst, y_or_x, node, cfg, state, d_max, iterations):
-    support = np.flatnonzero(y_or_x)
-    sol = solve_restricted(inst, support, cfg.restricted_tol)
-    return BoundResult(
-        low=d_max, x=sol.x, value=sol.value,
-        status=DUAL_BOUND, state=state, iterations=iterations,
-    )
+def _ascend(inst, node, beta, prune_threshold, cfg, step, first_stop):
+    """Maximize D(.; node) from beta by repeated calls of one method's step.
+
+    step(beta, w, d, stop_above) makes one iteration from the dual point beta
+    (w = A^T beta, d its D value) and returns (beta, w, D, finish), where
+    finish() gives the primal point to polish and the state for the
+    children.  The step may return early once D > stop_above, since that
+    iteration ends in a prune.  The returned bound is the running max D_max.
+    Converged, from iteration first_stop on, when the D improvement is
+    epsilon-small relative to the incumbent and the current D is D_max.
+    """
+    w = inst.AT @ beta
+    d_prev = dual_value(inst, node, beta, w)
+    d_max = d_prev
+    stop_above = prune_threshold + ZERO_TOL if cfg.pruning else np.inf
+    if d_prev > stop_above:
+        return BoundResult(low=d_max, x=None, value=np.inf,
+                           status=PRUNED, state=None, iterations=0)
+
+    for t in range(1, cfg.max_dual_iters + 1):
+        beta, w, d_cur, finish = step(beta, w, d_prev, stop_above)
+        d_max = max(d_max, d_cur)
+        if d_cur > stop_above:
+            return BoundResult(low=d_max, x=None, value=np.inf,
+                               status=PRUNED, state=None, iterations=t)
+        if (t >= first_stop and d_cur >= d_max
+                and _converged(d_cur - d_prev, prune_threshold, cfg.epsilon)):
+            break
+        d_prev = d_cur
+
+    # converged or at the iteration cap: D_max is a valid bound either way;
+    # the restricted solve on the polish point's support gives the candidate
+    x, state = finish()
+    sol = solve_restricted(inst, np.flatnonzero(x))
+    return BoundResult(low=d_max, x=sol.x, value=sol.value,
+                       status=DUAL_BOUND, state=state, iterations=t)
 
 
 def pdal_maximize(inst, node, init, prune_threshold, cfg):
@@ -154,43 +184,29 @@ def pdal_maximize(inst, node, init, prune_threshold, cfg):
     Dual step: beta_t = prox of tau * L* at beta - tau * A y.  Primal step:
     blockwise prox of the support penalty at ybar, where the open-tail block
     is the conjugate prox of the scaled top-(k-s) squared norm.  The step
-    sizes follow the acceleration schedule driven by gamma (strong convexity
-    of L*), with tau halved until
+    sizes follow the acceleration schedule driven by the loss's gamma
+    (strong convexity of L*), starting from tau = 1/||A||_2, rho = theta = 1,
+    with tau halved until
 
         sqrt(rho_t) * tau_t * ||A (y_t - y_{t-1})|| <= ||y_t - y_{t-1}||.
 
-    Converged when the D improvement is epsilon-small relative to the
-    incumbent AND the current D matches the running max D_max, from the
-    second iteration on: a warm start at a near-fixed point shows no
-    improvement on its first step without having ascended.  The returned
-    bound is always D_max.  With pruning enabled, returns immediately once
-    any D value exceeds prune_threshold.
+    Convergence is accepted from the second iteration on: a warm start at a
+    near-fixed point shows no improvement on its first step without having
+    ascended.  The polish point is the top-k truncation of y.
     """
-    A, AT, lam, loss = inst.A, inst.AT, inst.lam, inst.loss
-    k, s = node.k, node.size
-    rem = k - s
+    A, lam, gamma = inst.A, inst.lam, inst.loss.gamma
+    k, rem = node.k, node.k - node.size
     s_arr, tail = node.support_array, node.tail_array
-    gamma = cfg.gamma if cfg.gamma is not None else loss.gamma
-
-    beta = np.array(init.beta, dtype=float)
     y = np.array(init.y, dtype=float)
-    tau, rho, theta = float(init.tau), float(init.rho), 1.0
+    tau, rho, theta = 1.0 / inst.op_norm, 1.0, 1.0
 
-    w = AT @ beta
-    d_prev = dual_value(inst, node, beta, w)
-    d_max = d_prev
-    if cfg.pruning and d_prev > prune_threshold + cfg.zero_tol:
-        return BoundResult(low=d_max, x=None, value=np.inf,
-                           status=PRUNED, state=None, iterations=0)
-
-    for t in range(1, cfg.max_dual_iters + 1):
-        beta_new = loss.prox_conjugate(tau, beta - tau * (A @ y))
-        w_new = AT @ beta_new
-        d_cur = dual_value(inst, node, beta_new, w_new)
-        d_max = max(d_max, d_cur)
-        if cfg.pruning and d_cur > prune_threshold + cfg.zero_tol:
-            return BoundResult(low=d_max, x=None, value=np.inf,
-                               status=PRUNED, state=None, iterations=t)
+    def step(beta, w, d, stop_above):
+        nonlocal y, tau, rho, theta
+        beta_new = inst.loss.prox_conjugate(tau, beta - tau * (A @ y))
+        w_new = inst.AT @ beta_new
+        d_new = dual_value(inst, node, beta_new, w_new)
+        if d_new > stop_above:
+            return beta_new, w_new, d_new, None
 
         rho_new = rho * (1.0 + gamma * tau)
         tau_new = tau * np.sqrt((rho / rho_new) * (1.0 + theta))
@@ -211,18 +227,12 @@ def pdal_maximize(inst, node, init, prune_threshold, cfg):
             raise ConvergenceError(
                 "primal-dual linesearch failed to pass after 60 halvings")
 
-        if (t > 1 and d_cur >= d_max
-                and _converged(d_cur - d_prev, prune_threshold, cfg.epsilon)):
-            state = DualState(beta_new, y_new, tau_new, rho_new, theta_new)
-            return _polish(inst, truncate_top(k, y_new), node, cfg, state, d_max, t)
+        y, tau, rho, theta = y_new, tau_new, rho_new, theta_new
+        return beta_new, w_new, d_new, \
+            lambda: (truncate_top(k, y_new), DualState(beta_new, y_new))
 
-        beta, w, y = beta_new, w_new, y_new
-        tau, rho, theta, d_prev = tau_new, rho_new, theta_new, d_cur
-
-    # iteration cap: D_max is still a valid bound; polish the last primal point
-    state = DualState(beta, y, tau, rho, theta)
-    return _polish(inst, truncate_top(k, y), node, cfg, state, d_max,
-                   cfg.max_dual_iters)
+    return _ascend(inst, node, np.array(init.beta, dtype=float),
+                   prune_threshold, cfg, step, first_stop=2)
 
 
 def _sga_primal(inst, node, w):
@@ -245,57 +255,38 @@ def sga_maximize(inst, node, init, prune_threshold, cfg):
     convergence test.  The state stores the step that produced the first
     accepted iterate, which is what a warm-started child inherits.
     """
-    A, AT = inst.A, inst.AT
-    beta = np.array(init.beta, dtype=float)
-    eta = float(init.eta)
+    loss = inst.loss
+    eta, eta_first = float(init.eta), None
 
-    w = AT @ beta
-    d_prev = dual_value(inst, node, beta, w)
-    if cfg.pruning and d_prev > prune_threshold + cfg.zero_tol:
-        return BoundResult(low=d_prev, x=None, value=np.inf,
-                           status=PRUNED, state=None, iterations=0)
-
-    eta_first = None
-    for t in range(1, cfg.max_dual_iters + 1):
-        g = A @ _sga_primal(inst, node, w) - inst.loss.conjugate_grad(beta)
+    def step(beta, w, d, stop_above):
+        nonlocal eta, eta_first
+        g = inst.A @ _sga_primal(inst, node, w) - loss.conjugate_grad(beta)
         eta_in = eta
         eta *= 2.0
-        accepted = False
         for _ in range(100):
-            cand = inst.loss.project_domain(beta + eta * g)
+            cand = loss.project_domain(beta + eta * g)
             w_cand = inst.AT @ cand
             d_cand = dual_value(inst, node, cand, w_cand)
-            if d_cand >= d_prev:
-                accepted = True
+            if d_cand >= d:
                 break
             eta *= 0.5
-        if not accepted:
+        else:
             # supergradient stall: keep the iterate, improvement is zero
-            cand, w_cand, d_cand, eta = beta, w, d_prev, eta_in
+            cand, w_cand, d_cand, eta = beta, w, d, eta_in
         if eta_first is None:
             eta_first = eta
+        return cand, w_cand, d_cand, \
+            lambda: (_sga_primal(inst, node, w_cand), SgaState(cand, eta_first))
 
-        improve = d_cand - d_prev
-        beta, w, d_prev = cand, w_cand, d_cand
-        if cfg.pruning and d_prev > prune_threshold + cfg.zero_tol:
-            return BoundResult(low=d_prev, x=None, value=np.inf,
-                               status=PRUNED, state=None, iterations=t)
-        if _converged(improve, prune_threshold, cfg.epsilon):
-            state = SgaState(beta, eta_first)
-            return _polish(inst, _sga_primal(inst, node, w), node, cfg,
-                           state, d_prev, t)
-
-    state = SgaState(beta, eta_first if eta_first is not None else eta)
-    return _polish(inst, _sga_primal(inst, node, w), node, cfg, state, d_prev,
-                   cfg.max_dual_iters)
+    return _ascend(inst, node, np.array(init.beta, dtype=float),
+                   prune_threshold, cfg, step, first_stop=1)
 
 
 def subtree_solve(inst, node, warm=None, prune_threshold=np.inf, cfg=None):
     """Lower bound + feasible candidate for the subtree below node.
 
     warm is the parent's final DualState/SgaState (ignored when warm
-    starting is disabled or the state type does not match cfg.subroutine);
-    a DualState contributes its beta and y, the step schedule restarts.
+    starting is disabled or the state type does not match cfg.subroutine).
     prune_threshold is the incumbent objective; it also scales the dual
     convergence test, so pass it even when pruning is disabled.
     """
@@ -307,20 +298,17 @@ def subtree_solve(inst, node, warm=None, prune_threshold=np.inf, cfg=None):
             support = node.indices
         else:
             support = node.indices + tuple(node.tail_array)
-        sol = solve_restricted(inst, support, cfg.restricted_tol)
-        if cfg.pruning and sol.value > prune_threshold + cfg.zero_tol:
+        sol = solve_restricted(inst, support)
+        if cfg.pruning and sol.value > prune_threshold + ZERO_TOL:
             return BoundResult(low=sol.value, x=sol.x, value=sol.value,
                                status=PRUNED, state=None, iterations=0)
         return BoundResult(low=sol.value, x=sol.x, value=sol.value,
                            status=EXACT, state=None, iterations=0)
 
     if cfg.subroutine == "pdal":
-        init = pdal_root_state(inst)
-        if cfg.warm_start and isinstance(warm, DualState):
-            # keep the parent's iterates, restart the step schedule: the
-            # parent's spent tau and grown rho barely move the child
-            init = replace(init, beta=warm.beta, y=warm.y)
-        return pdal_maximize(inst, node, init, prune_threshold, cfg)
-    init = warm if (cfg.warm_start and isinstance(warm, SgaState)) \
-        else sga_root_state(inst)
-    return sga_maximize(inst, node, init, prune_threshold, cfg)
+        maximize, state_type, root_state = pdal_maximize, DualState, pdal_root_state
+    else:
+        maximize, state_type, root_state = sga_maximize, SgaState, sga_root_state
+    init = warm if cfg.warm_start and isinstance(warm, state_type) \
+        else root_state(inst)
+    return maximize(inst, node, init, prune_threshold, cfg)

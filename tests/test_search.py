@@ -4,6 +4,7 @@ import pytest
 from helpers import leaf_values, random_instance
 from l0bfs import (EXACT, PRUNED, Node, SolverConfig, bfs_solve,
                    exhaustive_solve)
+from l0bfs.subtree import ZERO_TOL
 
 KINDS = ["quadratic", "huber", "logistic"]
 DELTAS = [1e-4, 1e-3, 1e-2, 1e-1]
@@ -114,9 +115,9 @@ class TestBoundLog:
         p = inst.objective(np.zeros(inst.d))
         for _, low, status, value in rep.bound_log:
             if status == PRUNED:
-                assert low > p + cfg.zero_tol
+                assert low > p + ZERO_TOL
             else:
-                assert low <= p + cfg.zero_tol
+                assert low <= p + ZERO_TOL
                 if value < p:
                     p = value
         assert rep.objective == pytest.approx(p, abs=1e-12)

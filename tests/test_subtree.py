@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import l0bfs.subtree
 from helpers import (domain_point, leaf_values, random_instance,
                      random_interior_node, subtree_min)
 from l0bfs import (DUAL_BOUND, EXACT, PRUNED, DualState, Node, SgaState,
@@ -21,6 +22,8 @@ class TestSolverConfig:
             SolverConfig(epsilon=0.0)
         with pytest.raises(ValueError):
             SolverConfig(subroutine="newton")
+        with pytest.raises(ValueError):
+            SolverConfig(max_dual_iters=0)
 
 
 class TestDualValue:
@@ -246,6 +249,52 @@ class TestSga:
         res = sga_maximize(inst, node, sga_root_state(inst), 1.0, cfg)
         assert res.status == DUAL_BOUND
         assert res.low <= subtree_min(inst, node) + 1e-9
+
+
+class TestPruneAfterAscent:
+    MAXIMIZERS = {"pdal": (pdal_maximize, pdal_root_state),
+                  "sga": (sga_maximize, sga_root_state)}
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("subroutine", ["pdal", "sga"])
+    def test_prune_between_entry_and_final_bound(self, subroutine, kind,
+                                                 monkeypatch):
+        # a threshold halfway between the entry D and the unpruned final
+        # bound passes the entry test and is crossed during the ascent
+        maximize, root_state = self.MAXIMIZERS[subroutine]
+        inst = random_instance(kind, d=8, k=3, n=12, seed=0, lam=1e-2)
+        node = root_node(inst.d, inst.k)
+        p0 = inst.objective(np.zeros(inst.d))
+        d_entry = dual_value(inst, node, root_state(inst).beta)
+        unpruned = maximize(inst, node, root_state(inst), p0,
+                            SolverConfig(subroutine=subroutine, pruning=False))
+        threshold = 0.5 * (d_entry + unpruned.low)
+
+        calls = [0]
+        original = l0bfs.subtree.prox_topk_sq_conjugate
+
+        def counted(*args):
+            calls[0] += 1
+            return original(*args)
+
+        monkeypatch.setattr(l0bfs.subtree, "prox_topk_sq_conjugate", counted)
+        res = maximize(inst, node, root_state(inst), threshold,
+                       SolverConfig(subroutine=subroutine))
+        assert res.status == PRUNED
+        assert res.iterations >= 1
+        assert res.low > threshold
+        assert res.x is None
+        if subroutine == "pdal":
+            # the prune test comes before the linesearch of its iteration,
+            # so the pruned run makes the top-k prox calls of exactly
+            # iterations - 1 full iterations
+            assert res.iterations >= 2
+            pruned_calls, calls[0] = calls[0], 0
+            cfg = SolverConfig(pruning=False,
+                               max_dual_iters=res.iterations - 1)
+            capped = maximize(inst, node, root_state(inst), threshold, cfg)
+            assert capped.iterations == res.iterations - 1
+            assert pruned_calls == calls[0] > 0
 
 
 class TestWarmStartMonotonicity:
