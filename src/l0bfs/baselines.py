@@ -44,7 +44,7 @@ def _report(sol, t0, converged=True):
                        delta=0.0, converged=converged)
 
 
-def omp(inst, cfg=None):
+def omp(inst):
     """Orthogonal matching pursuit: k rounds of pick-largest-gradient + re-solve."""
     t0 = time.perf_counter()
     chosen = []

@@ -129,8 +129,8 @@ def cmd_generate(args):
     return 0
 
 
-def cmd_solve(args, method=None):
-    method = method or args.method
+def cmd_solve(args):
+    method = args.method
     out = _resolve_out(args.out, "results.csv")
     inst, meta = load_instance(args.instance)
     iid = meta["instance_id"]
@@ -154,10 +154,6 @@ def cmd_solve(args, method=None):
     print(f"{iid} {method} objective={report.objective:.12g} "
           f"support={_join(report.support)} wall_ms={report.wall_time * 1e3:.3f}")
     return 0
-
-
-def cmd_oracle(args):
-    return cmd_solve(args, method="oracle")
 
 
 def cmd_bench(args):
@@ -323,10 +319,7 @@ def _add_gen_flags(p, with_seed):
                    help="huber transition width")
 
 
-def _add_solver_flags(p, with_delta=True):
-    if with_delta:
-        p.add_argument("--delta", type=_nonneg, default=0.0,
-                       help="allowed gap above the exact optimum")
+def _add_solver_flags(p):
     p.add_argument("--subroutine", choices=["pdal", "sga"], default="pdal")
     p.add_argument("--epsilon", type=_positive, default=1e-5,
                    help="relative convergence tolerance of the bound subroutine")
@@ -350,15 +343,16 @@ def build_parser():
     p.add_argument("--instance", required=True,
                    help="manifest path or instance directory")
     p.add_argument("--method", required=True, choices=list(METHODS))
+    p.add_argument("--delta", type=_nonneg, default=0.0,
+                   help="allowed gap above the exact optimum")
     _add_solver_flags(p)
     p.add_argument("--out", help="results CSV to append to")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("oracle", help="exhaustive reference solve")
     p.add_argument("--instance", required=True)
-    _add_solver_flags(p)
     p.add_argument("--out", help="results CSV to append to")
-    p.set_defaults(func=cmd_oracle)
+    p.set_defaults(func=cmd_solve, method="oracle")
 
     p = sub.add_parser("bench", help="seed sweep with per-run CSV + aggregate")
     _add_gen_flags(p, with_seed=False)
@@ -368,7 +362,7 @@ def build_parser():
                    help="comma-separated subset of " + ",".join(METHODS))
     p.add_argument("--deltas", default="0",
                    help="comma-separated gap sweep, applies to bfs")
-    _add_solver_flags(p, with_delta=False)
+    _add_solver_flags(p)
     p.add_argument("--pssr-ref", choices=["truth", "oracle"], default="truth",
                    help="support-recovery reference")
     p.add_argument("--out", help="output directory for runs.csv/aggregate.json")

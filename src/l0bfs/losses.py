@@ -3,8 +3,8 @@
 Each loss L maps R^n to R and owns its observation vector b.  The search
 needs four exact ingredients per loss: L(z), grad L(z), the conjugate
 L*(beta) together with its effective domain, and the proximal operators of
-tau*L and tau*L*.  The conjugate prox comes from the loss prox through
-Moreau's identity
+tau*L and tau*L*; restricted solves also use the diagonal curvature of L.
+The conjugate prox comes from the loss prox through Moreau's identity
 
     prox_{tau L*}(v) = v - tau * prox_{L/tau}(v / tau),
 
@@ -47,6 +47,10 @@ class Loss:
         raise NotImplementedError
 
     def grad(self, z):
+        raise NotImplementedError
+
+    def curvature(self, z):
+        """Diagonal of the (generalized) Hessian of L at z, in [0, 1/gamma]."""
         raise NotImplementedError
 
     def conjugate(self, beta):
@@ -99,6 +103,10 @@ class QuadraticLoss(Loss):
         z = self._check_dim(z)
         return (z - self.b) / self.n
 
+    def curvature(self, z):
+        z = self._check_dim(z)
+        return np.full(self.n, 1.0 / self.n)
+
     def conjugate(self, beta):
         # L*(beta) = <beta, b> + (n/2) ||beta||^2, finite everywhere
         beta = self._check_dim(beta)
@@ -140,6 +148,10 @@ class HuberLoss(Loss):
     def grad(self, z):
         z = self._check_dim(z)
         return np.clip(z - self.b, -self.delta, self.delta) / self.n
+
+    def curvature(self, z):
+        z = self._check_dim(z)
+        return (np.abs(z - self.b) <= self.delta) / self.n
 
     def conjugate(self, beta):
         # finite on the box |beta_i| <= delta/n:
@@ -200,6 +212,11 @@ class LogisticLoss(Loss):
     def grad(self, z):
         z = self._check_dim(z)
         return -self.b * expit(-self.b * z) / self.n
+
+    def curvature(self, z):
+        # sigma(1 - sigma) as expit(z) * expit(-z): no cancellation in 1 - sigma
+        z = self._check_dim(z)
+        return expit(z) * expit(-z) / self.n
 
     def _s(self, beta):
         return -self.n * self.b * beta

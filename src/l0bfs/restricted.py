@@ -6,10 +6,11 @@ and the sparsity budget k; its objective is
     P(x) = L(A x) + (lam / 2) ||x||^2.
 
 solve_restricted minimizes P over {x : supp(x) subseteq S} to a gradient
-certificate.  The quadratic loss reduces to an SPD linear system (Cholesky);
-the other losses use accelerated gradient descent on the restricted
-variables with gradient-based restarts, which is linear-rate since the
-ridge term makes the problem lam-strongly convex.
+certificate by damped Newton on the restricted variables, the same for
+every loss (Boyd & Vandenberghe, Convex Optimization, 9.5).  The ridge term
+makes the Hessian A_S^T diag(L'') A_S + lam I SPD, so each step is a
+Cholesky solve; the quadratic loss takes one full step, and Huber's
+piecewise-constant curvature is handled as in semismooth Newton.
 """
 
 from dataclasses import dataclass, field
@@ -20,6 +21,13 @@ from scipy.linalg import cho_factor, cho_solve
 from .linalg import spectral_norm
 
 __all__ = ["Instance", "RestrictedSolution", "ConvergenceError", "solve_restricted"]
+
+# Newton line search: halvings allowed per step, Armijo fraction of the
+# predicted decrease, and a relative slack on phi so that a step at the
+# optimum, whose true decrease is below phi's rounding, still passes
+_MAX_HALVINGS = 60
+_ARMIJO = 1e-4
+_ROUNDING = 64 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -87,90 +95,68 @@ class RestrictedSolution:
 
 
 class ConvergenceError(RuntimeError):
-    """Iterative solve hit its cap; .best holds the best iterate found."""
+    """Iterative solve did not converge; .best holds the best iterate found."""
 
     def __init__(self, message, best=None):
         super().__init__(message)
         self.best = best
 
 
-def solve_restricted(inst, support, tol=1e-12, max_iters=100_000):
+def solve_restricted(inst, support, tol=1e-12, max_iters=100):
     """Minimize P over vectors supported on the given index set.
 
     Returns a RestrictedSolution whose certificate is the norm of the
     objective gradient restricted to the support (off-support entries of the
-    gradient are not constrained to vanish).
+    gradient are not constrained to vanish); raises ConvergenceError, with
+    the last Newton iterate as .best, when that norm does not reach tol.
     """
     support = np.asarray(sorted(int(i) for i in support), dtype=int)
     if support.size and (support[0] < 0 or support[-1] >= inst.d):
         raise ValueError("support indices out of range")
     if np.unique(support).size != support.size:
         raise ValueError("support indices must be distinct")
+    w, cert = _solve_newton(inst.A[:, support], inst.loss, inst.lam, tol, max_iters)
     x = np.zeros(inst.d)
-    if support.size == 0:
-        return RestrictedSolution(x=x, value=inst.objective(x), certificate=0.0)
-
-    A_S = inst.A[:, support]
-    if inst.loss.kind == "quadratic":
-        w, cert = _solve_quadratic(A_S, inst.loss.b, inst.lam, inst.loss.n, tol)
-    else:
-        w, cert, ok = _solve_accelerated(A_S, inst.loss, inst.lam, tol, max_iters)
-        if not ok:
-            x[support] = w
-            best = RestrictedSolution(x=x, value=inst.objective(x), certificate=cert)
-            raise ConvergenceError(
-                f"restricted solve did not reach tol={tol} within {max_iters} iterations"
-                f" (certificate {cert:.3e})",
-                best=best,
-            )
     x[support] = w
-    return RestrictedSolution(x=x, value=inst.objective(x), certificate=cert)
+    sol = RestrictedSolution(x=x, value=inst.objective(x), certificate=cert)
+    if not cert <= tol:
+        raise ConvergenceError(f"restricted solve stopped at certificate {cert:.3e}"
+                               f" > tol={tol} within {max_iters} Newton steps", best=sol)
+    return sol
 
 
-def _solve_quadratic(A_S, b, lam, n, tol):
-    # stationarity: (A_S^T A_S / n + lam I) w = A_S^T b / n
-    s = A_S.shape[1]
-    G = A_S.T @ A_S / n + lam * np.eye(s)
-    rhs = A_S.T @ b / n
-    cf = cho_factor(G)
-    w = cho_solve(cf, rhs)
-    cert = float(np.linalg.norm(G @ w - rhs))
-    for _ in range(3):  # iterative refinement, usually a no-op
-        if cert <= 0.5 * tol:
-            break
-        w = w - cho_solve(cf, G @ w - rhs)
-        cert = float(np.linalg.norm(G @ w - rhs))
-    return w, cert
+def _solve_newton(A_S, loss, lam, tol, max_iters):
+    """Damped Newton on phi(w) = L(A_S w) + (lam/2)||w||^2 from w = 0.
 
+    Returns (w, restricted gradient norm at w); a norm above tol means the
+    cap or a failed line search stopped it at the last accepted iterate.  A
+    trial point that certifies returns at once; any other must pass an
+    Armijo test on phi, with rounding slack, or the step is halved.
+    """
+    def at(w):
+        z = A_S @ w
+        g = A_S.T @ loss.grad(z) + lam * w
+        return z, g, float(np.linalg.norm(g))
 
-def _solve_accelerated(A_S, loss, lam, tol, max_iters):
-    """Accelerated gradient with gradient-based restarts on phi(w) = L(A_S w) + (lam/2)||w||^2."""
-    s = A_S.shape[1]
-    lip = spectral_norm(A_S) ** 2 / loss.gamma + lam
-    q = lam / lip
-    momentum = (1.0 - np.sqrt(q)) / (1.0 + np.sqrt(q))
-
-    def grad(w):
-        return A_S.T @ loss.grad(A_S @ w) + lam * w
-
-    w = np.zeros(s)
-    z = w.copy()
-    best_w, best_cert = w, np.inf
+    w, f = np.zeros(A_S.shape[1]), None  # f = phi(w), evaluated once needed
+    z, g, cert = at(w)
+    if cert <= tol:
+        return w, cert
     for _ in range(max_iters):
-        g = grad(z)
-        ng = float(np.linalg.norm(g))
-        if ng < best_cert:
-            best_w, best_cert = z, ng
-        w_new = z - g / lip
-        if ng <= 0.5 * tol:
-            # z is essentially stationary; certify at the new primal point
-            cert = float(np.linalg.norm(grad(w_new)))
-            if cert <= tol:
-                return w_new, cert, True
-        # restart the momentum when the gradient opposes the last move
-        if g @ (w_new - w) > 0:
-            z = w_new
+        hess = (A_S.T * loss.curvature(z)) @ A_S + lam * np.eye(w.size)
+        dw = cho_solve(cho_factor(hess), g)
+        for _ in range(_MAX_HALVINGS + 1):
+            w_new = w - dw
+            z_new, g_new, cert_new = at(w_new)
+            if cert_new <= tol:
+                return w_new, cert_new
+            if f is None:
+                f = loss.value(z) + 0.5 * lam * float(w @ w)
+            f_new = loss.value(z_new) + 0.5 * lam * float(w_new @ w_new)
+            if f_new <= f - _ARMIJO * float(g @ dw) + _ROUNDING * abs(f):
+                break
+            dw = 0.5 * dw
         else:
-            z = w_new + momentum * (w_new - w)
-        w = w_new
-    return best_w, best_cert, False
+            break  # no Armijo step within _MAX_HALVINGS halvings
+        w, z, g, cert, f = w_new, z_new, g_new, cert_new, f_new
+    return w, cert

@@ -36,6 +36,15 @@ class TestParsing:
         capsys.readouterr()
         assert rc == 2
 
+    def test_oracle_rejects_search_flags(self, tmp_path, capsys):
+        # the exhaustive solve has no subroutine, delta or warm start
+        inst = gen_dir(tmp_path)
+        rc = main(["oracle", "--instance", inst, "--subroutine", "sga",
+                   "--out", str(tmp_path / "r.csv")])
+        capsys.readouterr()
+        assert rc == 2
+        assert not os.path.exists(tmp_path / "r.csv")
+
     def test_seed_ranges(self):
         assert cli._parse_seeds("0:3") == [0, 1, 2]
         assert cli._parse_seeds("0:2,7") == [0, 1, 7]

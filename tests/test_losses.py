@@ -111,6 +111,41 @@ class TestGradient:
             assert lhs <= rhs + 1e-9
 
 
+class TestCurvature:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_central_differences_of_grad(self, kind):
+        # every loss is separable, so one shift of all components at once
+        # differentiates each grad component in its own variable
+        rng = np.random.default_rng(41)
+        h = 1e-6
+        for _ in range(50):
+            loss = random_loss(kind, rng)
+            z = 2.0 * rng.standard_normal(loss.n)
+            fd = (loss.grad(z + h) - loss.grad(z - h)) / (2.0 * h)
+            away = np.ones(loss.n, dtype=bool)
+            if kind == "huber":
+                away = np.abs(np.abs(z - loss.b) - loss.delta) > 1e-3
+            np.testing.assert_allclose(loss.curvature(z)[away], fd[away],
+                                       atol=1e-7, rtol=1e-6)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_within_smoothness_constant(self, kind):
+        rng = np.random.default_rng(42)
+        for _ in range(100):
+            loss = random_loss(kind, rng)
+            z = 10.0 * rng.standard_normal(loss.n)
+            c = loss.curvature(z)
+            assert c.shape == (loss.n,)
+            assert np.all(c >= 0.0)
+            assert np.all(c <= 1.0 / loss.gamma)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_rejects_wrong_length(self, kind):
+        loss = random_loss(kind, np.random.default_rng(43), n=3)
+        with pytest.raises(ValueError):
+            loss.curvature(np.zeros(4))
+
+
 class TestConjugate:
     def test_zero_is_zero_for_all_kinds(self):
         rng = np.random.default_rng(6)

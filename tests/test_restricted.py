@@ -9,6 +9,21 @@ from l0bfs import ConvergenceError, Instance, make_loss, solve_restricted
 KINDS = ["quadratic", "huber", "logistic"]
 
 
+def normal_equation_solution(inst, support):
+    """The quadratic-loss restricted minimizer by a dense linear solve."""
+    A_S = inst.A[:, support]
+    lhs = A_S.T @ A_S / inst.n + inst.lam * np.eye(len(support))
+    return np.linalg.solve(lhs, A_S.T @ inst.loss.b / inst.n)
+
+
+def assert_no_better_perturbation(inst, sol, support):
+    for i in support:
+        for sign in (+1.0, -1.0):
+            x = sol.x.copy()
+            x[i] += sign * 1e-4
+            assert inst.objective(x) >= sol.value - 1e-8
+
+
 class TestInstance:
     def test_validation(self):
         loss = make_loss("quadratic", np.array([1.0, 2.0]))
@@ -70,13 +85,10 @@ class TestSolveRestricted:
             inst = random_instance("quadratic", d=8, k=3, n=12, seed=seed)
             rng = np.random.default_rng(seed)
             support = sorted(map(int, rng.choice(8, size=3, replace=False)))
-            A_S = inst.A[:, support]
-            n = inst.n
-            lhs = A_S.T @ A_S / n + inst.lam * np.eye(3)
-            rhs = A_S.T @ inst.loss.b / n
-            expected = np.linalg.solve(lhs, rhs)
             sol = solve_restricted(inst, support)
-            np.testing.assert_allclose(sol.x[support], expected, atol=1e-10)
+            np.testing.assert_allclose(sol.x[support],
+                                       normal_equation_solution(inst, support),
+                                       atol=1e-10)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_certificate_and_off_support_zero(self, kind):
@@ -116,11 +128,7 @@ class TestSolveRestricted:
         inst = random_instance(kind, d=6, k=3, n=10, seed=6)
         support = [0, 2, 5]
         sol = solve_restricted(inst, support)
-        for i in support:
-            for sign in (+1.0, -1.0):
-                x = sol.x.copy()
-                x[i] += sign * 1e-4
-                assert inst.objective(x) >= sol.value - 1e-8
+        assert_no_better_perturbation(inst, sol, support)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_monotone_in_support_growth(self, kind):
@@ -156,7 +164,7 @@ class TestSolveRestricted:
     def test_iteration_cap_raises_with_best_iterate(self):
         inst = random_instance("logistic", d=6, k=2, n=9, seed=11)
         with pytest.raises(ConvergenceError) as info:
-            solve_restricted(inst, [0, 3], tol=1e-12, max_iters=3)
+            solve_restricted(inst, [0, 3], tol=1e-12, max_iters=1)
         best = info.value.best
         assert best is not None
         assert np.isfinite(best.value)
@@ -168,3 +176,52 @@ class TestSolveRestricted:
         b = solve_restricted(inst, [1, 2])
         np.testing.assert_array_equal(a.x, b.x)
         assert a.value == b.value
+
+
+def degenerate_instance(case, kind):
+    """An instance and a support on which the restricted problem is badly conditioned.
+
+    duplicate: the support holds two equal columns (the Hessian is singular
+    but for the ridge term); tiny_lam: lam = 1e-10; separable: logistic
+    labels b = sign(A x*) with x* on the support, so the loss alone has no
+    minimizer, also at lam = 1e-10; at_delta: every Huber residual sits on
+    the kink |r| = delta at w = 0.
+    """
+    if case == "duplicate":
+        inst = random_instance(kind, d=6, k=3, n=10, seed=21)
+        A = inst.A.copy()
+        A[:, 4] = A[:, 1]
+        return Instance(A=A, loss=inst.loss, lam=inst.lam, k=3), [1, 2, 4]
+    if case == "tiny_lam":
+        return random_instance(kind, d=6, k=3, n=10, seed=22, lam=1e-10), [0, 2, 5]
+    rng = np.random.default_rng(23)
+    A = rng.standard_normal((10, 6))
+    if case == "separable":
+        x_star = np.zeros(6)
+        x_star[[0, 2]] = [1.5, -2.0]
+        b = np.sign(A @ x_star)
+        return Instance(A=A, loss=make_loss("logistic", b), lam=1e-10, k=2), [0, 2]
+    assert case == "at_delta"
+    b = np.where(rng.random(10) < 0.5, -0.7, 0.7)
+    return Instance(A=A, loss=make_loss("huber", b, delta=0.7), lam=1e-2, k=3), [0, 2, 5]
+
+
+DEGENERATE = ([("duplicate", kind) for kind in KINDS]
+              + [("tiny_lam", kind) for kind in KINDS]
+              + [("separable", "logistic"), ("at_delta", "huber")])
+
+
+class TestDegenerateInputs:
+    @pytest.mark.parametrize("case,kind", DEGENERATE,
+                             ids=[f"{c}-{k}" for c, k in DEGENERATE])
+    def test_certifies_under_default_cap(self, case, kind):
+        inst, support = degenerate_instance(case, kind)
+        sol = solve_restricted(inst, support)
+        assert sol.certificate <= 1e-12
+        off = np.setdiff1d(np.arange(inst.d), support)
+        np.testing.assert_array_equal(sol.x[off], 0.0)
+        assert_no_better_perturbation(inst, sol, support)
+        if kind == "quadratic":
+            np.testing.assert_allclose(sol.x[support],
+                                       normal_equation_solution(inst, support),
+                                       atol=1e-10)
