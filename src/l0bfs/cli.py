@@ -241,11 +241,9 @@ def aggregate_from_rows(rows):
         rec = {"method": method, "delta": float(delta),
                "runs": len(group), "errors": len(group) - len(ok)}
         if ok:
-            for col, name in [("objective", "objective"),
-                              ("solver_calls", "solver_calls"),
-                              ("wall_ms", "wall_ms")]:
+            for col in ("objective", "solver_calls", "wall_ms"):
                 mean, std = stats([r[col] for r in ok])
-                rec[f"{name}_mean"], rec[f"{name}_std"] = mean, std
+                rec[f"{col}_mean"], rec[f"{col}_std"] = mean, std
             errs = [r["objective_error"] for r in ok]
             if all(errs):
                 mean, std = stats(errs)

@@ -140,8 +140,7 @@ def _huber_design(spec, rng):
 
 
 def _finish(spec, support, A, b, x_true, **extras):
-    loss = make_loss("quadratic" if spec.family == "quadratic" else spec.family,
-                     b, delta=spec.delta)
+    loss = make_loss(spec.family, b, delta=spec.delta)
     inst = Instance(A=A, loss=loss, lam=spec.lam, k=spec.k)
     return GeneratedInstance(instance=inst, true_support=tuple(int(i) for i in support),
                              x_true=x_true, spec=spec, **extras)
@@ -258,12 +257,9 @@ def load_instance(path):
         A = _normalize_columns(A)
 
     family = manifest["family"]
-    if family == "external":
-        loss_kind = manifest["loss"]
-    elif family in FAMILIES:
-        loss_kind = "quadratic" if family == "quadratic" else family
-    else:
+    if family != "external" and family not in FAMILIES:
         raise ValueError(f"unknown family {family!r} in manifest")
+    loss_kind = manifest["loss"] if family == "external" else family
     lam = manifest["lambda"]
     delta = manifest.get("delta", 1.0)
     inst = Instance(A=A, loss=make_loss(loss_kind, b, delta=delta),

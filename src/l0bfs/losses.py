@@ -4,16 +4,21 @@ Each loss L maps R^n to R and owns its observation vector b.  The search
 needs four exact ingredients per loss: L(z), grad L(z), the conjugate
 L*(beta) together with its effective domain, and the proximal operators of
 tau*L and tau*L*; restricted solves also use the diagonal curvature of L.
-The conjugate prox comes from the loss prox through Moreau's identity
+Each loss implements prox_{tau L*}, the prox the dual solver calls: in
+closed form for quadratic and Huber (a clip to the box), by a monotone
+Newton iteration in the conjugate's own variable for logistic.  prox_{c L}
+follows from it through Moreau's identity
 
-    prox_{tau L*}(v) = v - tau * prox_{L/tau}(v / tau),
+    prox_{c L}(w) = w - c * prox_{L*/c}(w / c).
 
-so only prox_{c L} needs a per-loss implementation.  Every loss is
-(1/gamma)-smooth; gamma drives the dual solver's step-size schedule.
+Every loss is (1/gamma)-smooth; gamma drives the dual solver's step-size
+schedule.
 """
 
 import numpy as np
-from scipy.special import expit, xlogy
+from scipy.special import expit, logit, xlogy
+
+from .restricted import ConvergenceError
 
 __all__ = ["QuadraticLoss", "HuberLoss", "LogisticLoss", "make_loss"]
 
@@ -22,9 +27,15 @@ __all__ = ["QuadraticLoss", "HuberLoss", "LogisticLoss", "make_loss"]
 # continuous extension at the projected point instead of returning +inf
 _DOMAIN_SLACK = 1e-9
 
+# logistic conjugate prox: Newton stops once |a t + expit(t) - u| is within
+# this share of max(1, u), and raises ConvergenceError if that takes more
+# than the step cap
+_PROX_TOL = 1e-14
+_PROX_MAX_STEPS = 100
+
 
 class Loss:
-    """Base class holding b and the Moreau route to prox_{tau L*}."""
+    """Base class holding b and the Moreau route from prox_{tau L*} to prox_{c L}."""
 
     kind = "base"
 
@@ -61,15 +72,23 @@ class Loss:
         raise NotImplementedError
 
     def prox(self, tau, v):
-        """prox of tau*L at v, exact per component."""
-        raise NotImplementedError
+        """prox of tau*L at v via Moreau's identity."""
+        v = self._check_dim(v)
+        if tau < 0:
+            raise ValueError("tau must be nonnegative")
+        if tau == 0:
+            return v.copy()
+        return v - tau * self.prox_conjugate(1.0 / tau, v / tau)
 
     def prox_conjugate(self, tau, v):
-        """prox of tau*L* at v via Moreau's identity."""
+        """argmin_beta tau L*(beta) + ||beta - v||^2 / 2, exact per component."""
+        v = self._check_dim(v)
         if tau <= 0:
             raise ValueError("tau must be positive")
-        v = np.asarray(v, dtype=float)
-        return v - tau * self.prox(1.0 / tau, v / tau)
+        return self._prox_conjugate(tau, v)
+
+    def _prox_conjugate(self, tau, v):
+        raise NotImplementedError
 
     def project_domain(self, beta):
         """Euclidean projection onto the effective domain of L*."""
@@ -116,12 +135,8 @@ class QuadraticLoss(Loss):
         beta = self._check_dim(beta)
         return self.b + self.n * beta
 
-    def prox(self, tau, v):
-        v = self._check_dim(v)
-        if tau < 0:
-            raise ValueError("tau must be nonnegative")
-        c = tau / self.n
-        return (v + c * self.b) / (1.0 + c)
+    def _prox_conjugate(self, tau, v):
+        return (v - tau * self.b) / (1.0 + tau * self.n)
 
 
 class HuberLoss(Loss):
@@ -168,15 +183,10 @@ class HuberLoss(Loss):
         beta = self._check_dim(beta)
         return self.b + self.n * beta
 
-    def prox(self, tau, v):
-        v = self._check_dim(v)
-        if tau < 0:
-            raise ValueError("tau must be nonnegative")
-        c = tau / self.n
-        r = v - self.b
-        quad = self.b + r / (1.0 + c)
-        lin = v - c * self.delta * np.sign(r)
-        return np.where(np.abs(r) <= self.delta * (1.0 + c), quad, lin)
+    def _prox_conjugate(self, tau, v):
+        # the quadratic's conjugate prox, clipped to the box
+        bound = self.delta / self.n
+        return np.clip((v - tau * self.b) / (1.0 + tau * self.n), -bound, bound)
 
     def project_domain(self, beta):
         beta = self._check_dim(beta)
@@ -189,8 +199,9 @@ class LogisticLoss(Loss):
 
     The conjugate is the scaled binary entropy of s_i = -n b_i beta_i:
     L*(beta) = (1/n) sum_i [ s_i log s_i + (1 - s_i) log(1 - s_i) ] on
-    s in [0, 1]^n, +inf outside.  The prox has no closed form and is found
-    by a safeguarded per-component Newton iteration.
+    s in [0, 1]^n, +inf outside.  Neither prox has a closed form: the
+    conjugate prox is a monotone per-component Newton iteration in s, and
+    the loss prox follows from it by Moreau's identity.
     """
 
     kind = "logistic"
@@ -239,34 +250,30 @@ class LogisticLoss(Loss):
         s = np.clip(self._s(beta), 1e-12, 1.0 - 1e-12)
         return self.b * np.log((1.0 - s) / s)
 
-    def prox(self, tau, v):
-        """Componentwise argmin_y { c log(1+exp(-b y)) + (y-v)^2/2 }, c = tau/n.
+    def _prox_conjugate(self, tau, v):
+        """Solved in s = -n b beta.
 
-        Newton on g(y) = y - v - c b sigma(-b y), safeguarded by bisection on
-        the bracket [v - c, v + c] (g is increasing, g(v-c) <= 0 <= g(v+c)).
+        Per component, a logit(s) + s = u with a = tau n, u = -n b v.  After
+        s -> 1 - s, u -> 1 - u where u < 1/2, t = logit(s) >= 0 is the root
+        of f(t) = a t + expit(t) - u, increasing and concave, so Newton rises
+        monotonically from any start with f <= 0: here the largest of 0,
+        (u - 1)/a and logit(u - a logit(u)) where defined.
         """
-        v = self._check_dim(v)
-        if tau < 0:
-            raise ValueError("tau must be nonnegative")
-        if tau == 0:
-            return v.copy()
-        c = tau / self.n
-        b = self.b
-        lo = v - c
-        hi = v + c
-        y = v.copy()
-        for _ in range(100):
-            sig = expit(-b * y)
-            g = y - v - c * b * sig
-            if np.all(np.abs(g) <= 1e-12):
-                break
-            hi = np.where(g > 0, np.minimum(hi, y), hi)
-            lo = np.where(g < 0, np.maximum(lo, y), lo)
-            h = 1.0 + c * sig * (1.0 - sig)
-            y_new = y - g / h
-            outside = (y_new <= lo) | (y_new >= hi)
-            y = np.where(outside, 0.5 * (lo + hi), y_new)
-        return y
+        a = tau * self.n
+        u = -self.n * self.b * v
+        flip = u < 0.5
+        u = np.where(flip, 1.0 - u, u)
+        # logit returns nan where its argument leaves [0, 1]; fmax skips it
+        t = np.fmax(np.maximum(0.0, (u - 1.0) / a), logit(u - a * logit(u)))
+        tol = _PROX_TOL * np.maximum(1.0, u)
+        for _ in range(_PROX_MAX_STEPS):
+            s = expit(t)
+            r = a * t + s - u
+            if np.all(np.abs(r) <= tol):
+                return -self.b * expit(np.where(flip, -t, t)) / self.n
+            t = t - r / (a + s * (1.0 - s))
+        raise ConvergenceError(f"logistic conjugate prox: residual {np.max(np.abs(r)):.3e}"
+                               f" after {_PROX_MAX_STEPS} Newton steps")
 
     def project_domain(self, beta):
         beta = self._check_dim(beta)

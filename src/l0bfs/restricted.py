@@ -8,15 +8,14 @@ and the sparsity budget k; its objective is
 solve_restricted minimizes P over {x : supp(x) subseteq S} to a gradient
 certificate by damped Newton on the restricted variables, the same for
 every loss (Boyd & Vandenberghe, Convex Optimization, 9.5).  The ridge term
-makes the Hessian A_S^T diag(L'') A_S + lam I SPD, so each step is a
-Cholesky solve; the quadratic loss takes one full step, and Huber's
+makes the Hessian A_S^T diag(L'') A_S + lam I SPD, so each step is one
+dense linear solve; the quadratic loss takes one full step, and Huber's
 piecewise-constant curvature is handled as in semismooth Newton.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .linalg import spectral_norm
 
@@ -144,7 +143,7 @@ def _solve_newton(A_S, loss, lam, tol, max_iters):
         return w, cert
     for _ in range(max_iters):
         hess = (A_S.T * loss.curvature(z)) @ A_S + lam * np.eye(w.size)
-        dw = cho_solve(cho_factor(hess), g)
+        dw = np.linalg.solve(hess, g)
         for _ in range(_MAX_HALVINGS + 1):
             w_new = w - dw
             z_new, g_new, cert_new = at(w_new)

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from scipy.special import logit
 
+import l0bfs.losses
 from helpers import domain_point, fd_grad, numeric_conjugate, numeric_prox
 from l0bfs.losses import HuberLoss, LogisticLoss, QuadraticLoss, make_loss
+from l0bfs.restricted import ConvergenceError
 
 KINDS = ["quadratic", "huber", "logistic"]
 
@@ -341,6 +344,79 @@ class TestProxConjugate:
             for _ in range(30):
                 trial = loss.project_domain(q + 0.01 * rng.standard_normal(4))
                 assert base <= obj(trial) + 1e-9
+
+
+def logistic_prox_s(a, u):
+    """s = -n b beta for beta = prox_{tau L*}(v), with a = tau n and u = -n b v.
+
+    Mixed labels, so both signs of b map the same (a, u) grid.
+    """
+    u = np.asarray(u, dtype=float)
+    n = u.size
+    b = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    loss = LogisticLoss(b)
+    beta = loss.prox_conjugate(a / n, -b * u / n)
+    return -n * b * beta
+
+
+def bisect_s(a, u, steps=200):
+    """Root of a logit(s) + s = u on [0, 1] by plain bisection."""
+    lo, hi = 0.0, 1.0
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        if a * logit(mid) + mid < u:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+class TestLogisticConjugateProx:
+    A_GRID = np.logspace(-6, 3, 28)
+    U_GRID = np.union1d(np.linspace(-5.0, 6.0, 45), [0.0, 0.5, 1.0])
+
+    def test_small_repro_hits_the_root(self):
+        loss = LogisticLoss(np.array([1.0]))
+        s = -loss.prox_conjugate(0.0835, np.array([-0.5855]))[0]
+        assert abs(s - 0.5640045517201308) <= 1e-12
+
+    def test_stationarity_over_grid(self):
+        # the residual of the float s: within 1e-12 of the scale, plus what
+        # two float spacings of s move the residual by, one for rounding the
+        # root and one for the round trip s -> beta -> s (that term matters
+        # only for s within ~1e-10 of 1, where doubles are sparse)
+        for a in self.A_GRID:
+            s = logistic_prox_s(a, self.U_GRID)
+            inside = (s > 0.0) & (s < 1.0)
+            s, u = s[inside], self.U_GRID[inside]
+            residual = a * logit(s) + s - u
+            spacing = 2.0 * (a / (s * (1.0 - s)) + 1.0) * np.spacing(s)
+            assert np.all(np.abs(residual)
+                          <= 1e-12 * np.maximum(1.0, np.abs(u)) + spacing), a
+
+    def test_output_in_domain_without_slack(self):
+        rng = np.random.default_rng(21)
+        for a in self.A_GRID:
+            s = logistic_prox_s(a, self.U_GRID)
+            assert np.min(s) >= 0.0 and np.max(s) <= 1.0
+        loss = LogisticLoss(np.where(rng.random(7) < 0.5, 1.0, -1.0))
+        for _ in range(200):
+            tau = float(10.0 ** rng.uniform(-8, 4))
+            v = 10.0 ** rng.uniform(-3, 3) * rng.standard_normal(7)
+            s = -loss.n * loss.b * loss.prox_conjugate(tau, v)
+            assert np.min(s) >= 0.0 and np.max(s) <= 1.0
+
+    def test_matches_bisection_reference(self):
+        for a in self.A_GRID[::3]:
+            s = logistic_prox_s(a, self.U_GRID)
+            ref = [bisect_s(a, u) for u in self.U_GRID]
+            np.testing.assert_allclose(s, ref, rtol=0, atol=1e-12)
+
+    def test_step_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(l0bfs.losses, "_PROX_MAX_STEPS", 1)
+        loss = LogisticLoss(np.array([1.0, -1.0]))
+        with pytest.raises(ConvergenceError):
+            loss.prox_conjugate(0.0835, np.array([-0.5855, 0.3]))
 
 
 class TestProjectDomain:
