@@ -1,8 +1,10 @@
 """Small dense linear-algebra helpers shared across the solver."""
 
+import math
+
 import numpy as np
 
-__all__ = ["truncate_top", "top_norm", "spectral_norm"]
+__all__ = ["truncate_top", "l2_norm", "top_norm", "spectral_norm"]
 
 
 def truncate_top(j, z):
@@ -23,16 +25,19 @@ def truncate_top(j, z):
     return out
 
 
+def l2_norm(x):
+    """np.linalg.norm of a 1-D float array, by its own formula sqrt(x @ x)."""
+    return math.sqrt(x @ x)
+
+
 def top_norm(j, z):
     """Euclidean norm of the j largest-magnitude entries of z."""
     z = np.asarray(z, dtype=float)
     if j <= 0 or z.size == 0:
         return 0.0
-    if j >= z.size:
-        return float(np.linalg.norm(z))
-    a = np.abs(z)
-    top = np.partition(a, z.size - j)[z.size - j:]
-    return float(np.linalg.norm(top))
+    if j < z.size:
+        z = np.partition(np.abs(z), z.size - j)[z.size - j:]
+    return l2_norm(z)
 
 
 def spectral_norm(A):

@@ -22,11 +22,6 @@ from .restricted import ConvergenceError
 
 __all__ = ["QuadraticLoss", "HuberLoss", "LogisticLoss", "make_loss"]
 
-# conjugate arguments may land epsilon-outside the domain after a prox in
-# floats; within this relative slack of the boundary we evaluate the
-# continuous extension at the projected point instead of returning +inf
-_DOMAIN_SLACK = 1e-9
-
 # logistic conjugate prox: Newton stops once |a t + expit(t) - u| is within
 # this share of max(1, u), and raises ConvergenceError if that takes more
 # than the step cap
@@ -173,9 +168,8 @@ class HuberLoss(Loss):
         #   L*(beta) = sum_i [ b_i beta_i + (n/2) beta_i^2 ]
         beta = self._check_dim(beta)
         bound = self.delta / self.n
-        if np.max(np.abs(beta)) > bound * (1.0 + _DOMAIN_SLACK):
+        if np.max(np.abs(beta)) > bound:
             return np.inf
-        beta = np.clip(beta, -bound, bound)
         return float(beta @ self.b) + 0.5 * self.n * float(beta @ beta)
 
     def conjugate_grad(self, beta):
@@ -235,9 +229,8 @@ class LogisticLoss(Loss):
     def conjugate(self, beta):
         beta = self._check_dim(beta)
         s = self._s(beta)
-        if np.min(s) < -_DOMAIN_SLACK or np.max(s) > 1.0 + _DOMAIN_SLACK:
+        if np.min(s) < 0.0 or np.max(s) > 1.0:
             return np.inf
-        s = np.clip(s, 0.0, 1.0)
         # xlogy(0, 0) = 0 handles both endpoints exactly
         return float(np.sum(xlogy(s, s) + xlogy(1.0 - s, 1.0 - s))) / self.n
 

@@ -37,7 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import top_norm, truncate_top
+from .linalg import l2_norm, top_norm, truncate_top
 from .restricted import ConvergenceError, solve_restricted
 from .topk_prox import prox_topk_sq_conjugate
 
@@ -219,8 +219,8 @@ def pdal_maximize(inst, node, init, prune_threshold, cfg):
             if tail.size:
                 y_new[tail] = prox_topk_sq_conjugate(coef, rem, ybar[tail], lam)
             diff = y_new - y
-            nd = np.linalg.norm(diff)
-            if np.sqrt(rho_new) * tau_new * np.linalg.norm(A @ diff) <= nd:
+            nd = l2_norm(diff)
+            if np.sqrt(rho_new) * tau_new * l2_norm(A @ diff) <= nd:
                 break
             tau_new *= 0.5
         else:

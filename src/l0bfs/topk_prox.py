@@ -4,13 +4,18 @@ prox_topk_sq computes argmin_x { (mu/2) ||x||_{k,2}^2 + (1/2) ||x - v||^2 }
 where ||x||_{k,2} is the l2-norm of the k largest-magnitude entries.  The
 minimizer, expressed on |v| sorted non-increasingly, shrinks a leading block
 by 1/(1+mu), keeps a trailing block unchanged, and is constant equal to some
-xi on a middle block straddling position k.  The scan below locates that
-block by examining at most d candidate (j_start, j_end) pairs.
+xi on a middle block straddling position k.  After a stable sort, an O(d)
+scan on Python floats locates that block by examining at most d candidate
+(j_start, j_end) pairs.  The vectors are short (the open tail of a search
+node), so per-call numpy overhead would outweigh the arithmetic.
 
 prox_topk_sq_conjugate gives the prox of alpha * h* for h = (1/(2 lam)) *
 ||.||_{k,2}^2, the form needed by the dual solver's primal update, via
 Moreau's identity.
 """
+
+from itertools import accumulate
+from math import inf
 
 import numpy as np
 
@@ -37,74 +42,71 @@ def prox_topk_sq(mu, k, v, with_count=False):
         out = v.copy()
         return (out, 0) if with_count else out
     k = min(int(k), d)
+    mu = float(mu)
+    shrink = 1.0 + mu
 
-    signs = np.where(v >= 0, 1.0, -1.0)
-    order = np.argsort(-np.abs(v), kind="stable")
-    u = np.abs(v)[order]  # non-increasing, ties keep original index order
+    vals = v.tolist()
+    mags = [abs(x) for x in vals]
+    # stable: ties keep original index order, as argsort(-|v|, kind="stable")
+    order = sorted(range(d), key=mags.__getitem__, reverse=True)
+    u = [mags[i] for i in order]  # non-increasing
+    ub = [x / shrink for x in u[:k]]
 
     # 1-based views with sentinels: U[i] = u_i (U[d+1] = 0), Ubar[i] = u_i/(1+mu)
     # for i in [k], Ubar[0] = +inf
-    U = np.concatenate(([np.inf], u, [0.0]))
-    Ubar = np.concatenate(([np.inf], u[:k] / (1.0 + mu)))
+    U = [inf] + u + [0.0]
+    Ubar = [inf] + ub
 
+    count = 0
     if Ubar[k] >= U[k + 1]:
         # shrink-top branch: blocks don't interact
-        x_sorted = np.concatenate((Ubar[1:], u[k:]))
-        out = np.empty(d)
-        out[order] = x_sorted
-        out *= signs
-        return (out, 0) if with_count else out
+        x_sorted = ub + u[k:]
+    else:
+        # prefix sums over the 1-based u and ubar grids for O(1) candidate
+        # cost; accumulate adds in np.cumsum's order
+        cum_u = list(accumulate(u, initial=0.0))
+        cum_u2 = list(accumulate([x * x for x in u], initial=0.0))
+        cum_ub = list(accumulate(ub, initial=0.0))
+        cum_ub2 = list(accumulate([x * x for x in ub], initial=0.0))
 
-    # prefix sums over the 1-based u and ubar grids for O(1) candidate cost
-    cum_u = np.concatenate(([0.0], np.cumsum(u)))
-    cum_u2 = np.concatenate(([0.0], np.cumsum(u * u)))
-    ub = Ubar[1:]
-    cum_ub = np.concatenate(([0.0], np.cumsum(ub)))
-    cum_ub2 = np.concatenate(([0.0], np.cumsum(ub * ub)))
+        j_hat = k
+        g_min = inf
+        best = None
+        e = k - 1  # last index known to satisfy u_j > current threshold
+        for js in range(1, k + 1):
+            thresh = Ubar[js]
+            # endpoints: {j : u_j > ubar_js and j >= j_hat}; u non-increasing, so
+            # the threshold set is a prefix whose end e only moves right as js grows
+            while e + 1 <= d and U[e + 1] > thresh:
+                e += 1
+            if e < j_hat:
+                continue
+            m1 = k - js + 1
+            s1 = cum_ub[k] - cum_ub[js - 1]
+            q1 = cum_ub2[k] - cum_ub2[js - 1]
+            for je in range(j_hat, e + 1):
+                count += 1
+                xi_free = (cum_u[je] - cum_u[js - 1]) / (mu * m1 + je - js + 1)
+                xi = min(Ubar[js - 1], max(U[je + 1], xi_free))
+                # g = (1+mu) sum_{i=js}^{k} (xi - ubar_i)^2 + sum_{i=k+1}^{je} (xi - u_i)^2
+                g = shrink * (m1 * xi * xi - 2.0 * xi * s1 + q1)
+                if je > k:
+                    g += ((je - k) * xi * xi - 2.0 * xi * (cum_u[je] - cum_u[k])
+                          + (cum_u2[je] - cum_u2[k]))
+                if g < g_min:
+                    g_min = g
+                    best = (js, je, xi)
+            j_hat = e
+        assert count <= d, "candidate scan exceeded the linear bound"
+        assert best is not None
+        js, je, xi = best
+        x_sorted = ub[:js - 1] + [xi] * (je - js + 1) + u[je:]
 
-    def g_value(js, je, xi):
-        # (1+mu) sum_{i=js}^{k} (xi - ubar_i)^2 + sum_{i=k+1}^{je} (xi - u_i)^2
-        m1 = k - js + 1
-        s1 = cum_ub[k] - cum_ub[js - 1]
-        q1 = cum_ub2[k] - cum_ub2[js - 1]
-        total = (1.0 + mu) * (m1 * xi * xi - 2.0 * xi * s1 + q1)
-        if je > k:
-            m2 = je - k
-            s2 = cum_u[je] - cum_u[k]
-            q2 = cum_u2[je] - cum_u2[k]
-            total += m2 * xi * xi - 2.0 * xi * s2 + q2
-        return total
-
-    j_hat = k
-    g_min = np.inf
-    best = None
-    count = 0
-    e = k - 1  # last index known to satisfy u_j > current threshold
-    for js in range(1, k + 1):
-        thresh = Ubar[js]
-        # endpoints: {j : u_j > ubar_js and j >= j_hat}; u non-increasing, so
-        # the threshold set is a prefix whose end e only moves right as js grows
-        while e + 1 <= d and U[e + 1] > thresh:
-            e += 1
-        if e < j_hat:
-            continue
-        for je in range(j_hat, e + 1):
-            count += 1
-            xi_free = (cum_u[je] - cum_u[js - 1]) / (mu * (k - js + 1) + je - js + 1)
-            xi = min(Ubar[js - 1], max(U[je + 1], xi_free))
-            g = g_value(js, je, xi)
-            if g < g_min:
-                g_min = g
-                best = (js, je, xi)
-        j_hat = e
-    assert count <= d, "candidate scan exceeded the linear bound"
-    assert best is not None
-
-    js, je, xi = best
-    x_sorted = np.concatenate((Ubar[1:js], np.full(je - js + 1, xi), u[je:]))
-    out = np.empty(d)
-    out[order] = x_sorted
-    out *= signs
+    # the sign of v, with v >= 0 (so -0.0 too) taken as positive
+    out = [0.0] * d
+    for i, x in zip(order, x_sorted):
+        out[i] = x if vals[i] >= 0 else -x
+    out = np.array(out)
     return (out, count) if with_count else out
 
 
@@ -118,8 +120,8 @@ def prox_topk_sq_conjugate(alpha, k, v, lam):
         raise ValueError("alpha and lam must be positive")
     v = np.asarray(v, dtype=float)
     if k <= 0:
-        # h = 0, conjugate is the indicator of {0}: prox is the zero map...
-        # not needed by the solver (k - s >= 1 in the dual regime); keep the
-        # Moreau formula's limit, which collapses to v - v = 0
+        # h = 0, so h* is the indicator of {0} and its prox is the zero map;
+        # Moreau agrees, as prox_{h/alpha} is the identity.  The dual solver
+        # never takes this branch: it calls with k - s >= 1.
         return np.zeros_like(v)
     return v - alpha * prox_topk_sq(1.0 / (lam * alpha), k, v / alpha)

@@ -134,3 +134,64 @@ def domain_point(loss, rng, scale=1.0):
     # logistic: beta = -s b / n with s strictly inside (0, 1)
     s = rng.uniform(0.05, 0.95, size=n)
     return -s * loss.b / n
+
+
+def numpy_prox_topk_sq(mu, k, v):
+    """Frozen numpy implementation of l0bfs.topk_prox.prox_topk_sq.
+
+    The same scan written with argsort, cumsum and numpy scalars, kept as the
+    bit-level reference for the Python-float version.  Returns
+    (prox, candidate count).
+    """
+    v = np.asarray(v, dtype=float)
+    d = v.size
+    k = min(int(k), d)
+    signs = np.where(v >= 0, 1.0, -1.0)
+    order = np.argsort(-np.abs(v), kind="stable")
+    u = np.abs(v)[order]
+    U = np.concatenate(([np.inf], u, [0.0]))
+    Ubar = np.concatenate(([np.inf], u[:k] / (1.0 + mu)))
+
+    def scatter(x_sorted):
+        out = np.empty(d)
+        out[order] = x_sorted
+        return out * signs
+
+    if Ubar[k] >= U[k + 1]:
+        return scatter(np.concatenate((Ubar[1:], u[k:]))), 0
+
+    cum_u = np.concatenate(([0.0], np.cumsum(u)))
+    cum_u2 = np.concatenate(([0.0], np.cumsum(u * u)))
+    ub = Ubar[1:]
+    cum_ub = np.concatenate(([0.0], np.cumsum(ub)))
+    cum_ub2 = np.concatenate(([0.0], np.cumsum(ub * ub)))
+
+    def g_value(js, je, xi):
+        m1 = k - js + 1
+        s1 = cum_ub[k] - cum_ub[js - 1]
+        q1 = cum_ub2[k] - cum_ub2[js - 1]
+        total = (1.0 + mu) * (m1 * xi * xi - 2.0 * xi * s1 + q1)
+        if je > k:
+            m2 = je - k
+            s2 = cum_u[je] - cum_u[k]
+            q2 = cum_u2[je] - cum_u2[k]
+            total += m2 * xi * xi - 2.0 * xi * s2 + q2
+        return total
+
+    j_hat, g_min, best, count, e = k, np.inf, None, 0, k - 1
+    for js in range(1, k + 1):
+        thresh = Ubar[js]
+        while e + 1 <= d and U[e + 1] > thresh:
+            e += 1
+        if e < j_hat:
+            continue
+        for je in range(j_hat, e + 1):
+            count += 1
+            xi_free = (cum_u[je] - cum_u[js - 1]) / (mu * (k - js + 1) + je - js + 1)
+            xi = min(Ubar[js - 1], max(U[je + 1], xi_free))
+            g = g_value(js, je, xi)
+            if g < g_min:
+                g_min, best = g, (js, je, xi)
+        j_hat = e
+    js, je, xi = best
+    return scatter(np.concatenate((Ubar[1:js], np.full(je - js + 1, xi), u[je:]))), count

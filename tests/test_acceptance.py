@@ -24,6 +24,8 @@ from l0bfs import (PRUNED, GenSpec, Node, SolverConfig, bfs_solve, dual_value,
 from l0bfs.cli import main as cli_main
 from l0bfs.cli import read_rows
 
+pytestmark = pytest.mark.slow
+
 REPORT_PATH = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
     "acceptance_report.txt")

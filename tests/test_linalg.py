@@ -99,6 +99,13 @@ class TestTopNorm:
         assert top_norm(j, z) == pytest.approx(
             float(np.linalg.norm(truncate_top(j, z))), abs=1e-9, rel=1e-12)
 
+    @given(vectors, st.integers(1, 14))
+    def test_bit_equal_to_numpy_norm_of_top_entries(self, z, j):
+        # the top entries in the order np.partition leaves them, which is
+        # the order top_norm sums their squares in
+        top = z if j >= z.size else np.partition(np.abs(z), z.size - j)[z.size - j:]
+        assert top_norm(j, z) == float(np.linalg.norm(top))
+
     @given(vectors)
     def test_nondecreasing_in_j_and_caps_at_full_norm(self, z):
         values = [top_norm(j, z) for j in range(z.size + 2)]

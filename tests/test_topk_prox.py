@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import numpy_prox_topk_sq
 from l0bfs.linalg import top_norm
 from l0bfs.topk_prox import prox_topk_sq, prox_topk_sq_conjugate
 
@@ -117,6 +118,43 @@ class TestAgainstBruteForce:
         impl = prox_topk_sq(mu, k, v)
         ref = brute_force_prox(mu, k, v)
         assert objective(mu, k, v, impl) <= objective(mu, k, v, ref) + 1e-12
+
+
+def draw_vector(family, rng, d):
+    if family == "gaussian":
+        return rng.standard_normal(d) * 10.0 ** rng.uniform(-3.0, 3.0)
+    if family == "integer":  # exact ties and zeros
+        return rng.integers(-3, 4, size=d).astype(float)
+    if family == "signed_zeros":
+        return rng.choice([0.0, -0.0, 1.0, -1.0, 2.5, -2.5], size=d)
+    if family == "repeated":  # a few magnitudes, each with both signs
+        mags = rng.uniform(0.1, 3.0, size=int(rng.integers(1, 4)))
+        return rng.choice(mags, size=d) * rng.choice([-1.0, 1.0], size=d)
+    return np.round(rng.standard_normal(d), 1)  # near and exact ties
+
+
+class TestAgainstNumpyReference:
+    """Bit-level agreement with the frozen numpy scan in tests/helpers.py."""
+
+    @pytest.mark.parametrize("seed,family", enumerate(
+        ["gaussian", "integer", "signed_zeros", "repeated", "rounded"]))
+    def test_output_bytes_and_candidate_count(self, seed, family):
+        rng = np.random.default_rng(500 + seed)
+        seen = {"d=1": 0, "k=d": 0, "k>d": 0, "scan": 0}
+        for _ in range(4000):
+            d = int(rng.integers(1, 31))
+            k = int(rng.integers(1, d + 3))
+            mu = float(10.0 ** rng.uniform(-4.0, 4.0))
+            v = draw_vector(family, rng, d)
+            out, count = prox_topk_sq(mu, k, v, with_count=True)
+            ref, ref_count = numpy_prox_topk_sq(mu, k, v)
+            assert out.tobytes() == ref.tobytes(), (mu, k, v.tolist())
+            assert count == ref_count, (mu, k, v.tolist())
+            seen["d=1"] += d == 1
+            seen["k=d"] += k == d
+            seen["k>d"] += k > d
+            seen["scan"] += count > 0
+        assert min(seen.values()) > 0, seen
 
 
 class TestOptimality:
