@@ -318,8 +318,9 @@ def _add_gen_flags(p, with_seed):
 
 
 def _add_solver_flags(p):
-    p.add_argument("--subroutine", choices=["pdal", "sga"], default="pdal")
-    p.add_argument("--epsilon", type=_positive, default=1e-5,
+    p.add_argument("--subroutine", choices=["pdal", "sga"],
+                   default=SolverConfig.subroutine)
+    p.add_argument("--epsilon", type=_positive, default=SolverConfig.epsilon,
                    help="relative convergence tolerance of the bound subroutine")
     p.add_argument("--no-warm-start", action="store_true")
     p.add_argument("--no-pruning", action="store_true")

@@ -32,11 +32,12 @@ def l2_norm(x):
 
 def top_norm(j, z):
     """Euclidean norm of the j largest-magnitude entries of z."""
-    z = np.asarray(z, dtype=float)
-    if j <= 0 or z.size == 0:
+    if j <= 0:
         return 0.0
+    z = np.abs(np.asarray(z, dtype=float))
     if j < z.size:
-        z = np.partition(np.abs(z), z.size - j)[z.size - j:]
+        z.partition(z.size - j)
+        z = z[z.size - j:]
     return l2_norm(z)
 
 

@@ -168,7 +168,7 @@ class HuberLoss(Loss):
         #   L*(beta) = sum_i [ b_i beta_i + (n/2) beta_i^2 ]
         beta = self._check_dim(beta)
         bound = self.delta / self.n
-        if np.max(np.abs(beta)) > bound:
+        if np.abs(beta).max() > bound:
             return np.inf
         return float(beta @ self.b) + 0.5 * self.n * float(beta @ beta)
 
@@ -180,7 +180,8 @@ class HuberLoss(Loss):
     def _prox_conjugate(self, tau, v):
         # the quadratic's conjugate prox, clipped to the box
         bound = self.delta / self.n
-        return np.clip((v - tau * self.b) / (1.0 + tau * self.n), -bound, bound)
+        return np.minimum(np.maximum((v - tau * self.b) / (1.0 + tau * self.n),
+                                     -bound), bound)
 
     def project_domain(self, beta):
         beta = self._check_dim(beta)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import spectral_norm
+from .linalg import l2_norm, spectral_norm
 
 __all__ = ["Instance", "RestrictedSolution", "ConvergenceError", "solve_restricted"]
 
@@ -135,14 +135,15 @@ def _solve_newton(A_S, loss, lam, tol, max_iters):
     def at(w):
         z = A_S @ w
         g = A_S.T @ loss.grad(z) + lam * w
-        return z, g, float(np.linalg.norm(g))
+        return z, g, l2_norm(g)
 
     w, f = np.zeros(A_S.shape[1]), None  # f = phi(w), evaluated once needed
     z, g, cert = at(w)
     if cert <= tol:
         return w, cert
+    ridge = lam * np.eye(w.size)
     for _ in range(max_iters):
-        hess = (A_S.T * loss.curvature(z)) @ A_S + lam * np.eye(w.size)
+        hess = (A_S.T * loss.curvature(z)) @ A_S + ridge
         dw = np.linalg.solve(hess, g)
         for _ in range(_MAX_HALVINGS + 1):
             w_new = w - dw

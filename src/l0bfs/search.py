@@ -5,10 +5,10 @@ bounds.  Popping the smallest bound and checking the node's own candidate
 against it gives a certificate: if P(candidate) <= bound + delta, no
 unexplored subtree can beat the candidate by more than delta, so the
 candidate is returned (delta = 0 gives the exact minimum up to numeric
-tolerance).  Otherwise the node's children are bounded (warm-started from
-the parent's dual iterates, with the pdal step schedule restarted at each
-child), pruned when their bound already exceeds the incumbent objective,
-and pushed.
+tolerance).  Otherwise the node's children are bounded and pushed, or
+pruned once a bound exceeds the incumbent objective.  All children share
+the parent's final dual state, and each first takes one entry test, D at
+that state, before any restricted solve or dual ascent of its own.
 
 exhaustive_solve is the independent reference: it solves the restricted
 problem on every size-k support and keeps the best.
@@ -57,10 +57,9 @@ def bfs_solve(inst, delta=0.0, cfg=None, record_bounds=False):
     t0 = time.perf_counter()
     log = [] if record_bounds else None
 
-    # feasible incumbent before any bound exists; P(0) also gives the root
-    # call a sound prune threshold since every bound sits below the optimum
-    x_min = np.zeros(inst.d)
-    p_min = inst.objective(x_min)
+    # incumbent objective: P(0) before any bound exists gives the root call
+    # a sound prune threshold, since every bound sits below the optimum
+    p_min = inst.objective(np.zeros(inst.d))
 
     root = root_node(inst.d, inst.k)
     res = subtree_solve(inst, root, None, p_min, cfg)
@@ -69,17 +68,14 @@ def bfs_solve(inst, delta=0.0, cfg=None, record_bounds=False):
         log.append((root.indices, res.low, res.status, res.value))
     if res.status == PRUNED:
         # only reachable through float noise: D <= F <= P(0) at the root
-        return SolveReport(x=x_min, objective=p_min, solver_calls=calls,
-                           pruned=1, heap_peak=0,
+        return SolveReport(x=np.zeros(inst.d), objective=p_min,
+                           solver_calls=calls, pruned=1, heap_peak=0,
                            wall_time=time.perf_counter() - t0, delta=delta,
                            bound_log=log)
-    if res.value < p_min:
-        x_min, p_min = res.x, res.value
+    p_min = min(p_min, res.value)
 
     heap = [(res.low, 0, root, res)]
-    seq = 1
-    heap_peak = 1
-    pruned_count = 0
+    seq, heap_peak, pruned_count = 1, 1, 0
     while heap:
         low, _, node, res = heapq.heappop(heap)
         if res.value <= low + delta + ZERO_TOL:
@@ -100,8 +96,7 @@ def bfs_solve(inst, delta=0.0, cfg=None, record_bounds=False):
             heapq.heappush(heap, (child_res.low, seq, child, child_res))
             seq += 1
             heap_peak = max(heap_peak, len(heap))
-            if child_res.value < p_min:
-                x_min, p_min = child_res.x, child_res.value
+            p_min = min(p_min, child_res.value)
     raise AssertionError(
         "heap exhausted before termination; leaf bounds should always fire")
 

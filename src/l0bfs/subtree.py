@@ -14,6 +14,11 @@ objective over the subtree below S together with a feasible candidate:
     applied to L, then minimizing the linearized objective over supports
     reachable below S).
 
+Every node, exact or not, first takes one entry test: D at the dual point
+its parent handed down, from that state's w = A^T beta and conj = L*(beta);
+siblings share the state (its arrays are read-only) and pay only their own
+penalty term.  D never exceeds the subtree minimum, so no winner is pruned.
+
 Two dual maximizers are provided, both run by one ascent loop (_ascend)
 that owns the prune test at entry and after each iteration, the running
 max D_max, the convergence test, the polish restricted solve and the
@@ -32,6 +37,7 @@ parent's spent schedule barely moves the child and would stop its ascent
 at a loose bound; for sga beta and the parent's first accepted step.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -79,20 +85,31 @@ class SolverConfig:
             raise ValueError("max_dual_iters must be at least 1")
 
 
+class _Shared:
+    def __post_init__(self):  # all children of a node read the same arrays
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+
+
 @dataclass(frozen=True)
-class DualState:
+class DualState(_Shared):
     """PDAL iterate carried between parent and child nodes."""
 
-    beta: np.ndarray  # dual point, length n
-    y: np.ndarray     # primal point, length d
+    beta: np.ndarray                 # dual point, length n
+    y: np.ndarray                    # primal point, length d
+    w: Optional[np.ndarray] = None   # A^T beta, length d
+    conj: Optional[float] = None     # L*(beta)
 
 
 @dataclass(frozen=True)
-class SgaState:
+class SgaState(_Shared):
     """Supergradient-ascent iterate: dual point and inherited step size."""
 
     beta: np.ndarray
     eta: float
+    w: Optional[np.ndarray] = None
+    conj: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -125,11 +142,19 @@ def dual_value(inst, node, beta, w=None):
     """D(beta; node): lower bound on the subtree minimum; -inf off-domain."""
     beta = np.asarray(beta, dtype=float)
     conj = inst.loss.conjugate(beta)
-    if not np.isfinite(conj):
+    if not math.isfinite(conj):
         return -np.inf
     if w is None:
         w = inst.AT @ beta
     return -conj - _penalty(w, node) / (2.0 * inst.lam)
+
+
+def _entry(inst, node, state):
+    """(w, D(state.beta; node)) by dual_value's expression, from state.w, conj."""
+    w, conj = state.w, state.conj
+    if w is None:  # root and hand-built states
+        w, conj = inst.AT @ state.beta, inst.loss.conjugate(state.beta)
+    return w, -conj - _penalty(w, node) / (2.0 * inst.lam)
 
 
 def _converged(improve, incumbent, epsilon):
@@ -140,8 +165,8 @@ def _converged(improve, incumbent, epsilon):
     return improve <= epsilon
 
 
-def _ascend(inst, node, beta, prune_threshold, cfg, step, first_stop):
-    """Maximize D(.; node) from beta by repeated calls of one method's step.
+def _ascend(inst, node, init, prune_threshold, cfg, step, first_stop):
+    """Maximize D(.; node) from init.beta by repeated calls of one method's step.
 
     step(beta, w, d, stop_above) makes one iteration from the dual point beta
     (w = A^T beta, d its D value) and returns (beta, w, D, finish), where
@@ -151,8 +176,8 @@ def _ascend(inst, node, beta, prune_threshold, cfg, step, first_stop):
     Converged, from iteration first_stop on, when the D improvement is
     epsilon-small relative to the incumbent and the current D is D_max.
     """
-    w = inst.AT @ beta
-    d_prev = dual_value(inst, node, beta, w)
+    beta = init.beta
+    w, d_prev = _entry(inst, node, init)
     d_max = d_prev
     stop_above = prune_threshold + ZERO_TOL if cfg.pruning else np.inf
     if d_prev > stop_above:
@@ -194,33 +219,34 @@ def pdal_maximize(inst, node, init, prune_threshold, cfg):
     near-fixed point shows no improvement on its first step without having
     ascended.  The polish point is the top-k truncation of y.
     """
-    A, lam, gamma = inst.A, inst.lam, inst.loss.gamma
+    A, lam, loss = inst.A, inst.lam, inst.loss
     k, rem = node.k, node.k - node.size
     s_arr, tail = node.support_array, node.tail_array
-    y = np.array(init.y, dtype=float)
+    y = init.y
     tau, rho, theta = 1.0 / inst.op_norm, 1.0, 1.0
 
     def step(beta, w, d, stop_above):
         nonlocal y, tau, rho, theta
-        beta_new = inst.loss.prox_conjugate(tau, beta - tau * (A @ y))
+        beta_new = loss.prox_conjugate(tau, beta - tau * (A @ y))
         w_new = inst.AT @ beta_new
         d_new = dual_value(inst, node, beta_new, w_new)
         if d_new > stop_above:
             return beta_new, w_new, d_new, None
 
-        rho_new = rho * (1.0 + gamma * tau)
-        tau_new = tau * np.sqrt((rho / rho_new) * (1.0 + theta))
+        rho_new = rho * (1.0 + loss.gamma * tau)
+        tau_new = tau * math.sqrt((rho / rho_new) * (1.0 + theta))
+        dw = w_new - w
         for _ in range(61):  # at most 60 halvings
             theta_new = tau_new / tau
             coef = rho_new * tau_new
-            ybar = y + coef * (w_new + theta_new * (w_new - w))
+            ybar = y + coef * (w_new + theta_new * dw)
             y_new = np.zeros(inst.d)
             y_new[s_arr] = ybar[s_arr] / (1.0 + lam * coef)
             if tail.size:
                 y_new[tail] = prox_topk_sq_conjugate(coef, rem, ybar[tail], lam)
             diff = y_new - y
             nd = l2_norm(diff)
-            if np.sqrt(rho_new) * tau_new * l2_norm(A @ diff) <= nd:
+            if math.sqrt(rho_new) * tau_new * l2_norm(A @ diff) <= nd:
                 break
             tau_new *= 0.5
         else:
@@ -228,11 +254,11 @@ def pdal_maximize(inst, node, init, prune_threshold, cfg):
                 "primal-dual linesearch failed to pass after 60 halvings")
 
         y, tau, rho, theta = y_new, tau_new, rho_new, theta_new
-        return beta_new, w_new, d_new, \
-            lambda: (truncate_top(k, y_new), DualState(beta_new, y_new))
+        return beta_new, w_new, d_new, lambda: (
+            truncate_top(k, y_new),
+            DualState(beta_new, y_new, w_new, loss.conjugate(beta_new)))
 
-    return _ascend(inst, node, np.array(init.beta, dtype=float),
-                   prune_threshold, cfg, step, first_stop=2)
+    return _ascend(inst, node, init, prune_threshold, cfg, step, first_stop=2)
 
 
 def _sga_primal(inst, node, w):
@@ -275,11 +301,11 @@ def sga_maximize(inst, node, init, prune_threshold, cfg):
             cand, w_cand, d_cand, eta = beta, w, d, eta_in
         if eta_first is None:
             eta_first = eta
-        return cand, w_cand, d_cand, \
-            lambda: (_sga_primal(inst, node, w_cand), SgaState(cand, eta_first))
+        return cand, w_cand, d_cand, lambda: (
+            _sga_primal(inst, node, w_cand),
+            SgaState(cand, eta_first, w_cand, loss.conjugate(cand)))
 
-    return _ascend(inst, node, np.array(init.beta, dtype=float),
-                   prune_threshold, cfg, step, first_stop=1)
+    return _ascend(inst, node, init, prune_threshold, cfg, step, first_stop=1)
 
 
 def subtree_solve(inst, node, warm=None, prune_threshold=np.inf, cfg=None):
@@ -291,24 +317,24 @@ def subtree_solve(inst, node, warm=None, prune_threshold=np.inf, cfg=None):
     convergence test, so pass it even when pruning is disabled.
     """
     cfg = cfg or SolverConfig()
-    s = node.size
-
-    if s == node.k or s + node.tail_size <= node.k:
-        if s == node.k:
-            support = node.indices
-        else:
-            support = node.indices + tuple(node.tail_array)
-        sol = solve_restricted(inst, support)
-        if cfg.pruning and sol.value > prune_threshold + ZERO_TOL:
-            return BoundResult(low=sol.value, x=sol.x, value=sol.value,
-                               status=PRUNED, state=None, iterations=0)
-        return BoundResult(low=sol.value, x=sol.x, value=sol.value,
-                           status=EXACT, state=None, iterations=0)
-
     if cfg.subroutine == "pdal":
         maximize, state_type, root_state = pdal_maximize, DualState, pdal_root_state
     else:
         maximize, state_type, root_state = sga_maximize, SgaState, sga_root_state
     init = warm if cfg.warm_start and isinstance(warm, state_type) \
         else root_state(inst)
+
+    s = node.size
+    if s == node.k or s + node.tail_size <= node.k:
+        stop_above = prune_threshold + ZERO_TOL if cfg.pruning else np.inf
+        d = _entry(inst, node, init)[1]
+        if d > stop_above:
+            return BoundResult(low=d, x=None, value=np.inf, status=PRUNED,
+                               state=None, iterations=0)
+        sol = solve_restricted(inst, node.indices if s == node.k
+                               else node.indices + tuple(node.tail_array))
+        status = PRUNED if sol.value > stop_above else EXACT
+        return BoundResult(low=sol.value, x=sol.x, value=sol.value,
+                           status=status, state=None, iterations=0)
+
     return maximize(inst, node, init, prune_threshold, cfg)

@@ -35,17 +35,20 @@ def prox_topk_sq(mu, k, v, with_count=False):
         (always <= v.size; the basis of the linear-time bound).
     """
     v = np.asarray(v, dtype=float)
-    d = v.size
     if mu <= 0:
         raise ValueError("mu must be positive")
     if k <= 0:
         out = v.copy()
         return (out, 0) if with_count else out
-    k = min(int(k), d)
-    mu = float(mu)
-    shrink = 1.0 + mu
+    out, count = _prox_list(float(mu), int(k), v.tolist())
+    return (np.array(out), count) if with_count else np.array(out)
 
-    vals = v.tolist()
+
+def _prox_list(mu, k, vals):
+    """(prox, candidates examined) on Python floats, for k >= 1."""
+    d = len(vals)
+    k = min(k, d)
+    shrink = 1.0 + mu
     mags = [abs(x) for x in vals]
     # stable: ties keep original index order, as argsort(-|v|, kind="stable")
     order = sorted(range(d), key=mags.__getitem__, reverse=True)
@@ -106,15 +109,15 @@ def prox_topk_sq(mu, k, v, with_count=False):
     out = [0.0] * d
     for i, x in zip(order, x_sorted):
         out[i] = x if vals[i] >= 0 else -x
-    out = np.array(out)
-    return (out, count) if with_count else out
+    return out, count
 
 
 def prox_topk_sq_conjugate(alpha, k, v, lam):
     """Prox of alpha * h* at v, where h = (1/(2 lam)) ||.||_{k,2}^2.
 
     Moreau: prox_{alpha h*}(v) = v - alpha * prox_{h / alpha}(v / alpha),
-    and h/alpha has shrinkage weight mu = 1/(lam * alpha).
+    and h/alpha has shrinkage weight mu = 1/(lam * alpha).  The identity is
+    applied on Python floats, with the same operations numpy would make.
     """
     if alpha <= 0 or lam <= 0:
         raise ValueError("alpha and lam must be positive")
@@ -124,4 +127,6 @@ def prox_topk_sq_conjugate(alpha, k, v, lam):
         # Moreau agrees, as prox_{h/alpha} is the identity.  The dual solver
         # never takes this branch: it calls with k - s >= 1.
         return np.zeros_like(v)
-    return v - alpha * prox_topk_sq(1.0 / (lam * alpha), k, v / alpha)
+    alpha, vals = float(alpha), v.tolist()
+    p, _ = _prox_list(1.0 / (lam * alpha), int(k), [x / alpha for x in vals])
+    return np.array([x - alpha * q for x, q in zip(vals, p)])

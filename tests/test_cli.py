@@ -6,7 +6,8 @@ import subprocess
 import numpy as np
 import pytest
 
-from l0bfs import cli, exhaustive_solve, load_instance
+from l0bfs import (SolverConfig, bfs_solve, cli, exhaustive_solve,
+                   load_instance)
 from l0bfs.cli import (COLUMNS, aggregate_from_rows, append_rows, main,
                        read_rows)
 
@@ -171,6 +172,22 @@ class TestSolve:
         assert row["warm_start"] == "false"
         assert row["pruning"] == "false"
         assert row["pruned"] == "0"
+
+    def test_default_flags_build_default_config(self, tmp_path, monkeypatch,
+                                                capsys):
+        inst = gen_dir(tmp_path)
+        seen = []
+
+        def recording(inst, delta=0.0, cfg=None, record_bounds=False):
+            seen.append(cfg)
+            return bfs_solve(inst, delta=delta, cfg=cfg,
+                             record_bounds=record_bounds)
+
+        monkeypatch.setattr(cli, "bfs_solve", recording)
+        assert main(["solve", "--instance", inst, "--method", "bfs",
+                     "--out", str(tmp_path / "r.csv")]) == 0
+        capsys.readouterr()
+        assert seen == [SolverConfig()]
 
     def test_solver_failure_appends_error_row(self, tmp_path, monkeypatch,
                                               capsys):

@@ -375,3 +375,78 @@ class TestSubtreeSolveDispatch:
         assert res.status == DUAL_BOUND
         expected = DualState if subroutine == "pdal" else SgaState
         assert isinstance(res.state, expected)
+
+
+class TestSharedParentState:
+    """Children read the entry bound off their parent's shared state."""
+
+    @staticmethod
+    def parent_state(kind, subroutine):
+        inst = random_instance(kind, d=8, k=3, n=12, seed=3, lam=1e-2)
+        root = root_node(inst.d, inst.k)
+        p0 = inst.objective(np.zeros(inst.d))
+        cfg = SolverConfig(subroutine=subroutine, pruning=False)
+        res = subtree_solve(inst, root, prune_threshold=p0, cfg=cfg)
+        assert res.status == DUAL_BOUND
+        return inst, root, res.state
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("subroutine", ["pdal", "sga"])
+    def test_exact_child_pruned_at_entry_without_restricted_solve(
+            self, subroutine, kind, monkeypatch):
+        inst, root, state = self.parent_state(kind, subroutine)
+        cfg = SolverConfig(subroutine=subroutine)
+        # children (j,) with j >= d - k have |S| + |tail| <= k: exact branch
+        exact = [c for c in root.children() if c.size + c.tail_size <= c.k]
+        assert exact
+        calls = [0]
+        original = l0bfs.subtree.solve_restricted
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return original(*args, **kwargs)
+
+        minima = [solve_restricted(inst, c.indices + tuple(c.tail_array)).value
+                  for c in exact]
+        monkeypatch.setattr(l0bfs.subtree, "solve_restricted", counted)
+        for child, minimum in zip(exact, minima):
+            d = dual_value(inst, child, state.beta)
+            res = subtree_solve(inst, child, warm=state,
+                                prune_threshold=d - 1e-3, cfg=cfg)
+            assert res.status == PRUNED
+            assert res.iterations == 0
+            assert res.x is None and res.value == np.inf
+            assert res.low == d
+            assert res.low <= minimum
+        assert calls[0] == 0
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("subroutine", ["pdal", "sga"])
+    def test_entry_bound_bit_equal_to_dual_value(self, subroutine, kind):
+        inst, root, state = self.parent_state(kind, subroutine)
+        cfg = SolverConfig(subroutine=subroutine)
+        for child in root.children():
+            d = dual_value(inst, child, state.beta)
+            # any threshold below D prunes at entry, with D as the bound
+            res = subtree_solve(inst, child, warm=state,
+                                prune_threshold=d - 1.0, cfg=cfg)
+            assert res.status == PRUNED and res.iterations == 0
+            assert float(res.low).hex() == float(d).hex(), child.indices
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("subroutine", ["pdal", "sga"])
+    def test_state_arrays_are_read_only(self, subroutine, kind):
+        inst, _, state = self.parent_state(kind, subroutine)
+        root_state = (pdal_root_state if subroutine == "pdal"
+                      else sga_root_state)(inst)
+        for st in (state, root_state):
+            arrays = [v for v in vars(st).values()
+                      if isinstance(v, np.ndarray)]
+            assert arrays
+            for a in arrays:
+                assert not a.flags.writeable
+                with pytest.raises(ValueError):
+                    a[0] = 1.0
+        assert state.w is not None
+        np.testing.assert_array_equal(state.w, inst.AT @ state.beta)
+        assert state.conj == inst.loss.conjugate(state.beta)
