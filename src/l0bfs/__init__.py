@@ -11,7 +11,7 @@ from .instances import (GeneratedInstance, GenSpec, default_n, gen_huber,
 from .linalg import spectral_norm, top_norm, truncate_top
 from .losses import HuberLoss, LogisticLoss, Loss, QuadraticLoss, make_loss
 from .restricted import (ConvergenceError, Instance, RestrictedSolution,
-                         solve_restricted)
+                         solve_restricted, solve_restricted_batch)
 from .search import SolveReport, bfs_solve, exhaustive_solve
 from .state_space import Node, is_node, root_node
 from .subtree import (DUAL_BOUND, EXACT, PRUNED, BoundResult, DualState,
@@ -32,6 +32,7 @@ __all__ = [
     "generate", "htp", "iht", "is_node", "load_instance", "make_loss", "omp",
     "pdal_maximize", "pdal_root_state", "prox_topk_sq",
     "prox_topk_sq_conjugate", "pssr", "root_node", "save_instance",
-    "sga_maximize", "sga_root_state", "solve_restricted", "spectral_norm",
+    "sga_maximize", "sga_root_state", "solve_restricted",
+    "solve_restricted_batch", "spectral_norm",
     "subtree_solve", "top_norm", "truncate_top",
 ]

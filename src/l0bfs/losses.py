@@ -12,8 +12,12 @@ follows from it through Moreau's identity
     prox_{c L}(w) = w - c * prox_{L*/c}(w / c).
 
 Every loss is (1/gamma)-smooth; gamma drives the dual solver's step-size
-schedule.
+schedule.  value, grad and curvature also take a stack of points, shape
+(..., n), as the batched restricted solves do; value then reduces over the
+last axis only.
 """
+
+import math
 
 import numpy as np
 from scipy.special import expit, logit, xlogy
@@ -89,9 +93,10 @@ class Loss:
         """Euclidean projection onto the effective domain of L*."""
         return np.asarray(beta, dtype=float).copy()
 
-    def _check_dim(self, z):
+    def _check_dim(self, z, stack=False):
+        """z as a float array of shape (n,), or (..., n) when stack is set."""
         z = np.asarray(z, dtype=float)
-        if z.shape != (self.n,):
+        if z.shape[-1:] != (self.n,) or not (stack or z.ndim == 1):
             raise ValueError(f"expected vector of length {self.n}, got shape {z.shape}")
         return z
 
@@ -109,17 +114,16 @@ class QuadraticLoss(Loss):
         return float(self.n)
 
     def value(self, z):
-        z = self._check_dim(z)
-        r = z - self.b
-        return float(r @ r) / (2.0 * self.n)
+        r = self._check_dim(z, stack=True) - self.b
+        return np.vecdot(r, r) / (2.0 * self.n)
 
     def grad(self, z):
-        z = self._check_dim(z)
+        z = self._check_dim(z, stack=True)
         return (z - self.b) / self.n
 
     def curvature(self, z):
-        z = self._check_dim(z)
-        return np.full(self.n, 1.0 / self.n)
+        z = self._check_dim(z, stack=True)
+        return np.full(z.shape, 1.0 / self.n)
 
     def conjugate(self, beta):
         # L*(beta) = <beta, b> + (n/2) ||beta||^2, finite everywhere
@@ -150,17 +154,16 @@ class HuberLoss(Loss):
         return float(self.n)
 
     def value(self, z):
-        z = self._check_dim(z)
-        r = np.abs(z - self.b)
+        r = np.abs(self._check_dim(z, stack=True) - self.b)
         per = np.where(r <= self.delta, 0.5 * r * r, self.delta * (r - 0.5 * self.delta))
-        return float(np.sum(per)) / self.n
+        return np.add.reduce(per, axis=-1) / self.n
 
     def grad(self, z):
-        z = self._check_dim(z)
+        z = self._check_dim(z, stack=True)
         return np.clip(z - self.b, -self.delta, self.delta) / self.n
 
     def curvature(self, z):
-        z = self._check_dim(z)
+        z = self._check_dim(z, stack=True)
         return (np.abs(z - self.b) <= self.delta) / self.n
 
     def conjugate(self, beta):
@@ -211,17 +214,17 @@ class LogisticLoss(Loss):
         return 4.0 * self.n
 
     def value(self, z):
-        z = self._check_dim(z)
+        z = self._check_dim(z, stack=True)
         # logaddexp(0, t) = log(1 + exp(t)), overflow-safe
-        return float(np.sum(np.logaddexp(0.0, -self.b * z))) / self.n
+        return np.add.reduce(np.logaddexp(0.0, -self.b * z), axis=-1) / self.n
 
     def grad(self, z):
-        z = self._check_dim(z)
+        z = self._check_dim(z, stack=True)
         return -self.b * expit(-self.b * z) / self.n
 
     def curvature(self, z):
         # sigma(1 - sigma) as expit(z) * expit(-z): no cancellation in 1 - sigma
-        z = self._check_dim(z)
+        z = self._check_dim(z, stack=True)
         return expit(z) * expit(-z) / self.n
 
     def _s(self, beta):
@@ -250,15 +253,13 @@ class LogisticLoss(Loss):
         Per component, a logit(s) + s = u with a = tau n, u = -n b v.  After
         s -> 1 - s, u -> 1 - u where u < 1/2, t = logit(s) >= 0 is the root
         of f(t) = a t + expit(t) - u, increasing and concave, so Newton rises
-        monotonically from any start with f <= 0: here the largest of 0,
-        (u - 1)/a and logit(u - a logit(u)) where defined.
+        monotonically from any start with f <= 0 (_prox_start).
         """
         a = tau * self.n
         u = -self.n * self.b * v
         flip = u < 0.5
         u = np.where(flip, 1.0 - u, u)
-        # logit returns nan where its argument leaves [0, 1]; fmax skips it
-        t = np.fmax(np.maximum(0.0, (u - 1.0) / a), logit(u - a * logit(u)))
+        t = _prox_start(a, u)
         tol = _PROX_TOL * np.maximum(1.0, u)
         for _ in range(_PROX_MAX_STEPS):
             s = expit(t)
@@ -274,6 +275,19 @@ class LogisticLoss(Loss):
         s = np.clip(self._s(beta), 0.0, 1.0)
         # invert s = -n b beta using b in {-1,+1}
         return -s * self.b / self.n
+
+
+def _prox_start(a, u):
+    """t0 with f(t0) <= 0 for f(t) = a t + expit(t) - u, u >= 1/2: the largest
+    of 0, (u - 1)/a, logit(u - a logit(u)) where defined and, for u >= 1, the
+    asymptote L - ln L <= W(1/(2a)) of a t = exp(-t)/2, L = ln(1/(2a)) >= 2
+    (Hoorfar & Hassani 2008), where a t0 <= exp(-t0)/2 <= expit(-t0)."""
+    # logit returns nan where its argument leaves [0, 1]; fmax skips it
+    t = np.maximum(0.0, (u - 1.0) / a)
+    big = math.log(0.5 / a) if a < 0.5 else 0.0
+    if big >= 2.0:
+        t = np.maximum(t, np.where(u >= 1.0, big - math.log(big), 0.0))
+    return np.fmax(t, logit(u - a * logit(u)))
 
 
 def make_loss(kind, b, delta=1.0):

@@ -11,15 +11,20 @@ every loss (Boyd & Vandenberghe, Convex Optimization, 9.5).  The ridge term
 makes the Hessian A_S^T diag(L'') A_S + lam I SPD, so each step is one
 dense linear solve; the quadratic loss takes one full step, and Huber's
 piecewise-constant curvature is handled as in semismooth Newton.
+
+solve_restricted_batch runs the same loop on a stack of equal-size
+supports at once, for about the numpy calls of one solve.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import l2_norm, spectral_norm
+from .linalg import spectral_norm
 
-__all__ = ["Instance", "RestrictedSolution", "ConvergenceError", "solve_restricted"]
+__all__ = ["Instance", "RestrictedSolution", "ConvergenceError", "solve_restricted",
+           "solve_restricted_batch"]
 
 # Newton line search: halvings allowed per step, Armijo fraction of the
 # predicted decrease, and a relative slack on phi so that a step at the
@@ -79,7 +84,7 @@ class Instance:
 
     def objective(self, x):
         x = np.asarray(x, dtype=float)
-        return self.loss.value(self.A @ x) + 0.5 * self.lam * float(x @ x)
+        return float(self.loss.value(self.A @ x)) + 0.5 * self.lam * float(x @ x)
 
     def objective_grad(self, x):
         x = np.asarray(x, dtype=float)
@@ -109,54 +114,99 @@ def solve_restricted(inst, support, tol=1e-12, max_iters=100):
     gradient are not constrained to vanish); raises ConvergenceError, with
     the last Newton iterate as .best, when that norm does not reach tol.
     """
-    support = np.asarray(sorted(int(i) for i in support), dtype=int)
-    if support.size and (support[0] < 0 or support[-1] >= inst.d):
+    support = sorted(int(i) for i in support)
+    if support and (support[0] < 0 or support[-1] >= inst.d):
         raise ValueError("support indices out of range")
-    if np.unique(support).size != support.size:
+    if len(set(support)) != len(support):
         raise ValueError("support indices must be distinct")
-    w, cert = _solve_newton(inst.A[:, support], inst.loss, inst.lam, tol, max_iters)
+    support = np.array(support, dtype=int)
+    w, _, cert = _solve_certified(inst, support, tol, max_iters)
+    return _solution(inst, support, w, cert)
+
+
+def solve_restricted_batch(inst, supports, tol=1e-12, max_iters=100):
+    """solve_restricted on every row of supports, a (t, m) array of index sets.
+
+    Returns (x, values, certificates): row i of the (t, d) array x minimizes
+    P over vectors supported on supports[i], values[i] is P there (from the
+    Newton iterate's own A_S w) and certificates[i] its restricted gradient
+    norm.  Every row must certify to tol; the first that does not raises
+    ConvergenceError with that row's last Newton iterate as .best.
+    """
+    supports = np.sort(np.asarray(supports, dtype=int), axis=-1)
+    if supports.ndim != 2:
+        raise ValueError("supports must be a 2-D array of index sets")
+    if supports.size and (supports.min() < 0 or supports.max() >= inst.d):
+        raise ValueError("support indices out of range")
+    if (supports[:, 1:] == supports[:, :-1]).any():
+        raise ValueError("support indices must be distinct")
+    w, z, cert = _solve_certified(inst, supports, tol, max_iters)
+    x = np.zeros((len(supports), inst.d))
+    np.put_along_axis(x, supports, w, axis=1)
+    return x, inst.loss.value(z) + (0.5 * inst.lam) * np.vecdot(w, w), cert
+
+
+def _solution(inst, support, w, cert):
     x = np.zeros(inst.d)
     x[support] = w
-    sol = RestrictedSolution(x=x, value=inst.objective(x), certificate=cert)
-    if not cert <= tol:
-        raise ConvergenceError(f"restricted solve stopped at certificate {cert:.3e}"
-                               f" > tol={tol} within {max_iters} Newton steps", best=sol)
-    return sol
+    return RestrictedSolution(x=x, value=inst.objective(x), certificate=float(cert))
 
 
-def _solve_newton(A_S, loss, lam, tol, max_iters):
-    """Damped Newton on phi(w) = L(A_S w) + (lam/2)||w||^2 from w = 0.
+def _solve_certified(inst, supports, tol, max_iters):
+    """_solve_newton on supports (..., m) of inst; raises for the first uncertified one."""
+    w, z, cert = _solve_newton(inst.AT[supports], inst.loss, inst.lam, tol, max_iters)
+    if not all((cert <= tol).flat):
+        i = np.unravel_index(np.argmin(cert <= tol), np.shape(cert))
+        raise ConvergenceError(
+            f"restricted solve on {tuple(map(int, supports[i]))} stopped at certificate"
+            f" {cert[i]:.3e} > tol={tol} within {max_iters} Newton steps",
+            best=_solution(inst, supports[i], w[i], cert[i]))
+    return w, z, cert
 
-    Returns (w, restricted gradient norm at w); a norm above tol means the
-    cap or a failed line search stopped it at the last accepted iterate.  A
-    trial point that certifies returns at once; any other must pass an
-    Armijo test on phi, with rounding slack, or the step is halved.
+
+def _solve_newton(AtS, loss, lam, tol, max_iters):
+    """Damped Newton on phi(w) = L(A_S w) + (lam/2)||w||^2 from w = 0, for
+    A_S^T = AtS of shape (..., m, n): one solve, or a stack of them at once.
+
+    Returns (w, z = A_S w, restricted gradient norm), one per leading index;
+    a norm above tol means the cap or a failed line search stopped the loop.
+    A trial point that certifies is taken at once; any other must pass an
+    Armijo test on phi, with rounding slack, or its step is halved (rows
+    that passed repeat their trial bit for bit).  Certified rows keep
+    stepping until every row certifies: indexing them out of the stack
+    costs more numpy calls than it saves.  Squared norms are tested
+    against tol2 < tol**2, so a certified norm is at most tol once rounded;
+    all() over .flat is cheaper than a numpy reduction on so few rows.
     """
-    def at(w):
-        z = A_S @ w
-        g = A_S.T @ loss.grad(z) + lam * w
-        return z, g, l2_norm(g)
-
-    w, f = np.zeros(A_S.shape[1]), None  # f = phi(w), evaluated once needed
-    z, g, cert = at(w)
-    if cert <= tol:
-        return w, cert
-    ridge = lam * np.eye(w.size)
+    At, tol2, ridge = AtS.mT, math.nextafter(tol * tol, 0.0), lam * np.eye(AtS.shape[-2])
+    # at w = 0: z = 0 and the gradient is A_S^T grad L(0), with no product
+    w, f = np.zeros(AtS.shape[:-1]), None
+    z = np.zeros(AtS.shape[:-2] + (loss.n,))
+    g = AtS @ loss.grad(np.zeros(loss.n))
+    cert = np.vecdot(g, g)
+    done = all((cert <= tol2).flat)
     for _ in range(max_iters):
-        hess = (A_S.T * loss.curvature(z)) @ A_S + ridge
-        dw = np.linalg.solve(hess, g)
+        if done:
+            break
+        hess = (AtS * loss.curvature(z)[..., None, :]) @ At + ridge
+        dw = np.linalg.solve(hess, g[..., None])[..., 0]
         for _ in range(_MAX_HALVINGS + 1):
-            w_new = w - dw
-            z_new, g_new, cert_new = at(w_new)
-            if cert_new <= tol:
-                return w_new, cert_new
-            if f is None:
-                f = loss.value(z) + 0.5 * lam * float(w @ w)
-            f_new = loss.value(z_new) + 0.5 * lam * float(w_new @ w_new)
-            if f_new <= f - _ARMIJO * float(g @ dw) + _ROUNDING * abs(f):
+            w_t = w - dw
+            z_t = np.vecmat(w_t, AtS)
+            g_t = np.matvec(AtS, loss.grad(z_t)) + lam * w_t
+            c_t, f_t = np.vecdot(g_t, g_t), None
+            ok = c_t <= tol2
+            done = all(ok.flat)
+            if done:
                 break
-            dw = 0.5 * dw
-        else:
-            break  # no Armijo step within _MAX_HALVINGS halvings
-        w, z, g, cert, f = w_new, z_new, g_new, cert_new, f_new
-    return w, cert
+            if f is None:  # only ever at w = 0, where phi is L(0) for every row
+                f = np.full(c_t.shape, loss.value(np.zeros(loss.n)))
+            f_t = loss.value(z_t) + (0.5 * lam) * np.vecdot(w_t, w_t)
+            ok |= f_t <= f - _ARMIJO * np.vecdot(g, dw) + _ROUNDING * np.abs(f)
+            if all(ok.flat):
+                break
+            dw = np.where(ok[..., None], dw, 0.5 * dw)
+        else:  # some row found no Armijo step within _MAX_HALVINGS halvings
+            break
+        w, z, g, cert, f = w_t, z_t, g_t, c_t, f_t
+    return w, z, np.sqrt(cert)

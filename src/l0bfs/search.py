@@ -8,10 +8,13 @@ candidate is returned (delta = 0 gives the exact minimum up to numeric
 tolerance).  Otherwise the node's children are bounded and pushed, or
 pruned once a bound exceeds the incumbent objective.  All children share
 the parent's final dual state, and each first takes one entry test, D at
-that state, before any restricted solve or dual ascent of its own.
+that state, before any restricted solve or dual ascent of its own.  A
+last-level node (one index short of a leaf) is bounded exactly, so it
+certifies when popped and no leaf node is ever created.
 
 exhaustive_solve is the independent reference: it solves the restricted
-problem on every size-k support and keeps the best.
+problem on every size-k support and keeps the best, one batch of supports
+per last-level node.
 """
 
 import heapq
@@ -22,7 +25,8 @@ from typing import Optional
 
 import numpy as np
 
-from .state_space import root_node
+from .restricted import solve_restricted_batch
+from .state_space import Node, root_node
 from .subtree import PRUNED, ZERO_TOL, SolverConfig, subtree_solve
 
 __all__ = ["SolveReport", "bfs_solve", "exhaustive_solve"]
@@ -98,21 +102,20 @@ def bfs_solve(inst, delta=0.0, cfg=None, record_bounds=False):
             heap_peak = max(heap_peak, len(heap))
             p_min = min(p_min, child_res.value)
     raise AssertionError(
-        "heap exhausted before termination; leaf bounds should always fire")
+        "heap exhausted before termination; exact bounds should always fire")
 
 
 def exhaustive_solve(inst):
-    """Brute force over all size-k supports via restricted solves."""
-    from .restricted import solve_restricted
-
+    """Brute force over all size-k supports via restricted solves, one batch
+    per last-level node (the supports that share their first k-1 indices)."""
     t0 = time.perf_counter()
-    best = None
-    calls = 0
-    for support in itertools.combinations(range(inst.d), inst.k):
-        sol = solve_restricted(inst, support)
-        calls += 1
-        if best is None or sol.value < best.value:
-            best = sol
-    return SolveReport(x=best.x, objective=best.value, solver_calls=calls,
-                       pruned=0, heap_peak=0,
+    best_value, best_x, calls = np.inf, None, 0
+    for prefix in itertools.combinations(range(inst.d - 1), inst.k - 1):
+        x, values, _ = solve_restricted_batch(inst, Node(prefix, inst.d, inst.k).leaves())
+        calls += len(values)
+        i = int(np.argmin(values))
+        if best_x is None or values[i] < best_value:
+            best_value, best_x = values[i], x[i]
+    return SolveReport(x=best_x, objective=inst.objective(best_x),
+                       solver_calls=calls, pruned=0, heap_peak=0,
                        wall_time=time.perf_counter() - t0, delta=0.0)

@@ -92,6 +92,17 @@ class Node:
             for j in range(self.cut, self.d - self.k + s + 1)
         ]
 
+    def leaves(self):
+        """The size-k supports below the node, one per row, if each adds at
+        most one index to S or the whole tail is needed; None otherwise."""
+        s, need, tail = self.support_array, self.k - self.size, self.tail_array
+        if need == tail.size:
+            return np.concatenate((s, tail))[None]
+        if need <= 1:
+            return s[None] if need == 0 else np.column_stack(
+                (np.broadcast_to(s, (tail.size, s.size)), tail))
+        return None
+
     def covers_support(self, target):
         """True iff some descendant leaf's support contains the target set.
 

@@ -1,23 +1,29 @@
 """Per-node lower bounds and candidates for the best-first search.
 
 subtree_solve returns, for a tree node S, a lower bound on the best
-objective over the subtree below S together with a feasible candidate:
+objective over the subtree below S together with a feasible candidate.
+A node whose leaves each add at most one index to S (|S| = k, or the last
+level k - |S| = 1), or that must take its whole open tail, is bounded
+exactly: its subtree minimum is the least restricted minimum over those
+leaves, solved in one batch (_solve_exact).  Every other node maximizes
+the concave dual lower bound
 
-  * |S| = k: the restricted solve on S is the subtree minimum (leaf).
-  * |S| + |open tail| <= k: the restricted solve on S union tail is exact.
-  * otherwise: maximize the concave dual lower bound
+    D(beta; S) = -L*(beta) - (1/(2 lam)) ||A_S^T beta||^2
+                 - (1/(2 lam)) ||A_tail^T beta||_{k-s,2}^2,
 
-        D(beta; S) = -L*(beta) - (1/(2 lam)) ||A_S^T beta||^2
-                     - (1/(2 lam)) ||A_tail^T beta||_{k-s,2}^2,
-
-    which under-estimates the subtree minimum for every beta (Fenchel-Young
-    applied to L, then minimizing the linearized objective over supports
-    reachable below S).
+which under-estimates the subtree minimum for every beta (Fenchel-Young
+applied to L, then minimizing the linearized objective over supports
+reachable below S).
 
 Every node, exact or not, first takes one entry test: D at the dual point
 its parent handed down, from that state's w = A^T beta and conj = L*(beta);
 siblings share the state (its arrays are read-only) and pay only their own
 penalty term.  D never exceeds the subtree minimum, so no winner is pruned.
+An exact node then screens each leaf T by D with the top-k term exact on
+T.  It is EXACT, with its best leaf as candidate and bound, when that leaf
+does not exceed the incumbent, and so certifies when popped: the search
+never creates a leaf.  Otherwise it is PRUNED, bounded by the least of its
+solved minima and screened leaf bounds.
 
 Two dual maximizers are provided, both run by one ascent loop (_ascend)
 that owns the prune test at entry and after each iteration, the running
@@ -44,7 +50,7 @@ from typing import Optional
 import numpy as np
 
 from .linalg import l2_norm, top_norm, truncate_top
-from .restricted import ConvergenceError, solve_restricted
+from .restricted import ConvergenceError, solve_restricted, solve_restricted_batch
 from .topk_prox import prox_topk_sq_conjugate
 
 __all__ = [
@@ -150,11 +156,33 @@ def dual_value(inst, node, beta, w=None):
 
 
 def _entry(inst, node, state):
-    """(w, D(state.beta; node)) by dual_value's expression, from state.w, conj."""
+    """(w, conj, D(state.beta; node)) by dual_value's expression, from state.w, conj."""
     w, conj = state.w, state.conj
     if w is None:  # root and hand-built states
         w, conj = inst.AT @ state.beta, inst.loss.conjugate(state.beta)
-    return w, -conj - _penalty(w, node) / (2.0 * inst.lam)
+    return w, conj, -conj - _penalty(w, node) / (2.0 * inst.lam)
+
+
+def _solve_exact(inst, node, leaves, init, stop_above):
+    """Entry test, then the leaves T with D_T = -conj - ||w_T||^2 / (2 lam)
+    at or below stop_above solved in one batch (see the module docstring)."""
+    w, conj, low = _entry(inst, node, init)
+    values = np.zeros(0)
+    if low <= stop_above:
+        w_t = w[leaves]
+        bounds = -conj - np.vecdot(w_t, w_t) / (2.0 * inst.lam)
+        solve = bounds <= stop_above
+        x, values, _ = solve_restricted_batch(inst, leaves[solve])
+        low = min(values.min(initial=np.inf), bounds[~solve].min(initial=np.inf))
+    if not values.size or low > stop_above:
+        return BoundResult(low=low, x=None, value=np.inf, status=PRUNED,
+                           state=None, iterations=0)
+    # the screened leaves lie above stop_above, so the best solved one is
+    # the subtree minimum
+    x = x[np.argmin(values)]
+    value = inst.objective(x)
+    return BoundResult(low=value, x=x, value=value, status=EXACT,
+                       state=None, iterations=0)
 
 
 def _converged(improve, incumbent, epsilon):
@@ -177,7 +205,7 @@ def _ascend(inst, node, init, prune_threshold, cfg, step, first_stop):
     epsilon-small relative to the incumbent and the current D is D_max.
     """
     beta = init.beta
-    w, d_prev = _entry(inst, node, init)
+    w, _, d_prev = _entry(inst, node, init)
     d_max = d_prev
     stop_above = prune_threshold + ZERO_TOL if cfg.pruning else np.inf
     if d_prev > stop_above:
@@ -324,17 +352,8 @@ def subtree_solve(inst, node, warm=None, prune_threshold=np.inf, cfg=None):
     init = warm if cfg.warm_start and isinstance(warm, state_type) \
         else root_state(inst)
 
-    s = node.size
-    if s == node.k or s + node.tail_size <= node.k:
+    leaves = node.leaves()
+    if leaves is not None:
         stop_above = prune_threshold + ZERO_TOL if cfg.pruning else np.inf
-        d = _entry(inst, node, init)[1]
-        if d > stop_above:
-            return BoundResult(low=d, x=None, value=np.inf, status=PRUNED,
-                               state=None, iterations=0)
-        sol = solve_restricted(inst, node.indices if s == node.k
-                               else node.indices + tuple(node.tail_array))
-        status = PRUNED if sol.value > stop_above else EXACT
-        return BoundResult(low=sol.value, x=sol.x, value=sol.value,
-                           status=status, state=None, iterations=0)
-
+        return _solve_exact(inst, node, leaves, init, stop_above)
     return maximize(inst, node, init, prune_threshold, cfg)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.special import logit
+from scipy.special import expit, logit
 
 import l0bfs.losses
 from helpers import domain_point, fd_grad, numeric_conjugate, numeric_prox
@@ -439,3 +439,58 @@ class TestProjectDomain:
         loss = QuadraticLoss(np.array([1.0, 2.0]))
         beta = np.array([5.0, -7.0])
         np.testing.assert_array_equal(loss.project_domain(beta), beta)
+
+
+class TestStackedInputs:
+    """value, grad and curvature take (..., n) stacks for batched solves."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_rows_match_single_vectors(self, kind):
+        rng = np.random.default_rng(70)
+        loss = random_loss(kind, rng, n=6)
+        z = 2.0 * rng.standard_normal((3, 4, 6))
+        values = loss.value(z)
+        assert values.shape == (3, 4)
+        for idx in np.ndindex(3, 4):
+            assert values[idx] == pytest.approx(loss.value(z[idx]), rel=1e-14)
+            np.testing.assert_array_equal(loss.grad(z)[idx], loss.grad(z[idx]))
+            np.testing.assert_array_equal(loss.curvature(z)[idx],
+                                          loss.curvature(z[idx]))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_stacks_still_checked(self, kind):
+        loss = random_loss(kind, np.random.default_rng(71), n=4)
+        for method in (loss.value, loss.grad, loss.curvature):
+            with pytest.raises(ValueError):
+                method(np.zeros((2, 5)))
+            with pytest.raises(ValueError):
+                method(np.float64(0.0))
+        with pytest.raises(ValueError):
+            loss.conjugate(np.zeros((2, 4)))
+        with pytest.raises(ValueError):
+            loss.prox_conjugate(1.0, np.zeros((2, 4)))
+
+
+class TestLogisticProxStart:
+    """The Newton start of the logistic conjugate prox."""
+
+    A_GRID = np.logspace(-14, 3, 52)
+    U_GRID = np.union1d(np.linspace(0.5, 8.0, 61),
+                        1.0 + np.array([0.0, 1e-15, 1e-12, 1e-9, 1e-6, 1e-3]))
+
+    def test_start_never_passes_the_root(self):
+        # f(t0) <= 0 up to the rounding of f itself at the scale of u
+        slack = 4.0 * np.finfo(float).eps * self.U_GRID
+        for a in self.A_GRID:
+            t0 = l0bfs.losses._prox_start(a, self.U_GRID)
+            assert np.all(np.isfinite(t0)) and np.all(t0 >= 0.0)
+            assert np.all(a * t0 + expit(t0) - self.U_GRID <= slack), a
+
+    @pytest.mark.parametrize("a", [1e-12, 1e-10, 1e-8])
+    def test_tiny_a_at_u_one_needs_few_steps(self, a, monkeypatch):
+        # from the (u - 1)/a start these took 19-27 Newton steps
+        monkeypatch.setattr(l0bfs.losses, "_PROX_MAX_STEPS", 8)
+        u = 1.0 + np.array([0.0, 1e-15, 1e-12, 1e-9])
+        s = logistic_prox_s(a, u)
+        ref = [bisect_s(a, ui) for ui in u]
+        np.testing.assert_allclose(s, ref, rtol=0, atol=1e-12)

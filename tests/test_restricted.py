@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from helpers import random_instance
-from l0bfs import ConvergenceError, Instance, make_loss, solve_restricted
+from l0bfs import (ConvergenceError, Instance, RestrictedSolution, make_loss,
+                   solve_restricted, solve_restricted_batch)
 
 KINDS = ["quadratic", "huber", "logistic"]
 
@@ -225,3 +226,90 @@ class TestDegenerateInputs:
             np.testing.assert_allclose(sol.x[support],
                                        normal_equation_solution(inst, support),
                                        atol=1e-10)
+
+
+def leaf_rows(d, k):
+    """Every size-k support as the rows of an int array."""
+    return np.array(list(itertools.combinations(range(d), k)), dtype=int)
+
+
+class TestBatch:
+    """solve_restricted_batch: one Newton loop over a stack of supports."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_every_row_meets_the_single_solve_oracles(self, kind):
+        inst = random_instance(kind, d=7, k=3, n=11, seed=60)
+        rows = leaf_rows(7, 3)
+        x, values, certs = solve_restricted_batch(inst, rows)
+        assert x.shape == (len(rows), 7)
+        assert np.all(certs <= 1e-12)
+        for support, xi, value in zip(rows, x, values):
+            off = np.setdiff1d(np.arange(7), support)
+            np.testing.assert_array_equal(xi[off], 0.0)
+            assert value == pytest.approx(inst.objective(xi), rel=1e-13, abs=1e-15)
+            ref = solve_restricted(inst, support)
+            assert value == pytest.approx(ref.value, rel=1e-12, abs=1e-15)
+            np.testing.assert_allclose(xi, ref.x, atol=1e-10)
+            assert_no_better_perturbation(
+                inst, RestrictedSolution(xi, value, 0.0), support)
+            if kind == "quadratic":
+                np.testing.assert_allclose(
+                    xi[support], normal_equation_solution(inst, support), atol=1e-10)
+
+    @pytest.mark.parametrize("case,kind", DEGENERATE,
+                             ids=[f"{c}-{k}" for c, k in DEGENERATE])
+    def test_degenerate_rows_certify(self, case, kind):
+        # the degenerate support next to every other support of its size
+        inst, support = degenerate_instance(case, kind)
+        rows = leaf_rows(inst.d, len(support))
+        x, values, certs = solve_restricted_batch(inst, rows)
+        assert np.all(certs <= 1e-12)
+        i = [tuple(r) for r in rows].index(tuple(support))
+        off = np.setdiff1d(np.arange(inst.d), support)
+        np.testing.assert_array_equal(x[i][off], 0.0)
+        assert_no_better_perturbation(
+            inst, RestrictedSolution(x[i], values[i], certs[i]), support)
+        if kind == "quadratic":
+            np.testing.assert_allclose(x[i][support],
+                                       normal_equation_solution(inst, support),
+                                       atol=1e-10)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_batch_of_one_is_solve_restricted(self, kind):
+        inst = random_instance(kind, d=6, k=2, n=9, seed=61)
+        x, values, certs = solve_restricted_batch(inst, [[4, 1]])
+        ref = solve_restricted(inst, [1, 4])
+        np.testing.assert_array_equal(x[0], ref.x)
+        assert values[0] == pytest.approx(ref.value, rel=1e-14)
+        assert certs[0] == ref.certificate
+
+    def test_capped_row_raises_with_its_last_iterate(self):
+        # column 0 is zero, so row (0,) certifies at w = 0 and row (3,) is
+        # the one the one-step cap stops
+        inst = random_instance("logistic", d=6, k=1, n=9, seed=62)
+        A = inst.A.copy()
+        A[:, 0] = 0.0
+        inst = Instance(A=A, loss=inst.loss, lam=inst.lam, k=1)
+        with pytest.raises(ConvergenceError) as batch:
+            solve_restricted_batch(inst, [[0], [3]], max_iters=1)
+        with pytest.raises(ConvergenceError) as single:
+            solve_restricted(inst, [3], max_iters=1)
+        best, ref = batch.value.best, single.value.best
+        np.testing.assert_array_equal(np.flatnonzero(best.x), [3])
+        np.testing.assert_allclose(best.x, ref.x, rtol=1e-14)
+        assert best.value == pytest.approx(ref.value, rel=1e-14)
+        assert best.certificate > 1e-12
+
+    def test_empty_batch_and_empty_supports(self):
+        inst = random_instance("huber", d=5, k=2, n=8, seed=63)
+        x, values, certs = solve_restricted_batch(inst, np.zeros((0, 2), int))
+        assert x.shape == (0, 5) and values.shape == certs.shape == (0,)
+        x, values, certs = solve_restricted_batch(inst, np.zeros((2, 0), int))
+        np.testing.assert_array_equal(x, 0.0)
+        assert values == pytest.approx([inst.objective(np.zeros(5))] * 2)
+
+    def test_rejects_bad_supports(self):
+        inst = random_instance("quadratic", d=4, k=2, n=6, seed=64)
+        for bad in ([0, 1], [[0, 0]], [[0, 4]], [[-1, 2]]):
+            with pytest.raises(ValueError):
+                solve_restricted_batch(inst, bad)

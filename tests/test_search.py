@@ -1,9 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from helpers import leaf_values, random_instance
 from l0bfs import (EXACT, PRUNED, Node, SolverConfig, bfs_solve,
-                   exhaustive_solve)
+                   exhaustive_solve, solve_restricted)
 from l0bfs.subtree import ZERO_TOL
 
 KINDS = ["quadratic", "huber", "logistic"]
@@ -163,3 +165,19 @@ class TestReportFields:
         assert a.solver_calls == b.solver_calls
         assert a.pruned == b.pruned
         np.testing.assert_array_equal(a.x, b.x)
+
+
+class TestExhaustiveBatches:
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("d,k", [(7, 1), (7, 3), (5, 5)])
+    def test_equals_a_loop_of_single_solves(self, kind, d, k):
+        inst = random_instance(kind, d=d, k=k, n=10, seed=70, lam=1e-2)
+        loop = [solve_restricted(inst, s)
+                for s in itertools.combinations(range(d), k)]
+        best = min(loop, key=lambda sol: sol.value)
+        rep = exhaustive_solve(inst)
+        assert rep.solver_calls == len(loop)
+        assert rep.objective == pytest.approx(best.value, rel=1e-12, abs=1e-15)
+        assert rep.objective == inst.objective(rep.x)
+        assert rep.support == tuple(np.flatnonzero(best.x))
+        np.testing.assert_allclose(rep.x, best.x, atol=1e-10)

@@ -185,3 +185,20 @@ class TestValueSemantics:
         node = Node((1,), d=4, k=2)
         with pytest.raises(AttributeError):
             node.indices = (2,)
+
+
+class TestLeaves:
+    @pytest.mark.parametrize("d,k", [(5, 1), (6, 2), (6, 3), (4, 4)])
+    def test_lists_the_leaves_when_each_adds_at_most_one_index(self, d, k):
+        listed = 0
+        for node in enumerate_tree(d, k):
+            below = sorted(tuple(sorted(node.indices + extra))
+                           for extra in itertools.combinations(
+                               range(node.cut, d), k - node.size))
+            leaves = node.leaves()
+            if k - node.size > 1 and node.size + node.tail_size > k:
+                assert leaves is None
+                continue
+            listed += 1
+            assert sorted(map(tuple, leaves.tolist())) == below
+        assert listed > 0

@@ -8,6 +8,7 @@ from l0bfs import (DUAL_BOUND, EXACT, PRUNED, DualState, Node, SgaState,
                    SolverConfig, dual_value, pdal_maximize, pdal_root_state,
                    prox_topk_sq, root_node, sga_maximize, sga_root_state,
                    solve_restricted, subtree_solve, top_norm)
+from l0bfs.subtree import ZERO_TOL
 
 KINDS = ["quadratic", "huber", "logistic"]
 
@@ -450,3 +451,79 @@ class TestSharedParentState:
         assert state.w is not None
         np.testing.assert_array_equal(state.w, inst.AT @ state.beta)
         assert state.conj == inst.loss.conjugate(state.beta)
+
+
+class TestLastLevel:
+    """Nodes one index short of a leaf are bounded by their leaves' minima."""
+
+    @staticmethod
+    def last_level_node(kind, seed=4):
+        # a last-level child of a root ascent, so the entry test reads a
+        # real shared dual state
+        inst = random_instance(kind, d=8, k=2, n=12, seed=seed, lam=1e-2)
+        root = root_node(inst.d, inst.k)
+        p0 = inst.objective(np.zeros(inst.d))
+        parent = subtree_solve(inst, root, prune_threshold=p0,
+                               cfg=SolverConfig(pruning=False))
+        assert parent.status == DUAL_BOUND
+        node = Node((1,), inst.d, inst.k)
+        minima = [solve_restricted(inst, leaf).value for leaf in node.leaves()]
+        return inst, node, parent.state, minima
+
+    @staticmethod
+    def leaf_bounds(inst, node, state):
+        return [dual_value(inst, Node(tuple(leaf), inst.d, inst.k), state.beta)
+                for leaf in node.leaves()]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_exact_at_the_least_leaf_minimum(self, kind):
+        inst, node, state, minima = self.last_level_node(kind)
+        for cfg in (SolverConfig(), SolverConfig(pruning=False)):
+            res = subtree_solve(inst, node, warm=state,
+                                prune_threshold=max(minima), cfg=cfg)
+            assert res.status == EXACT
+            assert res.iterations == 0 and res.state is None
+            assert res.low == res.value == inst.objective(res.x)
+            assert res.low == pytest.approx(min(minima), rel=1e-12, abs=1e-15)
+            assert np.flatnonzero(res.x).tolist() in node.leaves().tolist()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_screened_leaves_are_never_solved(self, kind, monkeypatch):
+        inst, node, state, minima = self.last_level_node(kind)
+        bounds = self.leaf_bounds(inst, node, state)
+        # a threshold between the leaves' entry bounds screens some of them
+        threshold = float(np.median(bounds))
+        solved = []
+        original = l0bfs.subtree.solve_restricted_batch
+
+        def recorded(inst, supports, *args, **kwargs):
+            solved.extend(map(tuple, supports))
+            return original(inst, supports, *args, **kwargs)
+
+        monkeypatch.setattr(l0bfs.subtree, "solve_restricted_batch", recorded)
+        res = subtree_solve(inst, node, warm=state, prune_threshold=threshold)
+        leaves = list(map(tuple, node.leaves()))
+        expect = [leaf for leaf, bound in zip(leaves, bounds)
+                  if bound <= threshold + ZERO_TOL]
+        assert 0 < len(expect) < len(leaves)
+        assert solved == expect
+        assert res.low <= min(minima) + 1e-12
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_pruned_when_every_leaf_exceeds_the_threshold(self, kind):
+        inst, node, state, minima = self.last_level_node(kind)
+        d_entry = dual_value(inst, node, state.beta)
+        threshold = 0.5 * (d_entry + min(minima))
+        assert d_entry < threshold < min(minima)
+        res = subtree_solve(inst, node, warm=state, prune_threshold=threshold)
+        assert res.status == PRUNED
+        assert res.x is None and res.value == np.inf
+        assert threshold < res.low <= min(minima) + 1e-12
+
+    def test_k_one_root_is_a_last_level_node(self):
+        inst = random_instance("huber", d=6, k=1, n=9, seed=5, lam=1e-2)
+        res = subtree_solve(inst, root_node(6, 1),
+                            prune_threshold=inst.objective(np.zeros(6)))
+        best = min(solve_restricted(inst, [j]).value for j in range(6))
+        assert res.status == EXACT
+        assert res.value == pytest.approx(best, rel=1e-12)
