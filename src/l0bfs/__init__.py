@@ -4,7 +4,7 @@ Solves  min_x  L(Ax) + (lam/2) ||x||^2  subject to  ||x||_0 <= k
 for quadratic, huber and logistic losses, with a certified optimality gap.
 """
 
-from .baselines import BaselineConfig, htp, iht, omp
+from .baselines import htp, iht, omp
 from .instances import (GeneratedInstance, GenSpec, default_n, gen_huber,
                         gen_logistic, gen_quadratic, generate, load_instance,
                         pssr, save_instance)
@@ -24,7 +24,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DUAL_BOUND", "EXACT", "PRUNED",
-    "BaselineConfig", "BoundResult", "ConvergenceError", "DualState",
+    "BoundResult", "ConvergenceError", "DualState",
     "GenSpec", "GeneratedInstance", "HuberLoss", "Instance", "LogisticLoss",
     "Loss", "Node", "QuadraticLoss", "RestrictedSolution", "SgaState",
     "SolveReport", "SolverConfig", "bfs_solve", "default_n", "dual_value",

@@ -2,12 +2,12 @@
 
 All three return a SolveReport whose solver_calls is 1: inexact methods
 count as a single bound-computation unit when compared against the search,
-regardless of how many restricted solves they perform internally.
+regardless of how many restricted solves they perform internally.  iht and
+htp start from x = 0, step by the exact inverse Lipschitz constant of
+grad P, and stop after at most MAX_ITERS iterations.
 """
 
 import time
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -15,25 +15,14 @@ from .linalg import truncate_top
 from .restricted import solve_restricted
 from .search import SolveReport
 
-__all__ = ["BaselineConfig", "omp", "iht", "htp"]
+__all__ = ["omp", "iht", "htp"]
 
 # IHT stops once no entry of the iterate moves by more than this
 MOVE_TOL = 1e-10
+MAX_ITERS = 1000
 
 
-@dataclass(frozen=True)
-class BaselineConfig:
-    step_size: Optional[float] = None  # None: 1 / (||A||^2 / gamma + lam)
-    max_iters: int = 1000
-
-    def __post_init__(self):
-        if self.step_size is not None and self.step_size <= 0:
-            raise ValueError("step_size must be positive")
-
-
-def _step(inst, cfg):
-    if cfg.step_size is not None:
-        return cfg.step_size
+def _step(inst):
     # exact inverse Lipschitz constant of grad P
     return 1.0 / (inst.op_norm ** 2 / inst.loss.gamma + inst.lam)
 
@@ -59,20 +48,19 @@ def omp(inst):
     return _report(sol, t0)
 
 
-def iht(inst, cfg=None, x0=None):
+def iht(inst):
     """Iterative hard thresholding with a terminal restricted polish.
 
     Stops once the support repeats and the iterate has stopped moving
-    (within MOVE_TOL), i.e. a thresholded fixed point; hitting max_iters
-    instead is reported via converged=False.  x0 defaults to zero.
+    (within MOVE_TOL), i.e. a thresholded fixed point; hitting MAX_ITERS
+    instead is reported via converged=False.
     """
-    cfg = cfg or BaselineConfig()
     t0 = time.perf_counter()
-    step = _step(inst, cfg)
-    x = np.zeros(inst.d) if x0 is None else np.array(x0, dtype=float)
+    step = _step(inst)
+    x = np.zeros(inst.d)
     support = None
     converged = False
-    for _ in range(cfg.max_iters):
+    for _ in range(MAX_ITERS):
         x_new = truncate_top(inst.k, x - step * inst.objective_grad(x))
         new_support = tuple(np.flatnonzero(x_new))
         if new_support == support and np.max(np.abs(x_new - x)) <= MOVE_TOL:
@@ -84,22 +72,21 @@ def iht(inst, cfg=None, x0=None):
     return _report(sol, t0, converged)
 
 
-def htp(inst, cfg=None, x0=None):
+def htp(inst):
     """Hard thresholding pursuit: IHT step + restricted solve every iteration.
 
     The support sequence either reaches a fixed point (converged) or cycles;
     cycles and the iteration cap return the best visited solution with
-    converged=False.  x0 defaults to zero.
+    converged=False.
     """
-    cfg = cfg or BaselineConfig()
     t0 = time.perf_counter()
-    step = _step(inst, cfg)
-    x = np.zeros(inst.d) if x0 is None else np.array(x0, dtype=float)
+    step = _step(inst)
+    x = np.zeros(inst.d)
     prev = None
     seen = set()
     best = None
     converged = False
-    for _ in range(cfg.max_iters):
+    for _ in range(MAX_ITERS):
         z = x - step * inst.objective_grad(x)
         support = tuple(np.flatnonzero(truncate_top(inst.k, z)))
         sol = solve_restricted(inst, support)

@@ -165,7 +165,7 @@ def cmd_bench(args):
         if m not in METHODS:
             raise _Usage(f"unknown method {m!r}")
     deltas = [float(t) for t in args.deltas.split(",") if t.strip()]
-    if any(dv < 0 for dv in deltas):
+    if not all(dv >= 0 for dv in deltas):
         raise _Usage("deltas must be nonnegative")
     want_oracle = "oracle" in methods or args.pssr_ref == "oracle"
 
@@ -290,14 +290,14 @@ def _parse_seeds(text):
 
 def _nonneg(text):
     value = float(text)
-    if value < 0:
+    if not value >= 0:  # NaN fails too
         raise argparse.ArgumentTypeError("must be nonnegative")
     return value
 
 
 def _positive(text):
     value = float(text)
-    if value <= 0:
+    if not value > 0:
         raise argparse.ArgumentTypeError("must be positive")
     return value
 

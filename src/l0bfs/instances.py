@@ -58,9 +58,9 @@ class GenSpec:
             raise ValueError("need 0 < k <= d")
         if self.n is not None and self.n < 1:
             raise ValueError("n must be positive")
-        if self.lam is not None and self.lam <= 0:
+        if self.lam is not None and not self.lam > 0:
             raise ValueError("lam must be positive")
-        if self.delta <= 0:
+        if not self.delta > 0:
             raise ValueError("delta must be positive")
 
     def resolved(self):
@@ -236,6 +236,12 @@ def save_instance(dirpath, gen):
     return path
 
 
+def _required(mapping, key, where="manifest"):
+    if key not in mapping:
+        raise ValueError(f"{where} has no {key!r} entry")
+    return mapping[key]
+
+
 def load_instance(path):
     """Load a manifest (or a directory containing manifest.json).
 
@@ -250,20 +256,20 @@ def load_instance(path):
         manifest = json.load(f)
     base = os.path.dirname(os.path.abspath(path))
     rel = lambda p: os.path.join(base, p)
-    paths = manifest["paths"]
-    A = np.loadtxt(rel(paths["A"]), delimiter=",", ndmin=2)
-    b = np.loadtxt(rel(paths["b"]), delimiter=",", ndmin=1)
+    paths = _required(manifest, "paths")
+    A = np.loadtxt(rel(_required(paths, "A", "paths")), delimiter=",", ndmin=2)
+    b = np.loadtxt(rel(_required(paths, "b", "paths")), delimiter=",", ndmin=1)
     if manifest.get("normalize_columns"):
         A = _normalize_columns(A)
 
-    family = manifest["family"]
+    family = _required(manifest, "family")
     if family != "external" and family not in FAMILIES:
         raise ValueError(f"unknown family {family!r} in manifest")
-    loss_kind = manifest["loss"] if family == "external" else family
-    lam = manifest["lambda"]
+    loss_kind = _required(manifest, "loss") if family == "external" else family
+    lam = _required(manifest, "lambda")
     delta = manifest.get("delta", 1.0)
     inst = Instance(A=A, loss=make_loss(loss_kind, b, delta=delta),
-                    lam=lam, k=manifest["k"])
+                    lam=lam, k=_required(manifest, "k"))
 
     meta = {
         "instance_id": manifest.get("instance_id",

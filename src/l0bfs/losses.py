@@ -145,7 +145,7 @@ class HuberLoss(Loss):
 
     def __init__(self, b, delta=1.0):
         super().__init__(b)
-        if delta <= 0:
+        if not delta > 0:
             raise ValueError("delta must be positive")
         self.delta = float(delta)
 

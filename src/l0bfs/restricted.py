@@ -13,11 +13,13 @@ dense linear solve; the quadratic loss takes one full step, and Huber's
 piecewise-constant curvature is handled as in semismooth Newton.
 
 solve_restricted_batch runs the same loop on a stack of equal-size
-supports at once, for about the numpy calls of one solve.
+supports at once, for about the numpy calls of one solve.  Both certify
+to the gradient norm _TOL within _MAX_NEWTON_STEPS Newton steps or raise.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,6 +27,10 @@ from .linalg import spectral_norm
 
 __all__ = ["Instance", "RestrictedSolution", "ConvergenceError", "solve_restricted",
            "solve_restricted_batch"]
+
+# certificate every restricted solve must reach, and the Newton steps it gets
+_TOL = 1e-12
+_MAX_NEWTON_STEPS = 100
 
 # Newton line search: halvings allowed per step, Armijo fraction of the
 # predicted decrease, and a relative slack on phi so that a step at the
@@ -40,7 +46,6 @@ class Instance:
     loss: object
     lam: float
     k: int
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         A = np.array(self.A, dtype=float)
@@ -67,20 +72,16 @@ class Instance:
     def d(self):
         return self.A.shape[1]
 
-    @property
+    @cached_property
     def AT(self):
-        if "AT" not in self._cache:
-            AT = np.ascontiguousarray(self.A.T)
-            AT.setflags(write=False)
-            self._cache["AT"] = AT
-        return self._cache["AT"]
+        AT = np.ascontiguousarray(self.A.T)
+        AT.setflags(write=False)
+        return AT
 
-    @property
+    @cached_property
     def op_norm(self):
         """Largest singular value of A (cached)."""
-        if "op" not in self._cache:
-            self._cache["op"] = spectral_norm(self.A)
-        return self._cache["op"]
+        return spectral_norm(self.A)
 
     def objective(self, x):
         x = np.asarray(x, dtype=float)
@@ -106,13 +107,13 @@ class ConvergenceError(RuntimeError):
         self.best = best
 
 
-def solve_restricted(inst, support, tol=1e-12, max_iters=100):
+def solve_restricted(inst, support):
     """Minimize P over vectors supported on the given index set.
 
     Returns a RestrictedSolution whose certificate is the norm of the
     objective gradient restricted to the support (off-support entries of the
     gradient are not constrained to vanish); raises ConvergenceError, with
-    the last Newton iterate as .best, when that norm does not reach tol.
+    the last Newton iterate as .best, when that norm does not reach _TOL.
     """
     support = sorted(int(i) for i in support)
     if support and (support[0] < 0 or support[-1] >= inst.d):
@@ -120,17 +121,17 @@ def solve_restricted(inst, support, tol=1e-12, max_iters=100):
     if len(set(support)) != len(support):
         raise ValueError("support indices must be distinct")
     support = np.array(support, dtype=int)
-    w, _, cert = _solve_certified(inst, support, tol, max_iters)
+    w, _, cert = _solve_certified(inst, support)
     return _solution(inst, support, w, cert)
 
 
-def solve_restricted_batch(inst, supports, tol=1e-12, max_iters=100):
+def solve_restricted_batch(inst, supports):
     """solve_restricted on every row of supports, a (t, m) array of index sets.
 
     Returns (x, values, certificates): row i of the (t, d) array x minimizes
     P over vectors supported on supports[i], values[i] is P there (from the
     Newton iterate's own A_S w) and certificates[i] its restricted gradient
-    norm.  Every row must certify to tol; the first that does not raises
+    norm.  Every row must certify to _TOL; the first that does not raises
     ConvergenceError with that row's last Newton iterate as .best.
     """
     supports = np.sort(np.asarray(supports, dtype=int), axis=-1)
@@ -140,7 +141,7 @@ def solve_restricted_batch(inst, supports, tol=1e-12, max_iters=100):
         raise ValueError("support indices out of range")
     if (supports[:, 1:] == supports[:, :-1]).any():
         raise ValueError("support indices must be distinct")
-    w, z, cert = _solve_certified(inst, supports, tol, max_iters)
+    w, z, cert = _solve_certified(inst, supports)
     x = np.zeros((len(supports), inst.d))
     np.put_along_axis(x, supports, w, axis=1)
     return x, inst.loss.value(z) + (0.5 * inst.lam) * np.vecdot(w, w), cert
@@ -152,40 +153,40 @@ def _solution(inst, support, w, cert):
     return RestrictedSolution(x=x, value=inst.objective(x), certificate=float(cert))
 
 
-def _solve_certified(inst, supports, tol, max_iters):
+def _solve_certified(inst, supports):
     """_solve_newton on supports (..., m) of inst; raises for the first uncertified one."""
-    w, z, cert = _solve_newton(inst.AT[supports], inst.loss, inst.lam, tol, max_iters)
-    if not all((cert <= tol).flat):
-        i = np.unravel_index(np.argmin(cert <= tol), np.shape(cert))
+    w, z, cert = _solve_newton(inst.AT[supports], inst.loss, inst.lam)
+    if not all((cert <= _TOL).flat):
+        i = np.unravel_index(np.argmin(cert <= _TOL), np.shape(cert))
         raise ConvergenceError(
             f"restricted solve on {tuple(map(int, supports[i]))} stopped at certificate"
-            f" {cert[i]:.3e} > tol={tol} within {max_iters} Newton steps",
+            f" {cert[i]:.3e} > tol={_TOL} within {_MAX_NEWTON_STEPS} Newton steps",
             best=_solution(inst, supports[i], w[i], cert[i]))
     return w, z, cert
 
 
-def _solve_newton(AtS, loss, lam, tol, max_iters):
+def _solve_newton(AtS, loss, lam):
     """Damped Newton on phi(w) = L(A_S w) + (lam/2)||w||^2 from w = 0, for
     A_S^T = AtS of shape (..., m, n): one solve, or a stack of them at once.
 
     Returns (w, z = A_S w, restricted gradient norm), one per leading index;
-    a norm above tol means the cap or a failed line search stopped the loop.
+    a norm above _TOL means the cap or a failed line search stopped the loop.
     A trial point that certifies is taken at once; any other must pass an
     Armijo test on phi, with rounding slack, or its step is halved (rows
     that passed repeat their trial bit for bit).  Certified rows keep
     stepping until every row certifies: indexing them out of the stack
     costs more numpy calls than it saves.  Squared norms are tested
-    against tol2 < tol**2, so a certified norm is at most tol once rounded;
+    against tol2 < _TOL**2, so a certified norm is at most _TOL once rounded;
     all() over .flat is cheaper than a numpy reduction on so few rows.
     """
-    At, tol2, ridge = AtS.mT, math.nextafter(tol * tol, 0.0), lam * np.eye(AtS.shape[-2])
+    At, tol2, ridge = AtS.mT, math.nextafter(_TOL * _TOL, 0.0), lam * np.eye(AtS.shape[-2])
     # at w = 0: z = 0 and the gradient is A_S^T grad L(0), with no product
     w, f = np.zeros(AtS.shape[:-1]), None
     z = np.zeros(AtS.shape[:-2] + (loss.n,))
     g = AtS @ loss.grad(np.zeros(loss.n))
     cert = np.vecdot(g, g)
     done = all((cert <= tol2).flat)
-    for _ in range(max_iters):
+    for _ in range(_MAX_NEWTON_STEPS):
         if done:
             break
         hess = (AtS * loss.curvature(z)[..., None, :]) @ At + ridge

@@ -6,7 +6,9 @@ against it gives a certificate: if P(candidate) <= bound + delta, no
 unexplored subtree can beat the candidate by more than delta, so the
 candidate is returned (delta = 0 gives the exact minimum up to numeric
 tolerance).  Otherwise the node's children are bounded and pushed, or
-pruned once a bound exceeds the incumbent objective.  All children share
+pruned once a bound exceeds the incumbent objective.  The root is bounded
+by the same loop, as the one child of the start, cold and against the
+incumbent P(0); only it can leave the heap empty.  All children share
 the parent's final dual state, and each first takes one entry test, D at
 that state, before any restricted solve or dual ascent of its own.  A
 last-level node (one index short of a leaf) is bounded exactly, so it
@@ -55,7 +57,7 @@ def bfs_solve(inst, delta=0.0, cfg=None, record_bounds=False):
     record_bounds keeps one (node indices, low, status, value) tuple per
     subtree bound computation in the report, for auditing.
     """
-    if delta < 0:
+    if not delta >= 0:  # NaN fails too
         raise ValueError("delta must be nonnegative")
     cfg = cfg or SolverConfig()
     t0 = time.perf_counter()
@@ -65,31 +67,11 @@ def bfs_solve(inst, delta=0.0, cfg=None, record_bounds=False):
     # a sound prune threshold, since every bound sits below the optimum
     p_min = inst.objective(np.zeros(inst.d))
 
-    root = root_node(inst.d, inst.k)
-    res = subtree_solve(inst, root, None, p_min, cfg)
-    calls = 1
-    if record_bounds:
-        log.append((root.indices, res.low, res.status, res.value))
-    if res.status == PRUNED:
-        # only reachable through float noise: D <= F <= P(0) at the root
-        return SolveReport(x=np.zeros(inst.d), objective=p_min,
-                           solver_calls=calls, pruned=1, heap_peak=0,
-                           wall_time=time.perf_counter() - t0, delta=delta,
-                           bound_log=log)
-    p_min = min(p_min, res.value)
-
-    heap = [(res.low, 0, root, res)]
-    seq, heap_peak, pruned_count = 1, 1, 0
-    while heap:
-        low, _, node, res = heapq.heappop(heap)
-        if res.value <= low + delta + ZERO_TOL:
-            return SolveReport(x=res.x, objective=res.value,
-                               solver_calls=calls, pruned=pruned_count,
-                               heap_peak=heap_peak,
-                               wall_time=time.perf_counter() - t0,
-                               delta=delta, bound_log=log)
-        for child in node.children():
-            child_res = subtree_solve(inst, child, res.state, p_min, cfg)
+    children, warm = [root_node(inst.d, inst.k)], None
+    heap, calls, seq, heap_peak, pruned_count = [], 0, 0, 0, 0
+    while True:
+        for child in children:
+            child_res = subtree_solve(inst, child, warm, p_min, cfg)
             calls += 1
             if record_bounds:
                 log.append((child.indices, child_res.low, child_res.status,
@@ -101,8 +83,23 @@ def bfs_solve(inst, delta=0.0, cfg=None, record_bounds=False):
             seq += 1
             heap_peak = max(heap_peak, len(heap))
             p_min = min(p_min, child_res.value)
-    raise AssertionError(
-        "heap exhausted before termination; exact bounds should always fire")
+        if not heap:
+            if calls > 1:
+                raise AssertionError("heap exhausted before termination;"
+                                     " exact bounds should always fire")
+            # the root was pruned, only reachable through float noise:
+            # D <= F <= P(0) there
+            x, objective = np.zeros(inst.d), p_min
+            break
+        low, _, node, res = heapq.heappop(heap)
+        if res.value <= low + delta + ZERO_TOL:
+            x, objective = res.x, res.value
+            break
+        children, warm = node.children(), res.state
+    return SolveReport(x=x, objective=objective, solver_calls=calls,
+                       pruned=pruned_count, heap_peak=heap_peak,
+                       wall_time=time.perf_counter() - t0, delta=delta,
+                       bound_log=log)
 
 
 def exhaustive_solve(inst):

@@ -9,7 +9,8 @@ it.  The tuple (S, open tail) drives the dual bound and the exact branches
 of the subtree solver.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,7 +33,6 @@ class Node:
     indices: tuple
     d: int
     k: int
-    _arrays: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         idx = tuple(int(i) for i in self.indices)
@@ -55,28 +55,19 @@ class Node:
         """First open index: max(S)+1, or 0 at the root."""
         return self.indices[-1] + 1 if self.indices else 0
 
-    @property
+    @cached_property
     def support_array(self):
         """S as an int array (cached)."""
-        if "s" not in self._arrays:
-            self._arrays["s"] = np.array(self.indices, dtype=int)
-        return self._arrays["s"]
+        return np.array(self.indices, dtype=int)
 
-    @property
+    @cached_property
     def tail_array(self):
         """Open indices {cut, ..., d-1} as an int array (cached)."""
-        if "t" not in self._arrays:
-            self._arrays["t"] = np.arange(self.cut, self.d)
-        return self._arrays["t"]
+        return np.arange(self.cut, self.d)
 
     @property
     def tail_size(self):
         return self.d - self.cut
-
-    def parent(self):
-        if not self.indices:
-            raise ValueError("root has no parent")
-        return Node(self.indices[:-1], self.d, self.k)
 
     def children(self):
         """Valid one-index extensions, in increasing order of the new index.

@@ -83,7 +83,7 @@ class SolverConfig:
     pruning: bool = True
 
     def __post_init__(self):
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
         if self.subroutine not in ("pdal", "sga"):
             raise ValueError("subroutine must be 'pdal' or 'sga'")

@@ -77,11 +77,11 @@ def fd_grad(f, z, h=1e-6):
     return g
 
 
-def leaf_values(inst, tol=1e-12):
+def leaf_values(inst):
     """Restricted-solve value of every size-k support, as a dict."""
     out = {}
     for support in itertools.combinations(range(inst.d), inst.k):
-        out[support] = solve_restricted(inst, support, tol).value
+        out[support] = solve_restricted(inst, support).value
     return out
 
 

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+import l0bfs.baselines
 from helpers import random_instance
-from l0bfs import (BaselineConfig, Instance, exhaustive_solve, htp, iht,
-                   make_loss, omp)
+from l0bfs import Instance, exhaustive_solve, htp, iht, make_loss, omp
 
 KINDS = ["quadratic", "huber", "logistic"]
 METHODS = [omp, iht, htp]
@@ -22,14 +22,6 @@ def ridge_value(inst, support):
     x = np.zeros(inst.d)
     x[list(support)] = b[list(support)] / (1.0 + n * inst.lam)
     return x, inst.objective(x)
-
-
-class TestConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            BaselineConfig(step_size=0.0)
-        with pytest.raises(ValueError):
-            BaselineConfig(step_size=-1.0)
 
 
 class TestCommonContract:
@@ -99,23 +91,12 @@ class TestIht:
         _, value = ridge_value(inst, (1, 2))
         assert rep.objective == pytest.approx(value, abs=1e-10)
 
-    def test_starts_from_x0_when_given(self):
-        inst = identity_instance([1.0, -4.0, 2.0, 0.5], k=2)
-        x0 = np.array([9.0, 0.0, 0.0, 9.0])
-        rep = iht(inst, x0=x0)
-        assert rep.support == (1, 2)  # still converges to the same point
-
-    def test_iteration_cap_reports_not_converged(self):
+    def test_iteration_cap_reports_not_converged(self, monkeypatch):
+        monkeypatch.setattr(l0bfs.baselines, "MAX_ITERS", 1)
         inst = random_instance("huber", d=6, k=2, n=9, seed=9, lam=1e-2)
-        rep = iht(inst, cfg=BaselineConfig(max_iters=1))
+        rep = iht(inst)
         assert not rep.converged
         assert np.flatnonzero(rep.x).size <= inst.k
-
-    def test_custom_step_size_is_honored(self):
-        inst = identity_instance([1.0, -4.0, 2.0, 0.5], k=2)
-        default_step = 1.0 / (inst.op_norm ** 2 / inst.loss.gamma + inst.lam)
-        rep = iht(inst, cfg=BaselineConfig(step_size=default_step))
-        assert rep.objective == pytest.approx(iht(inst).objective, abs=1e-12)
 
 
 class TestHtp:
@@ -125,24 +106,22 @@ class TestHtp:
         assert rep.support == (1, 2)
         assert rep.converged
 
-    def test_first_iteration_cap(self):
+    def test_first_iteration_cap(self, monkeypatch):
         # one iteration cannot see a repeated support, so the flag is off
         # but the best visited solution is still returned
+        monkeypatch.setattr(l0bfs.baselines, "MAX_ITERS", 1)
         inst = random_instance("quadratic", d=6, k=2, n=9, seed=10, lam=1e-2)
-        rep = htp(inst, cfg=BaselineConfig(max_iters=1))
+        rep = htp(inst)
         assert not rep.converged
         assert np.flatnonzero(rep.x).size <= inst.k
 
-    def test_never_worse_than_its_first_support(self):
+    def test_never_worse_than_its_first_support(self, monkeypatch):
         # htp keeps the best visited restricted solution, and the first
         # visited support is exactly the one iht reaches after one step
         for seed in range(4):
             inst = random_instance("huber", d=7, k=3, n=10, seed=11 + seed,
                                    lam=1e-2)
-            first = htp(inst, cfg=BaselineConfig(max_iters=1))
+            with monkeypatch.context() as m:
+                m.setattr(l0bfs.baselines, "MAX_ITERS", 1)
+                first = htp(inst)
             assert htp(inst).objective <= first.objective + 1e-12
-
-    def test_starts_from_x0_when_given(self):
-        inst = identity_instance([1.0, -4.0, 2.0, 0.5], k=2)
-        rep = htp(inst, x0=np.array([9.0, 0.0, 0.0, 9.0]))
-        assert rep.support == (1, 2)

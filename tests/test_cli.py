@@ -60,6 +60,45 @@ class TestParsing:
         capsys.readouterr()
         assert rc == 2
 
+    @pytest.mark.parametrize("flag", ["--delta", "--epsilon"])
+    def test_nan_setting_rejected(self, tmp_path, capsys, flag):
+        inst = gen_dir(tmp_path)
+        rc = main(["solve", "--instance", inst, "--method", "bfs",
+                   flag, "nan", "--out", str(tmp_path / "r.csv")])
+        capsys.readouterr()
+        assert rc == 2
+        assert not os.path.exists(tmp_path / "r.csv")
+
+    def test_nan_bench_delta_rejected(self, tmp_path, capsys):
+        rc = main(["bench", *GEN, "--seeds", "0", "--deltas", "0,nan",
+                   "--out", str(tmp_path / "b")])
+        capsys.readouterr()
+        assert rc == 2
+        assert not os.path.exists(tmp_path / "b" / "runs.csv")
+
+    @pytest.mark.parametrize("key", ["paths", "A", "b", "family", "lambda",
+                                     "k", "loss"])
+    def test_manifest_missing_key_is_an_error_line(self, tmp_path, capsys,
+                                                   key):
+        inst = gen_dir(tmp_path)
+        path = os.path.join(inst, "manifest.json")
+        with open(path) as f:
+            manifest = json.load(f)
+        if key == "loss":  # only external manifests name their loss
+            manifest["family"] = "external"
+        elif key in ("A", "b"):
+            del manifest["paths"][key]
+        else:
+            del manifest[key]
+        with open(path, "w") as f:
+            json.dump(manifest, f)
+        rc = main(["solve", "--instance", inst, "--method", "omp",
+                   "--out", str(tmp_path / "r.csv")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and repr(key) in err
+        assert "Traceback" not in err
+
     def test_missing_out_without_env(self, tmp_path, monkeypatch, capsys):
         monkeypatch.delenv(cli.OUT_ENV, raising=False)
         inst = gen_dir(tmp_path)

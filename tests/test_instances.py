@@ -30,6 +30,12 @@ class TestGenSpec:
         with pytest.raises(ValueError):
             spec(delta=0.0)
 
+    def test_nan_lam_and_delta_rejected(self):
+        with pytest.raises(ValueError):
+            spec(lam=float("nan"))
+        with pytest.raises(ValueError):
+            spec(delta=float("nan"))
+
     def test_resolved_fills_defaults(self):
         s = spec(family="logistic", d=20, k=3).resolved()
         assert s.n == default_n(20, 3)

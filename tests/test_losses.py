@@ -36,6 +36,10 @@ class TestConstruction:
         with pytest.raises(ValueError):
             HuberLoss(np.array([0.0]), delta=0.0)
 
+    def test_huber_rejects_nan_delta(self):
+        with pytest.raises(ValueError):
+            HuberLoss(np.array([0.0]), delta=float("nan"))
+
     def test_make_loss_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
             make_loss("hinge", np.array([1.0]))

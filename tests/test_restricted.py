@@ -1,8 +1,10 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
+import l0bfs.restricted
 from helpers import random_instance
 from l0bfs import (ConvergenceError, Instance, RestrictedSolution, make_loss,
                    solve_restricted, solve_restricted_batch)
@@ -62,6 +64,13 @@ class TestInstance:
         expected = np.linalg.svd(inst.A, compute_uv=False)[0]
         assert inst.op_norm == pytest.approx(expected, rel=1e-8)
 
+    def test_replace_recomputes_cached_arrays(self):
+        inst = random_instance("quadratic", d=5, k=2, n=8, seed=3)
+        AT, op_norm = inst.AT, inst.op_norm  # fill the caches
+        scaled = dataclasses.replace(inst, A=2.0 * inst.A)
+        np.testing.assert_array_equal(scaled.AT, 2.0 * AT)
+        assert scaled.op_norm == pytest.approx(2.0 * op_norm, rel=1e-12)
+
 
 class TestSolveRestricted:
     def test_empty_support_returns_zero(self):
@@ -98,7 +107,7 @@ class TestSolveRestricted:
             inst = random_instance(kind, d=7, k=3, n=11, seed=seed)
             size = int(rng.integers(1, 5))
             support = sorted(map(int, rng.choice(7, size=size, replace=False)))
-            sol = solve_restricted(inst, support, tol=1e-12)
+            sol = solve_restricted(inst, support)
             assert sol.certificate <= 1e-12
             grad = inst.objective_grad(sol.x)
             assert np.linalg.norm(grad[support]) <= 1e-10
@@ -112,7 +121,7 @@ class TestSolveRestricted:
         for seed in range(4):
             inst = random_instance(kind, d=6, k=2, n=9, seed=seed)
             support = [1, 4]
-            sol = solve_restricted(inst, support, tol=1e-12)
+            sol = solve_restricted(inst, support)
 
             mask = np.zeros(6)
             mask[support] = 1.0
@@ -162,10 +171,11 @@ class TestSolveRestricted:
         with pytest.raises(ValueError):
             solve_restricted(inst, [-1])
 
-    def test_iteration_cap_raises_with_best_iterate(self):
+    def test_iteration_cap_raises_with_best_iterate(self, monkeypatch):
+        monkeypatch.setattr(l0bfs.restricted, "_MAX_NEWTON_STEPS", 1)
         inst = random_instance("logistic", d=6, k=2, n=9, seed=11)
         with pytest.raises(ConvergenceError) as info:
-            solve_restricted(inst, [0, 3], tol=1e-12, max_iters=1)
+            solve_restricted(inst, [0, 3])
         best = info.value.best
         assert best is not None
         assert np.isfinite(best.value)
@@ -283,17 +293,18 @@ class TestBatch:
         assert values[0] == pytest.approx(ref.value, rel=1e-14)
         assert certs[0] == ref.certificate
 
-    def test_capped_row_raises_with_its_last_iterate(self):
+    def test_capped_row_raises_with_its_last_iterate(self, monkeypatch):
         # column 0 is zero, so row (0,) certifies at w = 0 and row (3,) is
         # the one the one-step cap stops
+        monkeypatch.setattr(l0bfs.restricted, "_MAX_NEWTON_STEPS", 1)
         inst = random_instance("logistic", d=6, k=1, n=9, seed=62)
         A = inst.A.copy()
         A[:, 0] = 0.0
         inst = Instance(A=A, loss=inst.loss, lam=inst.lam, k=1)
         with pytest.raises(ConvergenceError) as batch:
-            solve_restricted_batch(inst, [[0], [3]], max_iters=1)
+            solve_restricted_batch(inst, [[0], [3]])
         with pytest.raises(ConvergenceError) as single:
-            solve_restricted(inst, [3], max_iters=1)
+            solve_restricted(inst, [3])
         best, ref = batch.value.best, single.value.best
         np.testing.assert_array_equal(np.flatnonzero(best.x), [3])
         np.testing.assert_allclose(best.x, ref.x, rtol=1e-14)

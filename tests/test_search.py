@@ -3,9 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
+import l0bfs.search
 from helpers import leaf_values, random_instance
-from l0bfs import (EXACT, PRUNED, Node, SolverConfig, bfs_solve,
-                   exhaustive_solve, solve_restricted)
+from l0bfs import (DUAL_BOUND, EXACT, PRUNED, BoundResult, Node, SolverConfig,
+                   bfs_solve, exhaustive_solve, solve_restricted)
 from l0bfs.subtree import ZERO_TOL
 
 KINDS = ["quadratic", "huber", "logistic"]
@@ -72,6 +73,11 @@ class TestDelta:
         inst = random_instance("quadratic", d=5, k=2, n=8, seed=14, lam=1e-2)
         with pytest.raises(ValueError):
             bfs_solve(inst, delta=-1e-9)
+
+    def test_nan_delta_rejected(self):
+        inst = random_instance("huber", d=8, k=2, n=12, seed=0, lam=1e-2)
+        with pytest.raises(ValueError):
+            bfs_solve(inst, delta=float("nan"))
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_gap_bound_and_no_extra_work(self, kind):
@@ -144,6 +150,43 @@ class TestBoundLog:
                 if status == PRUNED:
                     node = Node(indices, inst.d, inst.k)
                     assert not node.covers_support(oracle_support)
+
+
+class TestEmptyHeap:
+    """The search loop under a stubbed subtree_solve: only the root may leave
+    the heap empty, and only float noise can prune it (D <= F <= P(0))."""
+
+    @staticmethod
+    def stub(monkeypatch, root_result, child_result):
+        calls = []
+
+        def fake(inst, node, warm, prune_threshold, cfg):
+            calls.append(node.indices)
+            return root_result if node.size == 0 else child_result
+        monkeypatch.setattr(l0bfs.search, "subtree_solve", fake)
+        return calls
+
+    def test_pruned_root_returns_zero(self, monkeypatch):
+        inst = random_instance("huber", d=6, k=2, n=9, seed=34, lam=1e-2)
+        pruned = BoundResult(low=np.inf, x=None, value=np.inf, status=PRUNED,
+                             state=None, iterations=0)
+        calls = self.stub(monkeypatch, pruned, None)
+        rep = bfs_solve(inst, record_bounds=True)
+        np.testing.assert_array_equal(rep.x, np.zeros(inst.d))
+        assert rep.objective == inst.objective(np.zeros(inst.d))
+        assert calls == [()]
+        assert (rep.solver_calls, rep.pruned, rep.heap_peak) == (1, 1, 0)
+        assert rep.bound_log == [((), np.inf, PRUNED, np.inf)]
+
+    def test_later_empty_heap_raises(self, monkeypatch):
+        inst = random_instance("huber", d=6, k=2, n=9, seed=34, lam=1e-2)
+        root = BoundResult(low=0.0, x=np.zeros(inst.d), value=1.0,
+                           status=DUAL_BOUND, state=None, iterations=1)
+        pruned = BoundResult(low=np.inf, x=None, value=np.inf, status=PRUNED,
+                             state=None, iterations=0)
+        self.stub(monkeypatch, root, pruned)
+        with pytest.raises(AssertionError, match="heap exhausted"):
+            bfs_solve(inst)
 
 
 class TestReportFields:

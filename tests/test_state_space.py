@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -109,11 +110,8 @@ class TestTreeShape:
     def test_every_nonroot_node_has_valid_parent_edge(self, d, k):
         for node in enumerate_tree(d, k):
             if node.size == 0:
-                with pytest.raises(ValueError):
-                    node.parent()
                 continue
-            parent = node.parent()
-            assert parent.indices == node.indices[:-1]
+            parent = Node(node.indices[:-1], d, k)  # raises if not a valid node
             assert node.indices in [c.indices for c in parent.children()]
 
     def test_single_index_budget(self):
@@ -171,7 +169,7 @@ class TestCoversSupport:
             assert any(n.size == k for n in covering)
             for node in covering:
                 if node.size:
-                    assert node.parent().covers_support(target)
+                    assert Node(node.indices[:-1], d, k).covers_support(target)
 
 
 class TestValueSemantics:
@@ -180,6 +178,13 @@ class TestValueSemantics:
         b = Node((1, 2), d=5, k=3)
         _ = a.support_array  # populate one side's cache only
         assert a == b
+
+    def test_replace_recomputes_cached_arrays(self):
+        node = Node((1,), d=5, k=3)
+        _ = node.support_array, node.tail_array  # fill the caches
+        moved = dataclasses.replace(node, indices=(2,))
+        np.testing.assert_array_equal(moved.support_array, [2])
+        np.testing.assert_array_equal(moved.tail_array, [3, 4])
 
     def test_frozen(self):
         node = Node((1,), d=4, k=2)

@@ -26,6 +26,10 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(max_dual_iters=0)
 
+    def test_nan_epsilon_rejected(self):
+        with pytest.raises(ValueError):
+            SolverConfig(epsilon=float("nan"))
+
 
 class TestDualValue:
     def test_zero_dual_point_gives_zero_for_quadratic(self):

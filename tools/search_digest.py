@@ -1,0 +1,53 @@
+"""Fingerprint the seed-0 searches of the benchmark's search workloads.
+
+Runs bfs_solve with pdal and with sga on every seed-0 instance of the
+planted, hard and logistic workloads (perfbench/workloads.py), 102 searches
+in all, and prints the calls and prunes per (workload, subroutine) pair and
+one SHA-256 over every search's objective, x, calls, prunes, heap peak and
+bound_log entries.  Two checkouts that print the same digest ran the same
+search bit for bit.
+
+    python3 tools/search_digest.py
+"""
+
+import hashlib
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+
+from l0bfs import SolverConfig, bfs_solve  # noqa: E402
+from workloads import build_cases  # noqa: E402
+
+WORKLOADS = ("planted", "hard", "logistic")
+SUBROUTINES = ("pdal", "sga")
+
+
+def _update(digest, report):
+    digest.update(float(report.objective).hex().encode())
+    digest.update(report.x.tobytes())
+    digest.update(f"{report.solver_calls},{report.pruned},{report.heap_peak}".encode())
+    for indices, low, status, value in report.bound_log:
+        digest.update(f"{indices}|{float(low).hex()}|{status}|{float(value).hex()}"
+                      .encode())
+
+
+def main():
+    digest = hashlib.sha256()
+    for workload in WORKLOADS:
+        cases, _ = build_cases(workload, 0)
+        for subroutine in SUBROUTINES:
+            cfg = SolverConfig(subroutine=subroutine)
+            calls = pruned = 0
+            for case in cases:
+                report = bfs_solve(case.instance(), cfg=cfg, record_bounds=True)
+                calls += report.solver_calls
+                pruned += report.pruned
+                _update(digest, report)
+            print(f"{workload:8s} {subroutine:4s} calls {calls:5d}  pruned {pruned:5d}")
+    print(f"sha256 {digest.hexdigest()}")
+
+
+if __name__ == "__main__":
+    main()
