@@ -28,9 +28,8 @@ def _step(inst):
 
 
 def _report(sol, t0, converged=True):
-    return SolveReport(x=sol.x, objective=sol.value, solver_calls=1, pruned=0,
-                       heap_peak=0, wall_time=time.perf_counter() - t0,
-                       delta=0.0, converged=converged)
+    return SolveReport(x=sol.x, objective=sol.value, solver_calls=1,
+                       wall_time=time.perf_counter() - t0, converged=converged)
 
 
 def omp(inst):

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.special import expit
 
 from .losses import make_loss
-from .restricted import Instance
+from .restricted import Instance, _integer, _real
 
 __all__ = [
     "GenSpec", "GeneratedInstance", "generate", "gen_huber", "gen_logistic",
@@ -54,13 +54,15 @@ class GenSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
+        for name in ("d", "k", "seed"):
+            _integer(name, getattr(self, name))
         if not (0 < self.k <= self.d):
             raise ValueError("need 0 < k <= d")
-        if self.n is not None and self.n < 1:
+        if self.n is not None and _integer("n", self.n) < 1:
             raise ValueError("n must be positive")
-        if self.lam is not None and not self.lam > 0:
+        if self.lam is not None and not _real("lam", self.lam) > 0:
             raise ValueError("lam must be positive")
-        if not self.delta > 0:
+        if not _real("delta", self.delta) > 0:
             raise ValueError("delta must be positive")
 
     def resolved(self):

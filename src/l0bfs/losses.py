@@ -22,7 +22,7 @@ import math
 import numpy as np
 from scipy.special import expit, logit, xlogy
 
-from .restricted import ConvergenceError
+from .restricted import ConvergenceError, _real
 
 __all__ = ["QuadraticLoss", "HuberLoss", "LogisticLoss", "make_loss"]
 
@@ -145,7 +145,7 @@ class HuberLoss(Loss):
 
     def __init__(self, b, delta=1.0):
         super().__init__(b)
-        if not delta > 0:
+        if not _real("delta", delta) > 0:
             raise ValueError("delta must be positive")
         self.delta = float(delta)
 

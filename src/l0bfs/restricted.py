@@ -18,6 +18,7 @@ to the gradient norm _TOL within _MAX_NEWTON_STEPS Newton steps or raise.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -40,6 +41,20 @@ _ARMIJO = 1e-4
 _ROUNDING = 64 * np.finfo(float).eps
 
 
+def _integer(name, value):
+    """value, if it is an integer and not a bool; ValueError otherwise."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _real(name, value):
+    """value, if it is a real number and not a bool; ValueError otherwise."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class Instance:
     A: np.ndarray
@@ -55,9 +70,9 @@ class Instance:
             raise ValueError("A must be finite")
         if A.shape[0] != self.loss.n:
             raise ValueError("loss dimension does not match rows of A")
-        if not (1 <= self.k <= A.shape[1]):
+        if not (1 <= _integer("k", self.k) <= A.shape[1]):
             raise ValueError("need 1 <= k <= d")
-        if not self.lam > 0:
+        if not _real("lam", self.lam) > 0:
             raise ValueError("lam must be positive")
         A.setflags(write=False)
         object.__setattr__(self, "A", A)

@@ -39,10 +39,10 @@ class SolveReport:
     x: np.ndarray
     objective: float
     solver_calls: int      # subtree bound computations (1 for inexact methods)
-    pruned: int
-    heap_peak: int
     wall_time: float       # seconds around the solve only
-    delta: float
+    pruned: int = 0        # search counters and delta: 0 for other methods
+    heap_peak: int = 0
+    delta: float = 0.0
     converged: bool = True
     bound_log: Optional[list] = None  # (indices, low, status, value) per bound
 
@@ -114,5 +114,4 @@ def exhaustive_solve(inst):
         if best_x is None or values[i] < best_value:
             best_value, best_x = values[i], x[i]
     return SolveReport(x=best_x, objective=inst.objective(best_x),
-                       solver_calls=calls, pruned=0, heap_peak=0,
-                       wall_time=time.perf_counter() - t0, delta=0.0)
+                       solver_calls=calls, wall_time=time.perf_counter() - t0)

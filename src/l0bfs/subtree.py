@@ -15,21 +15,20 @@ which under-estimates the subtree minimum for every beta (Fenchel-Young
 applied to L, then minimizing the linearized objective over supports
 reachable below S).
 
-Every node, exact or not, first takes one entry test: D at the dual point
-its parent handed down, from that state's w = A^T beta and conj = L*(beta);
-siblings share the state (its arrays are read-only) and pay only their own
-penalty term.  D never exceeds the subtree minimum, so no winner is pruned.
-An exact node then screens each leaf T by D with the top-k term exact on
-T.  It is EXACT, with its best leaf as candidate and bound, when that leaf
-does not exceed the incumbent, and so certifies when popped: the search
-never creates a leaf.  Otherwise it is PRUNED, bounded by the least of its
-solved minima and screened leaf bounds.
-
-Two dual maximizers are provided, both run by one ascent loop (_ascend)
-that owns the prune test at entry and after each iteration, the running
-max D_max, the convergence test, the polish restricted solve and the
-iteration cap.  Each maximizer holds only its method's state and a step
-closure that makes one iteration:
+Both dual maximizers run one loop (_ascend), and every node goes through
+it.  The loop owns the one entry test: D at the dual point the parent
+handed down, from that state's w = A^T beta and conj = L*(beta); siblings
+share the state (its arrays are read-only) and pay only their own penalty
+term.  D never exceeds the subtree minimum, so no winner is pruned.  A
+node that passes and is bounded exactly then screens each leaf T by D with
+the top-k term exact on T.  It is EXACT, with its best leaf as candidate
+and bound, when that leaf does not exceed the incumbent, and so certifies
+when popped: the search never creates a leaf.  Otherwise it is PRUNED,
+bounded by the least of its solved minima and screened leaf bounds.  Every
+other node ascends: the loop owns the prune test after each iteration, the
+running max D_max, the convergence test, the polish restricted solve and
+the iteration cap.  Each maximizer holds only its method's state and a
+step closure that makes one iteration:
 
   * pdal_maximize: a primal-dual iteration with linesearch, whose step
     returns before its linesearch when the new D already prunes;
@@ -155,25 +154,15 @@ def dual_value(inst, node, beta, w=None):
     return -conj - _penalty(w, node) / (2.0 * inst.lam)
 
 
-def _entry(inst, node, state):
-    """(w, conj, D(state.beta; node)) by dual_value's expression, from state.w, conj."""
-    w, conj = state.w, state.conj
-    if w is None:  # root and hand-built states
-        w, conj = inst.AT @ state.beta, inst.loss.conjugate(state.beta)
-    return w, conj, -conj - _penalty(w, node) / (2.0 * inst.lam)
-
-
-def _solve_exact(inst, node, leaves, init, stop_above):
-    """Entry test, then the leaves T with D_T = -conj - ||w_T||^2 / (2 lam)
-    at or below stop_above solved in one batch (see the module docstring)."""
-    w, conj, low = _entry(inst, node, init)
-    values = np.zeros(0)
-    if low <= stop_above:
-        w_t = w[leaves]
-        bounds = -conj - np.vecdot(w_t, w_t) / (2.0 * inst.lam)
-        solve = bounds <= stop_above
-        x, values, _ = solve_restricted_batch(inst, leaves[solve])
-        low = min(values.min(initial=np.inf), bounds[~solve].min(initial=np.inf))
+def _solve_exact(inst, leaves, w, conj, stop_above):
+    """Bound a node that passed its entry test by its leaves T: those with
+    D_T = -conj - ||w_T||^2 / (2 lam) at or below stop_above are solved in
+    one batch, the rest stay screened (see the module docstring)."""
+    w_t = w[leaves]
+    bounds = -conj - np.vecdot(w_t, w_t) / (2.0 * inst.lam)
+    solve = bounds <= stop_above
+    x, values, _ = solve_restricted_batch(inst, leaves[solve])
+    low = min(values.min(initial=np.inf), bounds[~solve].min(initial=np.inf))
     if not values.size or low > stop_above:
         return BoundResult(low=low, x=None, value=np.inf, status=PRUNED,
                            state=None, iterations=0)
@@ -194,23 +183,31 @@ def _converged(improve, incumbent, epsilon):
 
 
 def _ascend(inst, node, init, prune_threshold, cfg, step, first_stop):
-    """Maximize D(.; node) from init.beta by repeated calls of one method's step.
+    """Bound node from init: one entry test, then its leaves or an ascent.
 
-    step(beta, w, d, stop_above) makes one iteration from the dual point beta
-    (w = A^T beta, d its D value) and returns (beta, w, D, finish), where
-    finish() gives the primal point to polish and the state for the
-    children.  The step may return early once D > stop_above, since that
-    iteration ends in a prune.  The returned bound is the running max D_max.
-    Converged, from iteration first_stop on, when the D improvement is
-    epsilon-small relative to the incumbent and the current D is D_max.
+    The entry test is D(init.beta; node), from init.w and init.conj when the
+    parent handed them down.  A node that passes it and that Node.leaves()
+    lists is bounded exactly by _solve_exact.  Every other node maximizes
+    D(.; node) by calls of step(beta, w, d, stop_above), which makes one
+    iteration from beta (w = A^T beta, d its D value) and returns
+    (beta, w, D, finish); finish() gives the primal point to polish and the
+    state for the children.  The step may return early once D > stop_above,
+    since that iteration ends in a prune.  The returned bound is the running
+    max D_max.  Converged, from iteration first_stop on, when the D
+    improvement is epsilon-small relative to the incumbent and the current
+    D is D_max.
     """
-    beta = init.beta
-    w, _, d_prev = _entry(inst, node, init)
-    d_max = d_prev
+    beta, w, conj = init.beta, init.w, init.conj
+    if w is None:  # root and hand-built states
+        w, conj = inst.AT @ beta, inst.loss.conjugate(beta)
+    d_max = d_prev = -conj - _penalty(w, node) / (2.0 * inst.lam)
     stop_above = prune_threshold + ZERO_TOL if cfg.pruning else np.inf
     if d_prev > stop_above:
         return BoundResult(low=d_max, x=None, value=np.inf,
                            status=PRUNED, state=None, iterations=0)
+    leaves = node.leaves()
+    if leaves is not None:
+        return _solve_exact(inst, leaves, w, conj, stop_above)
 
     for t in range(1, cfg.max_dual_iters + 1):
         beta, w, d_cur, finish = step(beta, w, d_prev, stop_above)
@@ -238,8 +235,8 @@ def pdal_maximize(inst, node, init, prune_threshold, cfg):
     blockwise prox of the support penalty at ybar, where the open-tail block
     is the conjugate prox of the scaled top-(k-s) squared norm.  The step
     sizes follow the acceleration schedule driven by the loss's gamma
-    (strong convexity of L*), starting from tau = 1/||A||_2, rho = theta = 1,
-    with tau halved until
+    (strong convexity of L*), starting from tau = 1/||A||_2 (1 when A = 0,
+    where every step passes), rho = theta = 1, with tau halved until
 
         sqrt(rho_t) * tau_t * ||A (y_t - y_{t-1})|| <= ||y_t - y_{t-1}||.
 
@@ -251,10 +248,13 @@ def pdal_maximize(inst, node, init, prune_threshold, cfg):
     k, rem = node.k, node.k - node.size
     s_arr, tail = node.support_array, node.tail_array
     y = init.y
-    tau, rho, theta = 1.0 / inst.op_norm, 1.0, 1.0
+    # tau is set at the first step: an exact node takes none, nor needs ||A||
+    tau, rho, theta = None, 1.0, 1.0
 
     def step(beta, w, d, stop_above):
         nonlocal y, tau, rho, theta
+        if tau is None:
+            tau = 1.0 / inst.op_norm if inst.op_norm > 0 else 1.0
         beta_new = loss.prox_conjugate(tau, beta - tau * (A @ y))
         w_new = inst.AT @ beta_new
         d_new = dual_value(inst, node, beta_new, w_new)
@@ -339,8 +339,10 @@ def sga_maximize(inst, node, init, prune_threshold, cfg):
 def subtree_solve(inst, node, warm=None, prune_threshold=np.inf, cfg=None):
     """Lower bound + feasible candidate for the subtree below node.
 
-    warm is the parent's final DualState/SgaState (ignored when warm
-    starting is disabled or the state type does not match cfg.subroutine).
+    Picks cfg.subroutine's maximizer and its start state; the maximizer's
+    loop bounds the node, exactly when Node.leaves() lists it.  warm is the
+    parent's final DualState/SgaState (ignored when warm starting is
+    disabled or the state type does not match cfg.subroutine).
     prune_threshold is the incumbent objective; it also scales the dual
     convergence test, so pass it even when pruning is disabled.
     """
@@ -351,9 +353,4 @@ def subtree_solve(inst, node, warm=None, prune_threshold=np.inf, cfg=None):
         maximize, state_type, root_state = sga_maximize, SgaState, sga_root_state
     init = warm if cfg.warm_start and isinstance(warm, state_type) \
         else root_state(inst)
-
-    leaves = node.leaves()
-    if leaves is not None:
-        stop_above = prune_threshold + ZERO_TOL if cfg.pruning else np.inf
-        return _solve_exact(inst, node, leaves, init, stop_above)
     return maximize(inst, node, init, prune_threshold, cfg)

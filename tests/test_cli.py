@@ -97,6 +97,27 @@ class TestParsing:
         err = capsys.readouterr().err
         assert rc == 1
         assert err.startswith("error:") and repr(key) in err
+
+    @pytest.mark.parametrize("key,value", [
+        ("k", 2.5), ("k", True), ("k", "2"), ("k", None), ("lambda", "0.1"),
+        ("delta", "x")])
+    def test_manifest_value_of_wrong_type_is_an_error_line(
+            self, tmp_path, capsys, key, value):
+        inst = gen_dir(tmp_path)
+        path = os.path.join(inst, "manifest.json")
+        with open(path) as f:
+            manifest = json.load(f)
+        manifest[key] = value
+        if key == "delta":  # only the huber loss reads delta
+            manifest["family"] = "huber"
+        with open(path, "w") as f:
+            json.dump(manifest, f)
+        rc = main(["solve", "--instance", inst, "--method", "bfs",
+                   "--out", str(tmp_path / "r.csv")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not os.path.exists(tmp_path / "r.csv")
         assert "Traceback" not in err
 
     def test_missing_out_without_env(self, tmp_path, monkeypatch, capsys):

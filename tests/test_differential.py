@@ -6,7 +6,8 @@ the ones where a bound, a screen or a restricted solve is most likely to
 slip: duplicate and collinear columns (tied or singular leaves), a ridge
 weight of 1e-10 (nearly singular Hessians and a steep dual penalty),
 linearly separable labels (the logistic loss alone has no minimizer),
-k = 1 (the root is a last-level node) and k = d (the root is exact).
+k = 1 (the root is a last-level node), k = d (the root is exact) and an
+all-zero design (||A|| = 0, so every x has P(x) >= P(0)).
 """
 
 import numpy as np
@@ -16,7 +17,8 @@ from helpers import random_instance
 from l0bfs import Instance, SolverConfig, bfs_solve, exhaustive_solve, make_loss
 
 KINDS = ["quadratic", "huber", "logistic"]
-CASES = ["duplicate", "collinear", "tiny_lam", "separable", "k_one", "k_equals_d"]
+CASES = ["duplicate", "collinear", "tiny_lam", "separable", "k_one", "k_equals_d",
+         "zero_design"]
 
 
 def case_instance(case, kind):
@@ -24,6 +26,9 @@ def case_instance(case, kind):
         return random_instance(kind, d=7, k=1, n=10, seed=80)
     if case == "k_equals_d":
         return random_instance(kind, d=5, k=5, n=8, seed=81)
+    if case == "zero_design":
+        inst = random_instance(kind, d=4, k=2, n=6, seed=85)
+        return Instance(A=np.zeros((6, 4)), loss=inst.loss, lam=inst.lam, k=2)
     if case == "tiny_lam":
         return random_instance(kind, d=7, k=3, n=10, seed=82, lam=1e-10)
     if case == "separable":

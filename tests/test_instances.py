@@ -36,6 +36,22 @@ class TestGenSpec:
         with pytest.raises(ValueError):
             spec(delta=float("nan"))
 
+    @pytest.mark.parametrize("field,value", [
+        (field, value) for field in ("d", "k", "n", "seed")
+        for value in (2.5, 3.0, True, "3", None)
+        if (field, value) != ("n", None)])  # n = None asks for the default
+    def test_non_integer_sizes_and_seed_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            spec(**{field: value})
+
+    @pytest.mark.parametrize("field", ["lam", "delta"])
+    def test_non_real_lam_and_delta_rejected(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be a real number"):
+            spec(**{field: "0.1"})
+
+    def test_numpy_integers_accepted(self):
+        assert spec(d=np.int64(12), k=np.int64(3), seed=np.int64(0)).k == 3
+
     def test_resolved_fills_defaults(self):
         s = spec(family="logistic", d=20, k=3).resolved()
         assert s.n == default_n(20, 3)

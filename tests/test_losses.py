@@ -36,6 +36,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             HuberLoss(np.array([0.0]), delta=0.0)
 
+    @pytest.mark.parametrize("delta", ["x", "1.0", None, True])
+    def test_huber_rejects_non_real_delta(self, delta):
+        with pytest.raises(ValueError, match="delta must be a real number"):
+            HuberLoss(np.array([0.0]), delta=delta)
+
     def test_huber_rejects_nan_delta(self):
         with pytest.raises(ValueError):
             HuberLoss(np.array([0.0]), delta=float("nan"))

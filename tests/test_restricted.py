@@ -41,6 +41,25 @@ class TestInstance:
             Instance(A=np.array([[np.inf, 0.0], [0.0, 1.0]]), loss=loss,
                      lam=1.0, k=1)
 
+    @pytest.mark.parametrize("k", [1.5, 1.0, True, "1", None])
+    def test_non_integer_k_rejected(self, k):
+        loss = make_loss("quadratic", np.array([1.0, 2.0]))
+        with pytest.raises(ValueError, match="k must be an integer"):
+            Instance(A=np.eye(2), loss=loss, lam=1.0, k=k)
+
+    @pytest.mark.parametrize("lam", ["0.1", None, True])
+    def test_non_real_lam_rejected(self, lam):
+        loss = make_loss("quadratic", np.array([1.0, 2.0]))
+        with pytest.raises(ValueError, match="lam must be a real number"):
+            Instance(A=np.eye(2), loss=loss, lam=lam, k=1)
+
+    def test_numpy_scalars_accepted(self):
+        loss = make_loss("quadratic", np.array([1.0, 2.0]))
+        inst = Instance(A=np.eye(2), loss=loss, lam=np.float32(0.5),
+                        k=np.int64(2))
+        assert (inst.k, inst.lam) == (2, 0.5)
+        assert type(inst.k) is int and type(inst.lam) is float
+
     def test_objective_and_gradient_consistent(self):
         inst = random_instance("huber", d=6, k=2, n=10, seed=0)
         rng = np.random.default_rng(1)

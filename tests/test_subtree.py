@@ -425,6 +425,59 @@ class TestSharedParentState:
             assert res.low <= minimum
         assert calls[0] == 0
 
+    @pytest.mark.parametrize("subroutine", ["pdal", "sga"])
+    def test_exact_node_pruned_at_entry_lists_no_leaves(self, subroutine,
+                                                        monkeypatch):
+        inst, root, state = self.parent_state("huber", subroutine)
+        node = Node((5,), inst.d, inst.k)   # takes its whole tail
+        d = dual_value(inst, node, state.beta)
+        calls = {"penalty": 0, "leaves": 0}
+        penalty, leaves = l0bfs.subtree._penalty, Node.leaves
+
+        def counted_penalty(*args):
+            calls["penalty"] += 1
+            return penalty(*args)
+
+        def counted_leaves(self):
+            calls["leaves"] += 1
+            return leaves(self)
+
+        monkeypatch.setattr(l0bfs.subtree, "_penalty", counted_penalty)
+        monkeypatch.setattr(Node, "leaves", counted_leaves)
+        res = subtree_solve(inst, node, warm=state, prune_threshold=d - 1e-3,
+                            cfg=SolverConfig(subroutine=subroutine))
+        assert res.status == PRUNED and res.low == d
+        assert calls == {"penalty": 1, "leaves": 0}
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("subroutine", ["pdal", "sga"])
+    @pytest.mark.parametrize("pruning", [True, False])
+    def test_maximizer_on_a_listed_node_is_subtree_solve(
+            self, subroutine, kind, pruning):
+        inst, root, state = self.parent_state(kind, subroutine)
+        cfg = SolverConfig(subroutine=subroutine, pruning=pruning)
+        maximize = pdal_maximize if subroutine == "pdal" else sga_maximize
+        p0 = inst.objective(np.zeros(inst.d))
+        statuses = set()
+        for indices in [(1, 3), (5,)]:   # a last-level and a whole-tail node
+            node = Node(indices, inst.d, inst.k)
+            assert node.leaves() is not None
+            d = dual_value(inst, node, state.beta)
+            for threshold in (np.inf, p0, d - 1e-3):
+                want = subtree_solve(inst, node, warm=state,
+                                     prune_threshold=threshold, cfg=cfg)
+                got = maximize(inst, node, state, threshold, cfg)
+                assert (got.status, got.iterations, got.state) == \
+                    (want.status, want.iterations, None)
+                assert float(got.low).hex() == float(want.low).hex()
+                assert float(got.value).hex() == float(want.value).hex()
+                if want.x is None:
+                    assert got.x is None
+                else:
+                    assert got.x.tobytes() == want.x.tobytes()
+                statuses.add(got.status)
+        assert statuses == ({EXACT, PRUNED} if pruning else {EXACT})
+
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("subroutine", ["pdal", "sga"])
     def test_entry_bound_bit_equal_to_dual_value(self, subroutine, kind):

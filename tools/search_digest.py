@@ -5,7 +5,9 @@ planted, hard and logistic workloads (perfbench/workloads.py), 102 searches
 in all, and prints the calls and prunes per (workload, subroutine) pair and
 one SHA-256 over every search's objective, x, calls, prunes, heap peak and
 bound_log entries.  Two checkouts that print the same digest ran the same
-search bit for bit.
+search bit for bit.  BLAS is pinned to one thread, as perfbench/run.py pins
+it, since the thread count changes how matrix products round and with it
+the digest.
 
     python3 tools/search_digest.py
 """
@@ -13,6 +15,10 @@ search bit for bit.
 import hashlib
 import os
 import sys
+
+# before numpy loads BLAS; the same pins as perfbench/run.py's THREAD_PINS
+os.environ.update({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+                   "MKL_NUM_THREADS": "1"})
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
