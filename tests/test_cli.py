@@ -97,6 +97,7 @@ class TestParsing:
         err = capsys.readouterr().err
         assert rc == 1
         assert err.startswith("error:") and repr(key) in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("key,value", [
         ("k", 2.5), ("k", True), ("k", "2"), ("k", None), ("lambda", "0.1"),
@@ -118,7 +119,6 @@ class TestParsing:
         assert rc == 1
         assert err.startswith("error:") and "Traceback" not in err
         assert not os.path.exists(tmp_path / "r.csv")
-        assert "Traceback" not in err
 
     def test_missing_out_without_env(self, tmp_path, monkeypatch, capsys):
         monkeypatch.delenv(cli.OUT_ENV, raising=False)
