@@ -51,10 +51,7 @@ def append_rows(path, rows):
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     fresh = not (os.path.exists(path) and os.path.getsize(path) > 0)
     if not fresh:
-        with open(path, newline="") as f:
-            header = next(csv.reader(f), None)
-        if header != COLUMNS:
-            raise ValueError(f"{path} has an incompatible header")
+        read_rows(path)  # rejects a file with another header
     with open(path, "a", newline="") as f:
         writer = csv.DictWriter(f, fieldnames=COLUMNS, lineterminator="\n")
         if fresh:
@@ -63,40 +60,12 @@ def append_rows(path, rows):
 
 
 def read_rows(path):
+    """Parsed rows of a results CSV; ValueError unless its header is COLUMNS."""
     with open(path, newline="") as f:
-        return list(csv.DictReader(f))
-
-
-def _result_row(instance_id, method, report, *, subroutine="",
-                warm_start="", pruning="", seed=None, ref_support=None,
-                oracle_objective=None):
-    err = ""
-    if oracle_objective is not None:
-        err = _fmt(report.objective - oracle_objective)
-    return {
-        "instance_id": instance_id,
-        "method": method,
-        "delta": _fmt(report.delta),
-        "objective": _fmt(report.objective),
-        "objective_error": err,
-        "solver_calls": str(report.solver_calls),
-        "pruned": str(report.pruned),
-        "wall_ms": _fmt(report.wall_time * 1000.0),
-        "support": _join(report.support),
-        "status": "ok",
-        "subroutine": subroutine,
-        "warm_start": warm_start,
-        "pruning": pruning,
-        "seed": "" if seed is None else str(seed),
-        "ref_support": "" if ref_support is None else _join(ref_support),
-    }
-
-
-def _error_row(instance_id, method, delta, seed=None):
-    row = {c: "" for c in COLUMNS}
-    row.update(instance_id=instance_id, method=method, delta=_fmt(delta),
-               status="error", seed="" if seed is None else str(seed))
-    return row
+        reader = csv.DictReader(f)
+        if reader.fieldnames not in (None, COLUMNS):  # None: an empty file
+            raise ValueError(f"{path} has an incompatible header")
+        return list(reader)
 
 
 def _run_method(inst, method, args):
@@ -110,12 +79,37 @@ def _run_method(inst, method, args):
     return {"omp": omp, "iht": iht, "htp": htp}[method](inst)
 
 
-def _bfs_flags(method, args):
-    if method != "bfs":
-        return {"subroutine": "", "warm_start": "", "pruning": ""}
-    return {"subroutine": args.subroutine,
-            "warm_start": str(not args.no_warm_start).lower(),
-            "pruning": str(not args.no_pruning).lower()}
+def _record(inst, iid, method, args, seed, ref, oracle_objective, report=None):
+    """The CSV row of one run, running method on inst unless handed its report.
+
+    A failed run prints one error line and gives a status=error row.
+    objective_error is measured against oracle_objective, and an oracle
+    row against its own objective.
+    """
+    row = dict.fromkeys(COLUMNS, "")
+    row.update(instance_id=iid, method=method,
+               seed="" if seed is None else str(seed))
+    if report is None:
+        try:
+            report = _run_method(inst, method, args)
+        except Exception as exc:  # record the failure, then go on
+            print(f"error: {method} failed on {iid}: {exc}", file=sys.stderr)
+            row.update(delta=_fmt(getattr(args, "delta", 0.0)), status="error")
+            return row
+    if method == "oracle":
+        oracle_objective = report.objective
+    if oracle_objective is not None:
+        row["objective_error"] = _fmt(report.objective - oracle_objective)
+    if method == "bfs":
+        row.update(subroutine=args.subroutine,
+                   warm_start=str(not args.no_warm_start).lower(),
+                   pruning=str(not args.no_pruning).lower())
+    row.update(delta=_fmt(report.delta), objective=_fmt(report.objective),
+               solver_calls=str(report.solver_calls), pruned=str(report.pruned),
+               wall_ms=_fmt(report.wall_time * 1000.0),
+               support=_join(report.support), status="ok",
+               ref_support="" if ref is None else _join(ref))
+    return row
 
 
 # ---------------------------------------------------------------- commands
@@ -130,85 +124,59 @@ def cmd_generate(args):
 
 
 def cmd_solve(args):
-    method = args.method
     out = _resolve_out(args.out, "results.csv")
     inst, meta = load_instance(args.instance)
     iid = meta["instance_id"]
-    try:
-        report = _run_method(inst, method, args)
-    except Exception as exc:  # record the failure, then signal it
-        append_rows(out, [_error_row(iid, method, getattr(args, "delta", 0.0),
-                                     meta["seed"])])
-        print(f"error: {method} failed on {iid}: {exc}", file=sys.stderr)
+    oracle_obj = None
+    for row in read_rows(out) if os.path.exists(out) else []:
+        if (row["instance_id"], row["method"], row["status"]) == (
+                iid, "oracle", "ok"):
+            oracle_obj = float(row["objective"])
+    row = _record(inst, iid, args.method, args, meta["seed"],
+                  meta["true_support"], oracle_obj)
+    append_rows(out, [row])
+    if row["status"] == "error":
         return 1
-    oracle_obj = report.objective if method == "oracle" else None
-    if oracle_obj is None and os.path.exists(out):
-        for row in read_rows(out):
-            if (row["instance_id"] == iid and row["method"] == "oracle"
-                    and row["status"] == "ok"):
-                oracle_obj = float(row["objective"])
-    append_rows(out, [_result_row(iid, method, report, **_bfs_flags(method, args),
-                                  seed=meta["seed"],
-                                  ref_support=meta["true_support"],
-                                  oracle_objective=oracle_obj)])
-    print(f"{iid} {method} objective={report.objective:.12g} "
-          f"support={_join(report.support)} wall_ms={report.wall_time * 1e3:.3f}")
+    print(f"{iid} {args.method} objective={float(row['objective']):.12g} "
+          f"support={row['support']} wall_ms={float(row['wall_ms']):.3f}")
     return 0
 
 
 def cmd_bench(args):
     out = _resolve_out(args.out, "bench")
-    os.makedirs(out, exist_ok=True)
     seeds = _parse_seeds(args.seeds)
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    methods = _parse_list(args.methods, "method")
     for m in methods:
         if m not in METHODS:
             raise _Usage(f"unknown method {m!r}")
-    deltas = [float(t) for t in args.deltas.split(",") if t.strip()]
+    deltas = _parse_list(args.deltas, "delta", float)
     if not all(dv >= 0 for dv in deltas):
         raise _Usage("deltas must be nonnegative")
     want_oracle = "oracle" in methods or args.pssr_ref == "oracle"
 
     rows = []
     for seed in seeds:
-        spec = GenSpec(family=args.family, d=args.d, k=args.k, seed=seed,
-                       n=args.n, lam=args.lam, delta=args.huber_delta)
-        gen = generate(spec)
+        gen = generate(GenSpec(family=args.family, d=args.d, k=args.k,
+                               seed=seed, n=args.n, lam=args.lam,
+                               delta=args.huber_delta))
         inst, iid = gen.instance, gen.instance_id
-        oracle_report = None
-        if want_oracle:
-            oracle_report = exhaustive_solve(inst)
-        oracle_obj = (oracle_report.objective
-                      if "oracle" in methods and oracle_report else None)
-        ref = (gen.true_support if args.pssr_ref == "truth"
-               else oracle_report.support)
+        oracle = exhaustive_solve(inst) if want_oracle else None
+        oracle_obj = oracle.objective if "oracle" in methods else None
+        ref = gen.true_support if args.pssr_ref == "truth" else oracle.support
         for method in methods:
             for delta in deltas if method == "bfs" else [0.0]:
-                args.delta = delta
-                try:
-                    if method == "oracle":
-                        report = oracle_report
-                    else:
-                        report = _run_method(inst, method, args)
-                except Exception as exc:
-                    rows.append(_error_row(iid, method, delta, seed))
-                    print(f"warning: {method} failed on {iid}: {exc}",
-                          file=sys.stderr)
-                    continue
-                rows.append(_result_row(
-                    iid, method, report, **_bfs_flags(method, args),
-                    seed=seed, ref_support=ref, oracle_objective=oracle_obj))
+                run_args = argparse.Namespace(**vars(args), delta=delta)
+                rows.append(_record(inst, iid, method, run_args, seed, ref,
+                                    oracle_obj,
+                                    oracle if method == "oracle" else None))
 
     runs_path = os.path.join(out, "runs.csv")
     if os.path.exists(runs_path):
         os.remove(runs_path)
     append_rows(runs_path, rows)
     aggregate = {
-        "family": args.family, "d": args.d, "k": args.k,
-        "n": GenSpec(family=args.family, d=args.d, k=args.k, seed=0,
-                     n=args.n).resolved().n,
-        "seeds": seeds,
-        "pssr_reference": args.pssr_ref,
+        "family": args.family, "d": args.d, "k": args.k, "n": inst.n,
+        "seeds": seeds, "pssr_reference": args.pssr_ref,
         "records": aggregate_from_rows(read_rows(runs_path)),
     }
     agg_path = os.path.join(out, "aggregate.json")
@@ -216,8 +184,7 @@ def cmd_bench(args):
         json.dump(aggregate, f, indent=1, sort_keys=True)
         f.write("\n")
     print(agg_path)
-    failures = sum(r["status"] == "error" for r in rows)
-    return 1 if failures == len(rows) else 0
+    return 0 if any(r["status"] == "ok" for r in rows) else 1
 
 
 def aggregate_from_rows(rows):
@@ -272,17 +239,25 @@ def _resolve_out(out, default_name):
     raise _Usage(f"--out is required (or set {OUT_ENV})")
 
 
+def _parse_list(text, what, convert=str):
+    """The comma-separated values of a bench flag; a usage error if none is
+    given or one does not convert."""
+    try:
+        values = [convert(t.strip()) for t in text.split(",") if t.strip()]
+    except ValueError:
+        raise _Usage(f"malformed {what} list {text!r}") from None
+    if not values:
+        raise _Usage(f"empty {what} list")
+    return values
+
+
+def _seed_span(text):
+    lo, colon, hi = text.partition(":")
+    return range(int(lo), int(hi)) if colon else [int(text)]
+
+
 def _parse_seeds(text):
-    seeds = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if ":" in part:
-            lo, hi = part.split(":")
-            seeds.extend(range(int(lo), int(hi)))
-        else:
-            seeds.append(int(part))
+    seeds = [s for span in _parse_list(text, "seed", _seed_span) for s in span]
     if not seeds:
         raise _Usage("empty seed list")
     return seeds

@@ -239,6 +239,8 @@ def save_instance(dirpath, gen):
 
 
 def _required(mapping, key, where="manifest"):
+    if not isinstance(mapping, dict):
+        raise ValueError(f"{where} must be a JSON object, got {mapping!r}")
     if key not in mapping:
         raise ValueError(f"{where} has no {key!r} entry")
     return mapping[key]
@@ -257,10 +259,17 @@ def load_instance(path):
     with open(path) as f:
         manifest = json.load(f)
     base = os.path.dirname(os.path.abspath(path))
-    rel = lambda p: os.path.join(base, p)
     paths = _required(manifest, "paths")
-    A = np.loadtxt(rel(_required(paths, "A", "paths")), delimiter=",", ndmin=2)
-    b = np.loadtxt(rel(_required(paths, "b", "paths")), delimiter=",", ndmin=1)
+
+    def rel(key):
+        name = _required(paths, key, "paths")
+        if not isinstance(name, str):
+            raise ValueError(f"paths entry {key!r} must be a string, "
+                             f"got {name!r}")
+        return os.path.join(base, name)
+
+    A = np.loadtxt(rel("A"), delimiter=",", ndmin=2)
+    b = np.loadtxt(rel("b"), delimiter=",", ndmin=1)
     if manifest.get("normalize_columns"):
         A = _normalize_columns(A)
 
@@ -279,8 +288,13 @@ def load_instance(path):
         "seed": manifest.get("seed"),
         "true_support": None,
     }
-    truth_rel = paths.get("truth")
-    if truth_rel and os.path.exists(rel(truth_rel)):
-        with open(rel(truth_rel)) as f:
-            meta["true_support"] = tuple(json.load(f)["support"])
+    if paths.get("truth") and os.path.exists(rel("truth")):
+        with open(rel("truth")) as f:
+            truth = json.load(f)
+        support = _required(truth, "support", "truth file")
+        if not isinstance(support, list):
+            raise ValueError(f"truth file entry 'support' must be a list, "
+                             f"got {support!r}")
+        meta["true_support"] = tuple(_integer("support index", i)
+                                     for i in support)
     return inst, meta

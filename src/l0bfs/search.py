@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .restricted import solve_restricted_batch
+from .restricted import _real, solve_restricted_batch
 from .state_space import Node, root_node
 from .subtree import PRUNED, ZERO_TOL, SolverConfig, subtree_solve
 
@@ -57,7 +57,7 @@ def bfs_solve(inst, delta=0.0, cfg=None, record_bounds=False):
     record_bounds keeps one (node indices, low, status, value) tuple per
     subtree bound computation in the report, for auditing.
     """
-    if not delta >= 0:  # NaN fails too
+    if not _real("delta", delta) >= 0:  # NaN fails too
         raise ValueError("delta must be nonnegative")
     cfg = cfg or SolverConfig()
     t0 = time.perf_counter()

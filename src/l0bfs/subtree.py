@@ -49,7 +49,8 @@ from typing import Optional
 import numpy as np
 
 from .linalg import l2_norm, top_norm, truncate_top
-from .restricted import ConvergenceError, solve_restricted, solve_restricted_batch
+from .restricted import (ConvergenceError, _integer, _real, solve_restricted,
+                         solve_restricted_batch)
 from .topk_prox import prox_topk_sq_conjugate
 
 __all__ = [
@@ -82,12 +83,16 @@ class SolverConfig:
     pruning: bool = True
 
     def __post_init__(self):
-        if not self.epsilon > 0:
+        if not _real("epsilon", self.epsilon) > 0:
             raise ValueError("epsilon must be positive")
         if self.subroutine not in ("pdal", "sga"):
             raise ValueError("subroutine must be 'pdal' or 'sga'")
-        if self.max_dual_iters < 1:
+        if _integer("max_dual_iters", self.max_dual_iters) < 1:
             raise ValueError("max_dual_iters must be at least 1")
+        for name in ("warm_start", "pruning"):
+            if not isinstance(getattr(self, name), (bool, np.bool_)):
+                raise ValueError(f"{name} must be a bool, got "
+                                 f"{getattr(self, name)!r}")
 
 
 class _Shared:

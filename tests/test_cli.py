@@ -69,6 +69,23 @@ class TestParsing:
         assert rc == 2
         assert not os.path.exists(tmp_path / "r.csv")
 
+    @pytest.mark.parametrize("flags", [
+        ["--methods", ","], ["--methods", "bfs", "--deltas", ","],
+        ["--seeds", "0:2:3"], ["--seeds", "a"], ["--deltas", "abc"]],
+        ids=" ".join)
+    def test_malformed_bench_list_is_usage_error(self, tmp_path, monkeypatch,
+                                                 capsys, flags):
+        def no_generate(spec):
+            raise AssertionError("generated an instance")
+
+        monkeypatch.setattr(cli, "generate", no_generate)
+        out = tmp_path / "b"
+        rc = main(["bench", *GEN, "--seeds", "0:2", *flags, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("usage error:")
+        assert not os.path.exists(out)
+
     def test_nan_bench_delta_rejected(self, tmp_path, capsys):
         rc = main(["bench", *GEN, "--seeds", "0", "--deltas", "0,nan",
                    "--out", str(tmp_path / "b")])
@@ -118,6 +135,36 @@ class TestParsing:
         err = capsys.readouterr().err
         assert rc == 1
         assert err.startswith("error:") and "Traceback" not in err
+        assert not os.path.exists(tmp_path / "r.csv")
+
+    @pytest.mark.parametrize("case", ["paths_string", "path_number",
+                                      "truth_without_support",
+                                      "support_number", "support_index_string"])
+    def test_manifest_entry_of_wrong_type_is_an_error_line(
+            self, tmp_path, capsys, case):
+        inst = gen_dir(tmp_path)
+        path = os.path.join(inst, "manifest.json")
+        with open(path) as f:
+            manifest = json.load(f)
+        if case == "paths_string":
+            manifest["paths"], entry = "A.csv", "paths"
+        elif case == "path_number":
+            manifest["paths"]["A"], entry = 5, "'A'"
+        else:
+            truth, entry = {"truth_without_support": ({}, "'support'"),
+                            "support_number": ({"support": 5}, "'support'"),
+                            "support_index_string": ({"support": [0, "1"]},
+                                                     "'1'")}[case]
+            with open(os.path.join(inst, "truth.json"), "w") as f:
+                json.dump(truth, f)
+        with open(path, "w") as f:
+            json.dump(manifest, f)
+        rc = main(["solve", "--instance", inst, "--method", "omp",
+                   "--out", str(tmp_path / "r.csv")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and entry in err
+        assert "Traceback" not in err
         assert not os.path.exists(tmp_path / "r.csv")
 
     def test_missing_out_without_env(self, tmp_path, monkeypatch, capsys):
@@ -267,15 +314,25 @@ class TestSolve:
         assert row["status"] == "error"
         assert row["objective"] == ""
 
-    def test_header_mismatch_is_io_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("text", ["not,the,right,header\n",
+                                      "not,the,right,header\n1,2,3,4\n"],
+                             ids=["header_only", "with_data_row"])
+    def test_header_mismatch_is_io_error(self, tmp_path, monkeypatch, capsys,
+                                         text):
         inst = gen_dir(tmp_path)
         out = str(tmp_path / "r.csv")
         with open(out, "w") as f:
-            f.write("not,the,right,header\n")
+            f.write(text)
+        ran = []
+        monkeypatch.setattr(cli, "omp", lambda inst: ran.append(inst))
         rc = main(["solve", "--instance", inst, "--method", "omp",
                    "--out", out])
-        capsys.readouterr()
+        err = capsys.readouterr().err
         assert rc == 1
+        assert err.startswith("error:") and "Traceback" not in err
+        assert ran == []  # rejected before the method runs
+        with open(out) as f:
+            assert f.read() == text
 
 
 class TestBench:
@@ -356,6 +413,19 @@ class TestBench:
         assert rc == 1
         rows = read_rows(str(tmp_path / "bench" / "runs.csv"))
         assert all(r["status"] == "error" for r in rows)
+
+    def test_failed_run_prints_one_error_line(self, tmp_path, monkeypatch,
+                                              capsys):
+        def boom(inst, method, args):
+            raise RuntimeError("instrumented failure")
+
+        monkeypatch.setattr(cli, "_run_method", boom)
+        rc = main(["bench", *GEN, "--seeds", "0", "--methods", "omp",
+                   "--out", str(tmp_path / "bench")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == ("error: omp failed on quadratic-d6-k2-n25-s0: "
+                       "instrumented failure\n")
 
     def test_partial_failures_still_aggregate(self, tmp_path, monkeypatch,
                                               capsys):

@@ -79,6 +79,17 @@ class TestDelta:
         with pytest.raises(ValueError):
             bfs_solve(inst, delta=float("nan"))
 
+    @pytest.mark.parametrize("delta", [True, "0", None])
+    def test_wrong_type_delta_rejected(self, delta):
+        inst = random_instance("huber", d=6, k=2, n=10, seed=1, lam=1e-2)
+        with pytest.raises(ValueError, match="delta"):
+            bfs_solve(inst, delta=delta)
+
+    def test_numpy_delta_accepted(self):
+        inst = random_instance("huber", d=6, k=2, n=10, seed=1, lam=1e-2)
+        rep = bfs_solve(inst, delta=np.float64(0.0))
+        assert rep.objective == bfs_solve(inst).objective
+
     @pytest.mark.parametrize("kind", KINDS)
     def test_gap_bound_and_no_extra_work(self, kind):
         for seed in range(3):

@@ -30,6 +30,20 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(epsilon=float("nan"))
 
+    @pytest.mark.parametrize("field,value", [
+        ("warm_start", "no"), ("warm_start", 0), ("pruning", None),
+        ("epsilon", True), ("epsilon", "1e-5"), ("max_dual_iters", True),
+        ("max_dual_iters", 2.5), ("max_dual_iters", "10")])
+    def test_wrong_types_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SolverConfig(**{field: value})
+
+    def test_numpy_scalars_accepted(self):
+        cfg = SolverConfig(epsilon=np.float64(1e-4),
+                           max_dual_iters=np.int64(10),
+                           warm_start=np.bool_(False), pruning=np.bool_(True))
+        assert cfg.max_dual_iters == 10 and not cfg.warm_start
+
 
 class TestDualValue:
     def test_zero_dual_point_gives_zero_for_quadratic(self):
