@@ -94,7 +94,9 @@ def _record(inst, iid, method, args, seed, ref, oracle_objective, report=None):
             report = _run_method(inst, method, args)
         except Exception as exc:  # record the failure, then go on
             print(f"error: {method} failed on {iid}: {exc}", file=sys.stderr)
-            row.update(delta=_fmt(getattr(args, "delta", 0.0)), status="error")
+            # only bfs takes delta; the other methods report 0.0 on success
+            row.update(delta=_fmt(args.delta if method == "bfs" else 0.0),
+                       status="error")
             return row
     if method == "oracle":
         oracle_objective = report.objective

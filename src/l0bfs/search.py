@@ -11,8 +11,9 @@ by the same loop, as the one child of the start, cold and against the
 incumbent P(0); only it can leave the heap empty.  All children share
 the parent's final dual state, and each first takes one entry test, D at
 that state, before any restricted solve or dual ascent of its own.  A
-last-level node (one index short of a leaf) is bounded exactly, so it
-certifies when popped and no leaf node is ever created.
+node with few leaves (always a last-level node, one index short of a leaf;
+see subtree.py for the count) is bounded exactly, so it certifies when
+popped and no leaf node is ever created.
 
 exhaustive_solve is the independent reference: it solves the restricted
 problem on every size-k support and keeps the best, one batch of supports

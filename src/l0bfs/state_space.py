@@ -5,10 +5,13 @@ Its children extend S by one index strictly greater than max(S), and a node
 is kept only if enough indices remain above max(S) to complete S to size k,
 i.e. k - |S| <= d - (max(S) + 1).  Leaves are exactly the size-k supports.
 Every index above max(S) is "open" at S: the subtree below S can still use
-it.  The tuple (S, open tail) drives the dual bound and the exact branches
-of the subtree solver.
+it.  The tuple (S, open tail) drives the dual bound, and Node.leaves lists
+the leaves of a node that has few enough of them for the subtree solver to
+bound it exactly.
 """
 
+import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -83,16 +86,27 @@ class Node:
             for j in range(self.cut, self.d - self.k + s + 1)
         ]
 
-    def leaves(self):
-        """The size-k supports below the node, one per row, if each adds at
-        most one index to S or the whole tail is needed; None otherwise."""
+    def leaves(self, limit=0):
+        """The size-k supports below the node, one per row in lexicographic
+        order, when there are at most max(|tail|, limit) of them; None
+        otherwise.  A leaf lists itself, also with an empty tail.  Limit 0
+        lists the last level (k - |S| = 1) and the nodes that must take all
+        their open indices or all but one.
+        """
         s, need, tail = self.support_array, self.k - self.size, self.tail_array
-        if need == tail.size:
-            return np.concatenate((s, tail))[None]
-        if need <= 1:
-            return s[None] if need == 0 else np.column_stack(
-                (np.broadcast_to(s, (tail.size, s.size)), tail))
-        return None
+        count = math.comb(tail.size, need)
+        if count > max(tail.size, limit, 1):
+            return None
+        if need == 1:
+            rest = tail[:, None]
+        elif need == 2:
+            i, j = np.triu_indices(tail.size, 1)
+            rest = np.column_stack((tail[i], tail[j]))
+        else:
+            rest = np.fromiter(itertools.chain.from_iterable(
+                itertools.combinations(tail.tolist(), need)),
+                dtype=int, count=count * need).reshape(count, need)
+        return np.column_stack((np.broadcast_to(s, (count, s.size)), rest))
 
     def covers_support(self, target):
         """True iff some descendant leaf's support contains the target set.

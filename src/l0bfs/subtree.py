@@ -2,11 +2,14 @@
 
 subtree_solve returns, for a tree node S, a lower bound on the best
 objective over the subtree below S together with a feasible candidate.
-A node whose leaves each add at most one index to S (|S| = k, or the last
-level k - |S| = 1), or that must take its whole open tail, is bounded
-exactly: its subtree minimum is the least restricted minimum over those
-leaves, solved in one batch (_solve_exact).  Every other node maximizes
-the concave dual lower bound
+A node with at most max(|tail|, t) leaves, where t is the number of dual
+iterations its parent's ascent took (0 at the root), is bounded exactly:
+its subtree minimum is the least restricted minimum over its leaves,
+solved in batches of at most d rows (_solve_exact).  The parent's count
+stands in for the cost of the node's own ascent, and a leaf in a batch
+costs less than one dual iteration; the rule reads no clock, so the search
+stays deterministic.  The last level k - |S| = 1 is always listed.  Every
+other node maximizes the concave dual lower bound
 
     D(beta; S) = -L*(beta) - (1/(2 lam)) ||A_S^T beta||^2
                  - (1/(2 lam)) ||A_tail^T beta||_{k-s,2}^2,
@@ -110,6 +113,7 @@ class DualState(_Shared):
     y: np.ndarray                    # primal point, length d
     w: Optional[np.ndarray] = None   # A^T beta, length d
     conj: Optional[float] = None     # L*(beta)
+    iterations: int = 0              # dual iterations of its ascent
 
 
 @dataclass(frozen=True)
@@ -120,6 +124,7 @@ class SgaState(_Shared):
     eta: float
     w: Optional[np.ndarray] = None
     conj: Optional[float] = None
+    iterations: int = 0
 
 
 @dataclass(frozen=True)
@@ -162,18 +167,25 @@ def dual_value(inst, node, beta, w=None):
 def _solve_exact(inst, leaves, w, conj, stop_above):
     """Bound a node that passed its entry test by its leaves T: those with
     D_T = -conj - ||w_T||^2 / (2 lam) at or below stop_above are solved in
-    one batch, the rest stay screened (see the module docstring)."""
+    batches of at most d rows, the rest stay screened (see the module
+    docstring)."""
     w_t = w[leaves]
     bounds = -conj - np.vecdot(w_t, w_t) / (2.0 * inst.lam)
     solve = bounds <= stop_above
-    x, values, _ = solve_restricted_batch(inst, leaves[solve])
-    low = min(values.min(initial=np.inf), bounds[~solve].min(initial=np.inf))
-    if not values.size or low > stop_above:
+    rows, best, x = leaves[solve], np.inf, None
+    # at most d rows, as many as a last-level node has: a parent that ran
+    # to the iteration cap must not raise the peak memory
+    for start in range(0, len(rows), inst.d):
+        xs, values, _ = solve_restricted_batch(inst, rows[start:start + inst.d])
+        i = np.argmin(values)
+        if values[i] < best:
+            best, x = values[i], xs[i]
+    low = min(best, bounds[~solve].min(initial=np.inf))
+    if x is None or low > stop_above:
         return BoundResult(low=low, x=None, value=np.inf, status=PRUNED,
                            state=None, iterations=0)
     # the screened leaves lie above stop_above, so the best solved one is
     # the subtree minimum
-    x = x[np.argmin(values)]
     value = inst.objective(x)
     return BoundResult(low=value, x=x, value=value, status=EXACT,
                        state=None, iterations=0)
@@ -187,20 +199,20 @@ def _converged(improve, incumbent, epsilon):
     return improve <= epsilon
 
 
-def _ascend(inst, node, init, prune_threshold, cfg, step, first_stop):
+def _ascend(inst, node, init, prune_threshold, cfg, step, first_stop, limit):
     """Bound node from init: one entry test, then its leaves or an ascent.
 
     The entry test is D(init.beta; node), from init.w and init.conj when the
-    parent handed them down.  A node that passes it and that Node.leaves()
-    lists is bounded exactly by _solve_exact.  Every other node maximizes
-    D(.; node) by calls of step(beta, w, d, stop_above), which makes one
-    iteration from beta (w = A^T beta, d its D value) and returns
-    (beta, w, D, finish); finish() gives the primal point to polish and the
-    state for the children.  The step may return early once D > stop_above,
-    since that iteration ends in a prune.  The returned bound is the running
-    max D_max.  Converged, from iteration first_stop on, when the D
-    improvement is epsilon-small relative to the incumbent and the current
-    D is D_max.
+    parent handed them down.  A node that passes it and that
+    Node.leaves(limit) lists is bounded exactly by _solve_exact.  Every
+    other node maximizes D(.; node) by calls of step(beta, w, d, stop_above),
+    which makes one iteration from beta (w = A^T beta, d its D value) and
+    returns (beta, w, D, finish); finish(t) gives the primal point to polish
+    and the state for the children, which records the t iterations taken.
+    The step may return early once D > stop_above, since that iteration
+    ends in a prune.  The returned bound is the running max D_max.
+    Converged, from iteration first_stop on, when the D improvement is
+    epsilon-small relative to the incumbent and the current D is D_max.
     """
     beta, w, conj = init.beta, init.w, init.conj
     if w is None:  # root and hand-built states
@@ -210,7 +222,7 @@ def _ascend(inst, node, init, prune_threshold, cfg, step, first_stop):
     if d_prev > stop_above:
         return BoundResult(low=d_max, x=None, value=np.inf,
                            status=PRUNED, state=None, iterations=0)
-    leaves = node.leaves()
+    leaves = node.leaves(limit)
     if leaves is not None:
         return _solve_exact(inst, leaves, w, conj, stop_above)
 
@@ -227,13 +239,13 @@ def _ascend(inst, node, init, prune_threshold, cfg, step, first_stop):
 
     # converged or at the iteration cap: D_max is a valid bound either way;
     # the restricted solve on the polish point's support gives the candidate
-    x, state = finish()
+    x, state = finish(t)
     sol = solve_restricted(inst, np.flatnonzero(x))
     return BoundResult(low=d_max, x=sol.x, value=sol.value,
                        status=DUAL_BOUND, state=state, iterations=t)
 
 
-def pdal_maximize(inst, node, init, prune_threshold, cfg):
+def pdal_maximize(inst, node, init, prune_threshold, cfg, limit=0):
     """Maximize D(.; node) by a primal-dual iteration with linesearch.
 
     Dual step: beta_t = prox of tau * L* at beta - tau * A y.  Primal step:
@@ -287,11 +299,12 @@ def pdal_maximize(inst, node, init, prune_threshold, cfg):
                 "primal-dual linesearch failed to pass after 60 halvings")
 
         y, tau, rho, theta = y_new, tau_new, rho_new, theta_new
-        return beta_new, w_new, d_new, lambda: (
+        return beta_new, w_new, d_new, lambda t: (
             truncate_top(k, y_new),
-            DualState(beta_new, y_new, w_new, loss.conjugate(beta_new)))
+            DualState(beta_new, y_new, w_new, loss.conjugate(beta_new), t))
 
-    return _ascend(inst, node, init, prune_threshold, cfg, step, first_stop=2)
+    return _ascend(inst, node, init, prune_threshold, cfg, step, first_stop=2,
+                   limit=limit)
 
 
 def _sga_primal(inst, node, w):
@@ -304,7 +317,7 @@ def _sga_primal(inst, node, w):
     return x / (-inst.lam)
 
 
-def sga_maximize(inst, node, init, prune_threshold, cfg):
+def sga_maximize(inst, node, init, prune_threshold, cfg, limit=0):
     """Maximize D(.; node) by projected supergradient ascent.
 
     Each iteration doubles the previous step then halves it until the dual
@@ -334,22 +347,25 @@ def sga_maximize(inst, node, init, prune_threshold, cfg):
             cand, w_cand, d_cand, eta = beta, w, d, eta_in
         if eta_first is None:
             eta_first = eta
-        return cand, w_cand, d_cand, lambda: (
+        return cand, w_cand, d_cand, lambda t: (
             _sga_primal(inst, node, w_cand),
-            SgaState(cand, eta_first, w_cand, loss.conjugate(cand)))
+            SgaState(cand, eta_first, w_cand, loss.conjugate(cand), t))
 
-    return _ascend(inst, node, init, prune_threshold, cfg, step, first_stop=1)
+    return _ascend(inst, node, init, prune_threshold, cfg, step, first_stop=1,
+                   limit=limit)
 
 
 def subtree_solve(inst, node, warm=None, prune_threshold=np.inf, cfg=None):
     """Lower bound + feasible candidate for the subtree below node.
 
     Picks cfg.subroutine's maximizer and its start state; the maximizer's
-    loop bounds the node, exactly when Node.leaves() lists it.  warm is the
-    parent's final DualState/SgaState (ignored when warm starting is
-    disabled or the state type does not match cfg.subroutine).
-    prune_threshold is the incumbent objective; it also scales the dual
-    convergence test, so pass it even when pruning is disabled.
+    loop bounds the node, exactly when Node.leaves(limit) lists it.  warm is
+    the parent's final DualState/SgaState; the start state only when warm
+    starting is enabled and its type matches cfg.subroutine, but limit is
+    its dual iteration count in any case, so which nodes are listed does not
+    depend on warm starting.  prune_threshold is the incumbent objective; it
+    also scales the dual convergence test, so pass it even when pruning is
+    disabled.
     """
     cfg = cfg or SolverConfig()
     if cfg.subroutine == "pdal":
@@ -358,4 +374,5 @@ def subtree_solve(inst, node, warm=None, prune_threshold=np.inf, cfg=None):
         maximize, state_type, root_state = sga_maximize, SgaState, sga_root_state
     init = warm if cfg.warm_start and isinstance(warm, state_type) \
         else root_state(inst)
-    return maximize(inst, node, init, prune_threshold, cfg)
+    limit = 0 if warm is None else warm.iterations
+    return maximize(inst, node, init, prune_threshold, cfg, limit)

@@ -314,6 +314,26 @@ class TestSolve:
         assert row["status"] == "error"
         assert row["objective"] == ""
 
+    def test_error_row_of_a_method_without_delta_groups_with_its_ok_row(
+            self, tmp_path, monkeypatch, capsys):
+        inst = gen_dir(tmp_path)
+        out = str(tmp_path / "r.csv")
+        argv = ["solve", "--instance", inst, "--method", "omp",
+                "--delta", "0.5", "--out", out]
+        assert main(argv) == 0
+
+        def boom(inst, method, args):
+            raise RuntimeError("instrumented failure")
+
+        monkeypatch.setattr(cli, "_run_method", boom)
+        assert main(argv) == 1
+        capsys.readouterr()
+        rows = read_rows(out)
+        assert [(r["delta"], r["status"]) for r in rows] == [
+            ("0.0", "ok"), ("0.0", "error")]
+        [record] = aggregate_from_rows(rows)
+        assert (record["runs"], record["errors"]) == (2, 1)
+
     @pytest.mark.parametrize("text", ["not,the,right,header\n",
                                       "not,the,right,header\n1,2,3,4\n"],
                              ids=["header_only", "with_data_row"])

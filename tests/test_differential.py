@@ -6,19 +6,22 @@ the ones where a bound, a screen or a restricted solve is most likely to
 slip: duplicate and collinear columns (tied or singular leaves), a ridge
 weight of 1e-10 (nearly singular Hessians and a steep dual penalty),
 linearly separable labels (the logistic loss alone has no minimizer),
-k = 1 (the root is a last-level node), k = d (the root is exact) and an
-all-zero design (||A|| = 0, so every x has P(x) >= P(0)).
+k = 1 (the root is a last-level node), k = d (the root is exact), an
+all-zero design (||A|| = 0, so every x has P(x) >= P(0)) and a generated
+low-sample d = n = 10, k = 3 shape, where nodes two indices short of a
+leaf are bounded by their listed leaves, up to 36 of them.
 """
 
 import numpy as np
 import pytest
 
 from helpers import random_instance
-from l0bfs import Instance, SolverConfig, bfs_solve, exhaustive_solve, make_loss
+from l0bfs import (GenSpec, Instance, SolverConfig, bfs_solve,
+                   exhaustive_solve, generate, make_loss)
 
 KINDS = ["quadratic", "huber", "logistic"]
 CASES = ["duplicate", "collinear", "tiny_lam", "separable", "k_one", "k_equals_d",
-         "zero_design"]
+         "zero_design", "low_sample"]
 
 
 def case_instance(case, kind):
@@ -26,6 +29,8 @@ def case_instance(case, kind):
         return random_instance(kind, d=7, k=1, n=10, seed=80)
     if case == "k_equals_d":
         return random_instance(kind, d=5, k=5, n=8, seed=81)
+    if case == "low_sample":
+        return generate(GenSpec(kind, d=10, k=3, seed=1, n=10)).instance
     if case == "zero_design":
         inst = random_instance(kind, d=4, k=2, n=6, seed=85)
         return Instance(A=np.zeros((6, 4)), loss=inst.loss, lam=inst.lam, k=2)

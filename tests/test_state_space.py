@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -193,17 +194,24 @@ class TestValueSemantics:
 
 
 class TestLeaves:
-    @pytest.mark.parametrize("d,k", [(5, 1), (6, 2), (6, 3), (4, 4)])
-    def test_lists_the_leaves_when_each_adds_at_most_one_index(self, d, k):
-        listed = 0
+    @pytest.mark.parametrize("limit", [0, 5, 10**4])
+    @pytest.mark.parametrize("d,k", [(5, 1), (6, 2), (6, 3), (4, 4), (7, 4),
+                                     (9, 5)])
+    def test_lists_the_leaves_exactly_when_there_are_few_enough(self, d, k,
+                                                                limit):
+        listed = deep = 0
         for node in enumerate_tree(d, k):
-            below = sorted(tuple(sorted(node.indices + extra))
-                           for extra in itertools.combinations(
-                               range(node.cut, d), k - node.size))
-            leaves = node.leaves()
-            if k - node.size > 1 and node.size + node.tail_size > k:
+            need, tail = k - node.size, node.tail_size
+            leaves = node.leaves(limit)
+            # a leaf lists itself, also when its tail is empty
+            if need and math.comb(tail, need) > max(tail, limit):
                 assert leaves is None
                 continue
             listed += 1
-            assert sorted(map(tuple, leaves.tolist())) == below
+            deep += need >= 3
+            below = [list(node.indices + extra) for extra in
+                     itertools.combinations(range(node.cut, d), need)]
+            assert leaves.tolist() == below
         assert listed > 0
+        if limit == 10**4 and k >= 3:
+            assert deep > 0

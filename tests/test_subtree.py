@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -345,8 +347,10 @@ class TestPdalWarmStart:
         p0 = inst.objective(np.zeros(inst.d))
         cfg = SolverConfig(pruning=False)
         parent = subtree_solve(inst, root, prune_threshold=p0, cfg=cfg)
+        # a zero count keeps the children ascending instead of listing them
+        handed = dataclasses.replace(parent.state, iterations=0)
         for child in root.children():
-            warm = subtree_solve(inst, child, warm=parent.state,
+            warm = subtree_solve(inst, child, warm=handed,
                                  prune_threshold=p0, cfg=cfg)
             cold = subtree_solve(inst, child, prune_threshold=p0, cfg=cfg)
             if cold.status != DUAL_BOUND:
@@ -356,6 +360,37 @@ class TestPdalWarmStart:
             # over the parent's bound
             assert (warm.low - parent.low
                     >= 0.9 * (cold.low - parent.low)), child.indices
+
+    @pytest.mark.parametrize("pruning", [False, True])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_listed_child_is_bounded_by_its_leaves(self, kind, pruning):
+        # with the parent's real iteration count the children it lists
+        # skip the ascent; pruning at the optimum prunes all but the
+        # optimum's own child
+        inst = random_instance(kind, d=8, k=3, n=12, seed=0, lam=1e-2)
+        root = root_node(inst.d, inst.k)
+        p0 = inst.objective(np.zeros(inst.d))
+        parent = subtree_solve(inst, root, prune_threshold=p0,
+                               cfg=SolverConfig(pruning=False))
+        threshold = min(leaf_values(inst).values()) if pruning else p0
+        cfg = SolverConfig(pruning=pruning)
+        statuses = set()
+        for child in root.children():
+            leaves = child.leaves(parent.state.iterations)
+            if leaves is None:
+                continue
+            res = subtree_solve(inst, child, warm=parent.state,
+                                prune_threshold=threshold, cfg=cfg)
+            best = min(solve_restricted(inst, row).value for row in leaves)
+            statuses.add(res.status)
+            assert res.iterations == 0
+            if res.status == EXACT:
+                assert res.low == pytest.approx(best, rel=1e-10, abs=0.0)
+                assert res.value == res.low
+            else:
+                assert res.status == PRUNED
+                assert res.low <= best + 1e-10 * abs(best)
+        assert PRUNED in statuses if pruning else statuses == {EXACT}
 
 
 class TestSubtreeSolveDispatch:

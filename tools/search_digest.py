@@ -2,10 +2,12 @@
 
 Runs bfs_solve with pdal and with sga on every seed-0 instance of the
 planted, hard and logistic workloads (perfbench/workloads.py), 102 searches
-in all, and prints the calls and prunes per (workload, subroutine) pair and
-one SHA-256 over every search's objective, x, calls, prunes, heap peak and
-bound_log entries.  Two checkouts that print the same digest ran the same
-search bit for bit.  BLAS is pinned to one thread, as perfbench/run.py pins
+in all.  For each (workload, subroutine) pair it prints the calls, the
+prunes and one SHA-256 over its searches' objectives, x, calls, prunes,
+heap peaks and bound_log entries; the last line is one SHA-256 over all
+102.  Two checkouts that print the same digest on a line ran those searches
+bit for bit alike, so a change to one workload's search can show that the
+others are unchanged.  BLAS is pinned to one thread, as perfbench/run.py pins
 it, since the thread count changes how matrix products round and with it
 the digest.
 
@@ -46,12 +48,15 @@ def main():
         for subroutine in SUBROUTINES:
             cfg = SolverConfig(subroutine=subroutine)
             calls = pruned = 0
+            pair = hashlib.sha256()
             for case in cases:
                 report = bfs_solve(case.instance(), cfg=cfg, record_bounds=True)
                 calls += report.solver_calls
                 pruned += report.pruned
                 _update(digest, report)
-            print(f"{workload:8s} {subroutine:4s} calls {calls:5d}  pruned {pruned:5d}")
+                _update(pair, report)
+            print(f"{workload:8s} {subroutine:4s} calls {calls:5d}  "
+                  f"pruned {pruned:5d}  sha256 {pair.hexdigest()}")
     print(f"sha256 {digest.hexdigest()}")
 
 
