@@ -10,10 +10,12 @@ pruned once a bound exceeds the incumbent objective.  The root is bounded
 by the same loop, as the one child of the start, cold and against the
 incumbent P(0); only it can leave the heap empty.  All children share
 the parent's final dual state, and each first takes one entry test, D at
-that state, before any restricted solve or dual ascent of its own.  A
-node with few leaves (always a last-level node, one index short of a leaf;
-see subtree.py for the count) is bounded exactly, so it certifies when
-popped and no leaf node is ever created.
+that state, before any restricted solve or dual ascent of its own; when
+they start from it, they take that test together in one pass, and a child
+that fails it is pruned without its Node being built.  A node with few
+leaves (always a last-level node, one index short of a leaf; see
+subtree.py for the count) is bounded exactly, so it certifies when popped
+and no leaf node is ever created.
 
 exhaustive_solve is the independent reference: it solves the restricted
 problem on every size-k support and keeps the best, one batch of supports
@@ -29,8 +31,9 @@ from typing import Optional
 import numpy as np
 
 from .restricted import _real, solve_restricted_batch
-from .state_space import Node, root_node
-from .subtree import PRUNED, ZERO_TOL, SolverConfig, subtree_solve
+from .state_space import Node
+from .subtree import (PRUNED, ZERO_TOL, SolverConfig, _child_entry_bounds,
+                      subtree_solve)
 
 __all__ = ["SolveReport", "bfs_solve", "exhaustive_solve"]
 
@@ -60,7 +63,11 @@ def bfs_solve(inst, delta=0.0, cfg=None, record_bounds=False):
     """
     if not _real("delta", delta) >= 0:  # NaN fails too
         raise ValueError("delta must be nonnegative")
-    cfg = cfg or SolverConfig()
+    if not isinstance(record_bounds, (bool, np.bool_)):
+        raise ValueError(f"record_bounds must be a bool, got {record_bounds!r}")
+    cfg = SolverConfig() if cfg is None else cfg
+    if not isinstance(cfg, SolverConfig):
+        raise ValueError(f"cfg must be a SolverConfig, got {cfg!r}")
     t0 = time.perf_counter()
     log = [] if record_bounds else None
 
@@ -68,22 +75,27 @@ def bfs_solve(inst, delta=0.0, cfg=None, record_bounds=False):
     # a sound prune threshold, since every bound sits below the optimum
     p_min = inst.objective(np.zeros(inst.d))
 
-    children, warm = [root_node(inst.d, inst.k)], None
+    # the children to bound, with their entry bounds at the parent's state
+    children, entry, warm = [()], [-np.inf], None
     heap, calls, seq, heap_peak, pruned_count = [], 0, 0, 0, 0
     while True:
-        for child in children:
-            child_res = subtree_solve(inst, child, warm, p_min, cfg)
+        for indices, d_entry in zip(children, entry):
             calls += 1
+            if d_entry > p_min + ZERO_TOL:  # pruned at entry: no Node built
+                low, status, value = float(d_entry), PRUNED, np.inf
+            else:
+                child = Node(indices, inst.d, inst.k)
+                child_res = subtree_solve(inst, child, warm, p_min, cfg)
+                low, status, value = child_res.low, child_res.status, child_res.value
             if record_bounds:
-                log.append((child.indices, child_res.low, child_res.status,
-                            child_res.value))
-            if child_res.status == PRUNED:
+                log.append((indices, low, status, value))
+            if status == PRUNED:
                 pruned_count += 1
                 continue
-            heapq.heappush(heap, (child_res.low, seq, child, child_res))
+            heapq.heappush(heap, (low, seq, child, child_res))
             seq += 1
             heap_peak = max(heap_peak, len(heap))
-            p_min = min(p_min, child_res.value)
+            p_min = min(p_min, value)
         if not heap:
             if calls > 1:
                 raise AssertionError("heap exhausted before termination;"
@@ -96,7 +108,8 @@ def bfs_solve(inst, delta=0.0, cfg=None, record_bounds=False):
         if res.value <= low + delta + ZERO_TOL:
             x, objective = res.x, res.value
             break
-        children, warm = node.children(), res.state
+        warm, entry = res.state, _child_entry_bounds(inst, node, res.state, cfg)
+        children = [node.indices + (j,) for j in range(node.cut, node.cut + len(entry))]
     return SolveReport(x=x, objective=objective, solver_calls=calls,
                        pruned=pruned_count, heap_peak=heap_peak,
                        wall_time=time.perf_counter() - t0, delta=delta,

@@ -18,20 +18,22 @@ which under-estimates the subtree minimum for every beta (Fenchel-Young
 applied to L, then minimizing the linearized objective over supports
 reachable below S).
 
-Both dual maximizers run one loop (_ascend), and every node goes through
-it.  The loop owns the one entry test: D at the dual point the parent
-handed down, from that state's w = A^T beta and conj = L*(beta); siblings
-share the state (its arrays are read-only) and pay only their own penalty
-term.  D never exceeds the subtree minimum, so no winner is pruned.  A
-node that passes and is bounded exactly then screens each leaf T by D with
-the top-k term exact on T.  It is EXACT, with its best leaf as candidate
-and bound, when that leaf does not exceed the incumbent, and so certifies
-when popped: the search never creates a leaf.  Otherwise it is PRUNED,
-bounded by the least of its solved minima and screened leaf bounds.  Every
-other node ascends: the loop owns the prune test after each iteration, the
-running max D_max, the convergence test, the polish restricted solve and
-the iteration cap.  Each maximizer holds only its method's state and a
-step closure that makes one iteration:
+Both dual maximizers run one loop (_ascend), and every node that
+subtree_solve bounds goes through it.  The loop owns the entry test: D at
+the dual point the parent handed down, from that state's w = A^T beta and
+conj = L*(beta); siblings share the state (its arrays are read-only), and
+the search takes their tests together first when they start from it and
+prune (_child_entry_bounds, the same D to a few ulps).  D never exceeds the
+subtree minimum, so no winner is pruned.  A node that passes and is bounded
+exactly then screens each leaf T by D with the top-k term exact on T.  It
+is EXACT, with its best leaf as candidate and bound, when that leaf does
+not exceed the incumbent, and so certifies when popped: the search never
+creates a leaf.  Otherwise it is PRUNED, bounded by the least of its solved
+minima and screened leaf bounds.  Every other node ascends: the loop owns
+the prune test after each iteration, the running max D_max, the
+convergence test, the polish restricted solve and the iteration cap.  Each
+maximizer holds only its method's state and a step closure that makes one
+iteration:
 
   * pdal_maximize: a primal-dual iteration with linesearch, whose step
     returns before its linesearch when the new D already prunes;
@@ -45,6 +47,7 @@ parent's spent schedule barely moves the child and would stop its ascent
 at a loose bound; for sga beta and the parent's first accepted step.
 """
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -151,6 +154,32 @@ def _penalty(w, node):
     ws = w[node.support_array]
     rem = node.k - node.size
     return float(ws @ ws) + top_norm(rem, w[node.tail_array]) ** 2
+
+
+def _warm_start(warm, cfg):
+    """warm if a node starts from it (warm starting on, cfg's state type)."""
+    state_type = DualState if cfg.subroutine == "pdal" else SgaState
+    return warm if cfg.warm_start and isinstance(warm, state_type) else None
+
+
+def _child_entry_bounds(inst, node, warm, cfg):
+    """D_j = -conj - (||w_S||^2 + w_j^2 + ||w_{>j}||_{k-s-1,2}^2) / (2 lam) at
+    warm's w and conj, subtree_solve's entry bound for each child S + {j}
+    in order; all -inf when pruning is off or the children start cold or
+    from a state without w."""
+    rem = node.k - node.size - 1
+    count = node.tail_size - rem
+    init = _warm_start(warm, cfg)
+    if not cfg.pruning or init is None or init.w is None:
+        return np.full(count, -np.inf)
+    ws, sq = init.w[node.support_array], init.w[node.cut:] ** 2
+    # top-rem sums of sq[j+1:], one min-heap scan from the right (no d x d mask)
+    top, tops = sorted(sq[count:].tolist()), []   # a sorted list is a heap
+    for v in reversed(sq[:count].tolist()):
+        tops.append(sum(top))
+        heapq.heappushpop(top, v)
+    penalty = float(ws @ ws) + sq[:count] + tops[::-1]
+    return -init.conj - penalty / (2.0 * inst.lam)
 
 
 def dual_value(inst, node, beta, w=None):
@@ -360,19 +389,17 @@ def subtree_solve(inst, node, warm=None, prune_threshold=np.inf, cfg=None):
 
     Picks cfg.subroutine's maximizer and its start state; the maximizer's
     loop bounds the node, exactly when Node.leaves(limit) lists it.  warm is
-    the parent's final DualState/SgaState; the start state only when warm
-    starting is enabled and its type matches cfg.subroutine, but limit is
-    its dual iteration count in any case, so which nodes are listed does not
-    depend on warm starting.  prune_threshold is the incumbent objective; it
-    also scales the dual convergence test, so pass it even when pruning is
-    disabled.
+    the parent's final DualState/SgaState, the start state if _warm_start
+    takes it; limit is its dual iteration count in any case, so which nodes
+    are listed does not depend on warm starting.  prune_threshold is the
+    incumbent objective; it also scales the dual convergence test, so pass
+    it even when pruning is disabled.
     """
     cfg = cfg or SolverConfig()
     if cfg.subroutine == "pdal":
-        maximize, state_type, root_state = pdal_maximize, DualState, pdal_root_state
+        maximize, root_state = pdal_maximize, pdal_root_state
     else:
-        maximize, state_type, root_state = sga_maximize, SgaState, sga_root_state
-    init = warm if cfg.warm_start and isinstance(warm, state_type) \
-        else root_state(inst)
+        maximize, root_state = sga_maximize, sga_root_state
+    init = _warm_start(warm, cfg) or root_state(inst)
     limit = 0 if warm is None else warm.iterations
     return maximize(inst, node, init, prune_threshold, cfg, limit)

@@ -85,6 +85,24 @@ class TestDelta:
         with pytest.raises(ValueError, match="delta"):
             bfs_solve(inst, delta=delta)
 
+    @pytest.mark.parametrize("flag", ["no", 1, None])
+    def test_wrong_type_record_bounds_rejected(self, flag):
+        inst = random_instance("huber", d=6, k=2, n=10, seed=1, lam=1e-2)
+        with pytest.raises(ValueError, match="record_bounds"):
+            bfs_solve(inst, record_bounds=flag)
+
+    @pytest.mark.parametrize("cfg", [{"subroutine": "sga"}, "pdal", 0])
+    def test_wrong_type_cfg_rejected(self, cfg):
+        inst = random_instance("huber", d=6, k=2, n=10, seed=1, lam=1e-2)
+        with pytest.raises(ValueError, match="cfg"):
+            bfs_solve(inst, cfg=cfg)
+
+    def test_numpy_bool_record_bounds_accepted(self):
+        inst = random_instance("huber", d=6, k=2, n=10, seed=1, lam=1e-2)
+        assert bfs_solve(inst, record_bounds=np.bool_(False)).bound_log is None
+        rep = bfs_solve(inst, record_bounds=np.bool_(True))
+        assert len(rep.bound_log) == rep.solver_calls
+
     def test_numpy_delta_accepted(self):
         inst = random_instance("huber", d=6, k=2, n=10, seed=1, lam=1e-2)
         rep = bfs_solve(inst, delta=np.float64(0.0))
@@ -103,6 +121,56 @@ class TestDelta:
                 assert rep.delta == delta
                 # relaxing the stopping test never expands more nodes
                 assert rep.solver_calls <= base_calls
+
+
+class TestChildScreen:
+    """The children bfs_solve prunes at entry without building them are the
+    ones subtree_solve would prune at entry, with the same search after."""
+
+    CFGS = [{}, {"warm_start": False}, {"pruning": False}]
+
+    @staticmethod
+    def run(inst, cfg, monkeypatch, screen):
+        bounded = []
+        solve = l0bfs.search.subtree_solve
+
+        def counted(inst, node, *args):
+            bounded.append(node.indices)
+            return solve(inst, node, *args)
+
+        with monkeypatch.context() as m:
+            m.setattr(l0bfs.search, "subtree_solve", counted)
+            if not screen:   # the screen prunes nothing
+                bounds = l0bfs.search._child_entry_bounds
+                m.setattr(l0bfs.search, "_child_entry_bounds",
+                          lambda *args: np.full(len(bounds(*args)), -np.inf))
+            return bfs_solve(inst, cfg=cfg, record_bounds=True), bounded
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("subroutine", ["pdal", "sga"])
+    @pytest.mark.parametrize("overrides", CFGS)
+    def test_same_search_as_without_the_screen(self, kind, subroutine,
+                                               overrides, monkeypatch):
+        cfg = SolverConfig(subroutine=subroutine, **overrides)
+        screened = 0
+        for seed, (d, k) in enumerate([(8, 3), (10, 3), (10, 4)]):
+            inst = random_instance(kind, d=d, k=k, n=12, seed=80 + seed,
+                                   lam=1e-2)
+            got, bounded = self.run(inst, cfg, monkeypatch, screen=True)
+            want, _ = self.run(inst, cfg, monkeypatch, screen=False)
+            assert ((got.solver_calls, got.pruned, got.heap_peak)
+                    == (want.solver_calls, want.pruned, want.heap_peak))
+            assert got.objective == want.objective
+            assert got.x.tobytes() == want.x.tobytes()
+            assert len(got.bound_log) == len(want.bound_log)
+            for a, b in zip(got.bound_log, want.bound_log):
+                assert (a[0], a[2], a[3]) == (b[0], b[2], b[3])
+                assert a[1] == pytest.approx(b[1], rel=1e-14, abs=0.0)
+            screened += got.solver_calls - len(bounded)
+            if overrides:
+                # cold children and pruning off take no screen
+                assert bounded == [e[0] for e in got.bound_log]
+        assert (screened > 0) == (not overrides)
 
 
 class TestBoundLog:

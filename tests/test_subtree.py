@@ -6,10 +6,10 @@ import pytest
 import l0bfs.subtree
 from helpers import (domain_point, leaf_values, random_instance,
                      random_interior_node, subtree_min)
-from l0bfs import (DUAL_BOUND, EXACT, PRUNED, DualState, Node, SgaState,
-                   SolverConfig, dual_value, pdal_maximize, pdal_root_state,
-                   prox_topk_sq, root_node, sga_maximize, sga_root_state,
-                   solve_restricted, subtree_solve, top_norm)
+from l0bfs import (DUAL_BOUND, EXACT, PRUNED, DualState, Instance, Node,
+                   SgaState, SolverConfig, dual_value, pdal_maximize,
+                   pdal_root_state, prox_topk_sq, root_node, sga_maximize,
+                   sga_root_state, solve_restricted, subtree_solve, top_norm)
 from l0bfs.subtree import ZERO_TOL
 
 KINDS = ["quadratic", "huber", "logistic"]
@@ -633,3 +633,86 @@ class TestLastLevel:
         best = min(solve_restricted(inst, [j]).value for j in range(6))
         assert res.status == EXACT
         assert res.value == pytest.approx(best, rel=1e-12)
+
+
+class TestChildEntryBounds:
+    """The search's one-pass entry bounds of a node's children equal the
+    entry bound subtree_solve takes for each child from the same state."""
+
+    @staticmethod
+    def instances(kind):
+        inst = random_instance(kind, d=9, k=4, n=12, seed=8, lam=1e-2)
+        A = inst.A.copy()
+        A[:, 5], A[:, 7] = A[:, 2], -A[:, 2]   # ties in |w| across the tail
+        return [inst, Instance(A=A, loss=inst.loss, lam=inst.lam, k=inst.k)]
+
+    @staticmethod
+    def states(inst, subroutine, rng):
+        cfg = SolverConfig(subroutine=subroutine, pruning=False)
+        p0 = inst.objective(np.zeros(inst.d))
+        ascended = subtree_solve(inst, root_node(inst.d, inst.k),
+                                 prune_threshold=p0, cfg=cfg).state
+        out = [ascended]
+        for beta in (np.zeros(inst.n), domain_point(inst.loss, rng, 0.3)):
+            w, conj = inst.AT @ beta, inst.loss.conjugate(beta)
+            out.append(DualState(beta, np.zeros(inst.d), w, conj)
+                       if subroutine == "pdal" else SgaState(beta, 1.0, w, conj))
+        assert not out[1].w.any()   # w = 0
+        return out
+
+    @staticmethod
+    def interior_nodes(d, k):
+        nodes, frontier = [], [root_node(d, k)]
+        while frontier:
+            node = frontier.pop()
+            if node.size < k:
+                nodes.append(node)
+                frontier.extend(node.children())
+        return nodes
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("subroutine", ["pdal", "sga"])
+    def test_equal_to_subtree_solve_entry_bound(self, subroutine, kind):
+        rng = np.random.default_rng(9)
+        cfg = SolverConfig(subroutine=subroutine)
+        for inst in self.instances(kind):
+            for state in self.states(inst, subroutine, rng):
+                for node in self.interior_nodes(inst.d, inst.k):
+                    got = l0bfs.subtree._child_entry_bounds(inst, node, state,
+                                                            cfg)
+                    children = node.children()
+                    assert len(got) == len(children)
+                    for bound, child in zip(got, children):
+                        # a threshold of -inf prunes every child at entry,
+                        # with its entry bound as the low
+                        res = subtree_solve(inst, child, warm=state,
+                                            prune_threshold=-np.inf, cfg=cfg)
+                        assert res.status == PRUNED and res.iterations == 0
+                        # D = -conj - penalty / (2 lam) is a difference, so
+                        # rel 1e-15 (4-5 ulps) counts at the larger of its
+                        # terms: a logistic D cancels most of them
+                        scale = max(abs(state.conj), abs(state.conj + res.low))
+                        assert abs(bound - res.low) <= 1e-15 * scale, \
+                            (node.indices, child.indices)
+                    # the last child's tail holds exactly what it still needs
+                    assert children[-1].tail_size == inst.k - node.size - 1
+
+    @pytest.mark.parametrize("subroutine", ["pdal", "sga"])
+    def test_no_screen_where_children_do_not_start_from_the_state(
+            self, subroutine):
+        inst = self.instances("huber")[0]
+        state = self.states(inst, subroutine, np.random.default_rng(0))[0]
+        other = "sga" if subroutine == "pdal" else "pdal"
+        hand_built = (DualState(state.beta, np.zeros(inst.d))
+                      if subroutine == "pdal" else SgaState(state.beta, 1.0))
+        cases = [(None, {}), (state, {"warm_start": False}),
+                 (state, {"pruning": False}), (hand_built, {}),
+                 (state, {"subroutine": other})]
+        node = Node((1,), inst.d, inst.k)
+        for warm, overrides in cases:
+            cfg = SolverConfig(**{"subroutine": subroutine, **overrides})
+            got = l0bfs.subtree._child_entry_bounds(inst, node, warm, cfg)
+            assert got.tolist() == [-np.inf] * len(node.children())
+        screened = l0bfs.subtree._child_entry_bounds(
+            inst, node, state, SolverConfig(subroutine=subroutine))
+        assert np.isfinite(screened).all()

@@ -7,9 +7,13 @@ prunes and one SHA-256 over its searches' objectives, x, calls, prunes,
 heap peaks and bound_log entries; the last line is one SHA-256 over all
 102.  Two checkouts that print the same digest on a line ran those searches
 bit for bit alike, so a change to one workload's search can show that the
-others are unchanged.  BLAS is pinned to one thread, as perfbench/run.py pins
-it, since the thread count changes how matrix products round and with it
-the digest.
+others are unchanged.  Beside it, the decisions digest is the same hash
+with the low of every PRUNED bound_log entry left out: a pruned node's low
+steers nothing, so two checkouts that print the same decisions digest made
+the same search decisions and returned the same x, even where a bound was
+computed by another route and rounds differently.  BLAS is pinned to one
+thread, as perfbench/run.py pins it, since the thread count changes how
+matrix products round and with it the digest.
 
     python3 tools/search_digest.py
 """
@@ -25,20 +29,21 @@ os.environ.update({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
-from l0bfs import SolverConfig, bfs_solve  # noqa: E402
+from l0bfs import PRUNED, SolverConfig, bfs_solve  # noqa: E402
 from workloads import build_cases  # noqa: E402
 
 WORKLOADS = ("planted", "hard", "logistic")
 SUBROUTINES = ("pdal", "sga")
 
 
-def _update(digest, report):
+def _update(digest, report, decisions=False):
+    """Hash a search; decisions=True leaves out the lows of PRUNED entries."""
     digest.update(float(report.objective).hex().encode())
     digest.update(report.x.tobytes())
     digest.update(f"{report.solver_calls},{report.pruned},{report.heap_peak}".encode())
     for indices, low, status, value in report.bound_log:
-        digest.update(f"{indices}|{float(low).hex()}|{status}|{float(value).hex()}"
-                      .encode())
+        low = "" if decisions and status == PRUNED else float(low).hex()
+        digest.update(f"{indices}|{low}|{status}|{float(value).hex()}".encode())
 
 
 def main():
@@ -48,15 +53,17 @@ def main():
         for subroutine in SUBROUTINES:
             cfg = SolverConfig(subroutine=subroutine)
             calls = pruned = 0
-            pair = hashlib.sha256()
+            pair, decided = hashlib.sha256(), hashlib.sha256()
             for case in cases:
                 report = bfs_solve(case.instance(), cfg=cfg, record_bounds=True)
                 calls += report.solver_calls
                 pruned += report.pruned
                 _update(digest, report)
                 _update(pair, report)
+                _update(decided, report, decisions=True)
             print(f"{workload:8s} {subroutine:4s} calls {calls:5d}  "
-                  f"pruned {pruned:5d}  sha256 {pair.hexdigest()}")
+                  f"pruned {pruned:5d}  sha256 {pair.hexdigest()}  "
+                  f"decisions {decided.hexdigest()}")
     print(f"sha256 {digest.hexdigest()}")
 
 
