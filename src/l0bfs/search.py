@@ -17,9 +17,10 @@ leaves (always a last-level node, one index short of a leaf; see
 subtree.py for the count) is bounded exactly, so it certifies when popped
 and no leaf node is ever created.
 
-exhaustive_solve is the independent reference: it solves the restricted
-problem on every size-k support and keeps the best, one batch of supports
-per last-level node.
+exhaustive_solve is the independent reference: it lists every size-k
+support with itertools.combinations, not through the tree's Node.leaves,
+solves the restricted problem on them in lexicographic batches of at most
+16 d rows, and keeps the first strict minimum.
 """
 
 import heapq
@@ -32,10 +33,15 @@ import numpy as np
 
 from .restricted import _real, solve_restricted_batch
 from .state_space import Node
-from .subtree import (PRUNED, ZERO_TOL, SolverConfig, _child_entry_bounds,
+from .subtree import (PRUNED, ZERO_TOL, _child_entry_bounds, _solver_config,
                       subtree_solve)
 
 __all__ = ["SolveReport", "bfs_solve", "exhaustive_solve"]
+
+# exhaustive_solve solves at most _ENUM_ROWS * d supports per batch: a batch
+# pays the Newton loop's fixed numpy cost once, and its peak size grows with
+# d only, not with C(d, k)
+_ENUM_ROWS = 16
 
 
 @dataclass
@@ -65,9 +71,7 @@ def bfs_solve(inst, delta=0.0, cfg=None, record_bounds=False):
         raise ValueError("delta must be nonnegative")
     if not isinstance(record_bounds, (bool, np.bool_)):
         raise ValueError(f"record_bounds must be a bool, got {record_bounds!r}")
-    cfg = SolverConfig() if cfg is None else cfg
-    if not isinstance(cfg, SolverConfig):
-        raise ValueError(f"cfg must be a SolverConfig, got {cfg!r}")
+    cfg = _solver_config(cfg)
     t0 = time.perf_counter()
     log = [] if record_bounds else None
 
@@ -117,12 +121,13 @@ def bfs_solve(inst, delta=0.0, cfg=None, record_bounds=False):
 
 
 def exhaustive_solve(inst):
-    """Brute force over all size-k supports via restricted solves, one batch
-    per last-level node (the supports that share their first k-1 indices)."""
+    """Brute force over all size-k supports via restricted solves: the
+    supports in lexicographic order, in batches of at most _ENUM_ROWS * d."""
     t0 = time.perf_counter()
+    supports = itertools.combinations(range(inst.d), inst.k)
     best_value, best_x, calls = np.inf, None, 0
-    for prefix in itertools.combinations(range(inst.d - 1), inst.k - 1):
-        x, values, _ = solve_restricted_batch(inst, Node(prefix, inst.d, inst.k).leaves())
+    while chunk := list(itertools.islice(supports, _ENUM_ROWS * inst.d)):
+        x, values, _ = solve_restricted_batch(inst, chunk)
         calls += len(values)
         i = int(np.argmin(values))
         if best_x is None or values[i] < best_value:

@@ -101,6 +101,14 @@ class SolverConfig:
                                  f"{getattr(self, name)!r}")
 
 
+def _solver_config(cfg):
+    """cfg itself, or the default SolverConfig for None; else ValueError."""
+    cfg = SolverConfig() if cfg is None else cfg
+    if not isinstance(cfg, SolverConfig):
+        raise ValueError(f"cfg must be a SolverConfig, got {cfg!r}")
+    return cfg
+
+
 class _Shared:
     def __post_init__(self):  # all children of a node read the same arrays
         for value in vars(self).values():
@@ -395,7 +403,7 @@ def subtree_solve(inst, node, warm=None, prune_threshold=np.inf, cfg=None):
     incumbent objective; it also scales the dual convergence test, so pass
     it even when pruning is disabled.
     """
-    cfg = cfg or SolverConfig()
+    cfg = _solver_config(cfg)
     if cfg.subroutine == "pdal":
         maximize, root_state = pdal_maximize, pdal_root_state
     else:

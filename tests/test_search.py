@@ -91,7 +91,7 @@ class TestDelta:
         with pytest.raises(ValueError, match="record_bounds"):
             bfs_solve(inst, record_bounds=flag)
 
-    @pytest.mark.parametrize("cfg", [{"subroutine": "sga"}, "pdal", 0])
+    @pytest.mark.parametrize("cfg", [{"subroutine": "sga"}, "pdal", 0, {}])
     def test_wrong_type_cfg_rejected(self, cfg):
         inst = random_instance("huber", d=6, k=2, n=10, seed=1, lam=1e-2)
         with pytest.raises(ValueError, match="cfg"):
@@ -303,3 +303,43 @@ class TestExhaustiveBatches:
         assert rep.objective == inst.objective(rep.x)
         assert rep.support == tuple(np.flatnonzero(best.x))
         np.testing.assert_allclose(rep.x, best.x, atol=1e-10)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_chunks_cover_every_support_once_in_order(self, kind, monkeypatch):
+        # 84 supports in batches of 9 rows: nine full batches and one of 3
+        d, k = 9, 3
+        inst = random_instance(kind, d=d, k=k, n=10, seed=71, lam=1e-2)
+        monkeypatch.setattr(l0bfs.search, "_ENUM_ROWS", 1)
+        batches, solve = [], l0bfs.search.solve_restricted_batch
+
+        def spy(inst, supports):
+            batches.append([tuple(map(int, s)) for s in supports])
+            return solve(inst, supports)
+
+        monkeypatch.setattr(l0bfs.search, "solve_restricted_batch", spy)
+        rep = exhaustive_solve(inst)
+        assert [len(b) for b in batches] == [d] * 9 + [3]
+        assert list(itertools.chain(*batches)) == list(
+            itertools.combinations(range(d), k))
+        loop = [solve_restricted(inst, s)
+                for s in itertools.combinations(range(d), k)]
+        best = min(loop, key=lambda sol: sol.value)
+        assert rep.solver_calls == len(loop)
+        assert rep.objective == pytest.approx(best.value, rel=1e-12, abs=1e-15)
+        assert rep.support == tuple(np.flatnonzero(best.x))
+        np.testing.assert_allclose(rep.x, best.x, atol=1e-10)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_does_not_list_supports_through_the_tree(self, kind, monkeypatch):
+        # the reference must not share the search's leaf listing
+        inst = random_instance(kind, d=7, k=3, n=10, seed=72, lam=1e-2)
+        table = leaf_values(inst)
+
+        def leaves(self, limit=0):
+            raise AssertionError("exhaustive_solve called Node.leaves")
+
+        monkeypatch.setattr(Node, "leaves", leaves)
+        rep = exhaustive_solve(inst)
+        best_support, best_value = min(table.items(), key=lambda kv: kv[1])
+        assert rep.support == best_support
+        assert rep.objective == pytest.approx(best_value, rel=1e-12, abs=1e-15)

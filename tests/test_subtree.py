@@ -430,6 +430,22 @@ class TestSubtreeSolveDispatch:
         expected = DualState if subroutine == "pdal" else SgaState
         assert isinstance(res.state, expected)
 
+    @pytest.mark.parametrize("cfg", [{}, {"subroutine": "sga"}, "pdal", 0])
+    def test_wrong_type_cfg_rejected(self, cfg):
+        inst = small_instance("huber", 24)
+        with pytest.raises(ValueError, match="cfg"):
+            subtree_solve(inst, root_node(inst.d, inst.k), prune_threshold=1.0,
+                          cfg=cfg)
+
+    def test_none_cfg_is_the_default(self):
+        inst = small_instance("huber", 24)
+        node = root_node(inst.d, inst.k)
+        p0 = inst.objective(np.zeros(inst.d))
+        res = subtree_solve(inst, node, prune_threshold=p0, cfg=None)
+        ref = subtree_solve(inst, node, prune_threshold=p0, cfg=SolverConfig())
+        assert (res.status, res.low, res.iterations) == (
+            ref.status, ref.low, ref.iterations)
+
 
 class TestSharedParentState:
     """Children read the entry bound off their parent's shared state."""

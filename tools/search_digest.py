@@ -5,9 +5,12 @@ planted, hard and logistic workloads (perfbench/workloads.py), 102 searches
 in all.  For each (workload, subroutine) pair it prints the calls, the
 prunes and one SHA-256 over its searches' objectives, x, calls, prunes,
 heap peaks and bound_log entries; the last line is one SHA-256 over all
-102.  Two checkouts that print the same digest on a line ran those searches
-bit for bit alike, so a change to one workload's search can show that the
-others are unchanged.  Beside it, the decisions digest is the same hash
+102.  Before that last line, one line does the same for exhaustive_solve on
+the 13 seed-0 enum instances: their calls and one SHA-256 over each
+objective, x and calls.  It stays out of the last line, which covers the
+bfs searches alone.  Two checkouts that print the same digest on a line ran
+those searches bit for bit alike, so a change to one workload's search can
+show that the others are unchanged.  Beside it, the decisions digest is the same hash
 with the low of every PRUNED bound_log entry left out: a pruned node's low
 steers nothing, so two checkouts that print the same decisions digest made
 the same search decisions and returned the same x, even where a bound was
@@ -29,7 +32,7 @@ os.environ.update({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
-from l0bfs import PRUNED, SolverConfig, bfs_solve  # noqa: E402
+from l0bfs import PRUNED, SolverConfig, bfs_solve, exhaustive_solve  # noqa: E402
 from workloads import build_cases  # noqa: E402
 
 WORKLOADS = ("planted", "hard", "logistic")
@@ -44,6 +47,19 @@ def _update(digest, report, decisions=False):
     for indices, low, status, value in report.bound_log:
         low = "" if decisions and status == PRUNED else float(low).hex()
         digest.update(f"{indices}|{low}|{status}|{float(value).hex()}".encode())
+
+
+def _enum_line():
+    """Calls and one SHA-256 over the seed-0 enum pass of exhaustive_solve."""
+    cases, _ = build_cases("enum", 0)
+    calls, digest = 0, hashlib.sha256()
+    for case in cases:
+        report = exhaustive_solve(case.instance())
+        calls += report.solver_calls
+        digest.update(float(report.objective).hex().encode())
+        digest.update(report.x.tobytes())
+        digest.update(f"{report.solver_calls}".encode())
+    return f"enum     exh  calls {calls:5d}  sha256 {digest.hexdigest()}"
 
 
 def main():
@@ -64,6 +80,7 @@ def main():
             print(f"{workload:8s} {subroutine:4s} calls {calls:5d}  "
                   f"pruned {pruned:5d}  sha256 {pair.hexdigest()}  "
                   f"decisions {decided.hexdigest()}")
+    print(_enum_line())
     print(f"sha256 {digest.hexdigest()}")
 
 
