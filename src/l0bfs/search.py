@@ -15,12 +15,17 @@ they start from it, they take that test together in one pass, and a child
 that fails it is pruned without its Node being built.  A node with few
 leaves (always a last-level node, one index short of a leaf; see
 subtree.py for the count) is bounded exactly, so it certifies when popped
-and no leaf node is ever created.
+and no leaf node is ever created.  The listed children of one expansion
+are bounded from shared batches of their surviving leaves (_Siblings),
+not by subtree_solve: the first to take its turn solves its own and its
+following listed siblings' survivors together, and each is decided at
+its own turn, against the incumbent then, as subtree_solve would decide
+it.
 
 exhaustive_solve is the independent reference: it lists every size-k
 support with itertools.combinations, not through the tree's Node.leaves,
 solves the restricted problem on them in lexicographic batches of at most
-16 d rows, and keeps the first strict minimum.
+16 d rows (the search's batch size), and keeps the first strict minimum.
 """
 
 import heapq
@@ -32,16 +37,10 @@ from typing import Optional
 import numpy as np
 
 from .restricted import _real, solve_restricted_batch
-from .state_space import Node
-from .subtree import (PRUNED, ZERO_TOL, _child_entry_bounds, _solver_config,
-                      subtree_solve)
+from .subtree import (PRUNED, ZERO_TOL, _batch_size, _child_entry_bounds,
+                      _Siblings, _solver_config, subtree_solve)
 
 __all__ = ["SolveReport", "bfs_solve", "exhaustive_solve"]
-
-# exhaustive_solve solves at most _ENUM_ROWS * d supports per batch: a batch
-# pays the Newton loop's fixed numpy cost once, and its peak size grows with
-# d only, not with C(d, k)
-_ENUM_ROWS = 16
 
 
 @dataclass
@@ -83,13 +82,16 @@ def bfs_solve(inst, delta=0.0, cfg=None, record_bounds=False):
     children, entry, warm = [()], [-np.inf], None
     heap, calls, seq, heap_peak, pruned_count = [], 0, 0, 0, 0
     while True:
-        for indices, d_entry in zip(children, entry):
+        siblings = _Siblings(inst, children, entry, warm, cfg)
+        for i, (indices, d_entry) in enumerate(zip(children, entry)):
             calls += 1
             if d_entry > p_min + ZERO_TOL:  # pruned at entry: no Node built
                 low, status, value = float(d_entry), PRUNED, np.inf
             else:
-                child = Node(indices, inst.d, inst.k)
-                child_res = subtree_solve(inst, child, warm, p_min, cfg)
+                child = siblings.node(i)
+                child_res = siblings.bound(i, p_min)
+                if child_res is None:   # not listed: an ascent bounds it
+                    child_res = subtree_solve(inst, child, warm, p_min, cfg)
                 low, status, value = child_res.low, child_res.status, child_res.value
             if record_bounds:
                 log.append((indices, low, status, value))
@@ -122,11 +124,11 @@ def bfs_solve(inst, delta=0.0, cfg=None, record_bounds=False):
 
 def exhaustive_solve(inst):
     """Brute force over all size-k supports via restricted solves: the
-    supports in lexicographic order, in batches of at most _ENUM_ROWS * d."""
+    supports in lexicographic order, in batches of _batch_size rows."""
     t0 = time.perf_counter()
     supports = itertools.combinations(range(inst.d), inst.k)
     best_value, best_x, calls = np.inf, None, 0
-    while chunk := list(itertools.islice(supports, _ENUM_ROWS * inst.d)):
+    while chunk := list(itertools.islice(supports, _batch_size(inst))):
         x, values, _ = solve_restricted_batch(inst, chunk)
         calls += len(values)
         i = int(np.argmin(values))

@@ -86,17 +86,23 @@ class Node:
             for j in range(self.cut, self.d - self.k + s + 1)
         ]
 
+    def lists_leaves(self, limit=0):
+        """True iff the node has at most max(|tail|, limit, 1) leaves, so
+        that leaves(limit) lists them."""
+        count = math.comb(self.tail_size, self.k - self.size)
+        return count <= max(self.tail_size, limit, 1)
+
     def leaves(self, limit=0):
         """The size-k supports below the node, one per row in lexicographic
-        order, when there are at most max(|tail|, limit) of them; None
-        otherwise.  A leaf lists itself, also with an empty tail.  Limit 0
-        lists the last level (k - |S| = 1) and the nodes that must take all
-        their open indices or all but one.
+        order, when lists_leaves(limit); None otherwise.  A leaf lists
+        itself, also with an empty tail.  Limit 0 lists the last level
+        (k - |S| = 1) and the nodes that must take all their open indices or
+        all but one.
         """
+        if not self.lists_leaves(limit):
+            return None
         s, need, tail = self.support_array, self.k - self.size, self.tail_array
         count = math.comb(tail.size, need)
-        if count > max(tail.size, limit, 1):
-            return None
         if need == 1:
             rest = tail[:, None]
         elif need == 2:

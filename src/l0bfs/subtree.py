@@ -5,7 +5,7 @@ objective over the subtree below S together with a feasible candidate.
 A node with at most max(|tail|, t) leaves, where t is the number of dual
 iterations its parent's ascent took (0 at the root), is bounded exactly:
 its subtree minimum is the least restricted minimum over its leaves,
-solved in batches of at most d rows (_solve_exact).  The parent's count
+solved in batches of at most _BATCH_ROWS * d rows.  The parent's count
 stands in for the cost of the node's own ascent, and a leaf in a batch
 costs less than one dual iteration; the rule reads no clock, so the search
 stays deterministic.  The last level k - |S| = 1 is always listed.  Every
@@ -29,7 +29,11 @@ exactly then screens each leaf T by D with the top-k term exact on T.  It
 is EXACT, with its best leaf as candidate and bound, when that leaf does
 not exceed the incumbent, and so certifies when popped: the search never
 creates a leaf.  Otherwise it is PRUNED, bounded by the least of its solved
-minima and screened leaf bounds.  Every other node ascends: the loop owns
+minima and screened leaf bounds (_leaf_bound).  All children of a node
+start from one state, so the search bounds its listed children from
+shared batches of their surviving leaves (_Siblings), each by the same
+rule at its own turn; subtree_solve bounds a listed node from its own
+leaves alone (_solve_exact).  Every other node ascends: the loop owns
 the prune test after each iteration, the running max D_max, the
 convergence test, the polish restricted solve and the iteration cap.  Each
 maximizer holds only its method's state and a step closure that makes one
@@ -57,6 +61,7 @@ import numpy as np
 from .linalg import l2_norm, top_norm, truncate_top
 from .restricted import (ConvergenceError, _integer, _real, solve_restricted,
                          solve_restricted_batch)
+from .state_space import Node
 from .topk_prox import prox_topk_sq_conjugate
 
 __all__ = [
@@ -72,6 +77,15 @@ PRUNED = "pruned"
 
 # magnitude below which differences count as zero in prune/termination tests
 ZERO_TOL = 1e-12
+
+# a leaf batch holds at most _BATCH_ROWS * d supports: it pays the batched
+# Newton loop's fixed numpy cost once, and its peak size grows with d only
+_BATCH_ROWS = 16
+
+
+def _batch_size(inst):
+    """Rows per solve_restricted_batch call: _BATCH_ROWS * d."""
+    return _BATCH_ROWS * inst.d
 
 
 @dataclass(frozen=True)
@@ -170,6 +184,26 @@ def _warm_start(warm, cfg):
     return warm if cfg.warm_start and isinstance(warm, state_type) else None
 
 
+def _start_state(inst, warm, cfg):
+    """The state a node starts from: warm if _warm_start takes it, else the
+    root state of cfg's maximizer."""
+    root_state = pdal_root_state if cfg.subroutine == "pdal" else sga_root_state
+    return _warm_start(warm, cfg) or root_state(inst)
+
+
+def _start_point(inst, state):
+    """(w, conj) = (A^T beta, L*(beta)) at state's beta, from the state when
+    it holds them (the root and hand-built states do not)."""
+    if state.w is None:
+        return inst.AT @ state.beta, inst.loss.conjugate(state.beta)
+    return state.w, state.conj
+
+
+def _entry_bound(inst, node, w, conj):
+    """D(beta; node) from w = A^T beta and conj = L*(beta)."""
+    return -conj - _penalty(w, node) / (2.0 * inst.lam)
+
+
 def _child_entry_bounds(inst, node, warm, cfg):
     """D_j = -conj - (||w_S||^2 + w_j^2 + ||w_{>j}||_{k-s-1,2}^2) / (2 lam) at
     warm's w and conj, subtree_solve's entry bound for each child S + {j}
@@ -198,26 +232,42 @@ def dual_value(inst, node, beta, w=None):
         return -np.inf
     if w is None:
         w = inst.AT @ beta
-    return -conj - _penalty(w, node) / (2.0 * inst.lam)
+    return _entry_bound(inst, node, w, conj)
 
 
-def _solve_exact(inst, leaves, w, conj, stop_above):
-    """Bound a node that passed its entry test by its leaves T: those with
-    D_T = -conj - ||w_T||^2 / (2 lam) at or below stop_above are solved in
-    batches of at most d rows, the rest stay screened (see the module
-    docstring)."""
+def _screen_leaves(inst, leaves, w, conj, stop_above):
+    """Screen leaves T by D_T = -conj - ||w_T||^2 / (2 lam): the rows to
+    solve (D_T at or below stop_above), their D_T, and the least D_T of
+    the rest."""
     w_t = w[leaves]
     bounds = -conj - np.vecdot(w_t, w_t) / (2.0 * inst.lam)
     solve = bounds <= stop_above
-    rows, best, x = leaves[solve], np.inf, None
-    # at most d rows, as many as a last-level node has: a parent that ran
-    # to the iteration cap must not raise the peak memory
-    for start in range(0, len(rows), inst.d):
-        xs, values, _ = solve_restricted_batch(inst, rows[start:start + inst.d])
+    return leaves[solve], bounds[solve], bounds[~solve].min(initial=np.inf)
+
+
+def _solved(inst, rows, bounds):
+    """(bounds, values, x) of rows, solved in batches of _batch_size rows."""
+    size = _batch_size(inst)
+    for start in range(0, len(rows), size):
+        x, values, _ = solve_restricted_batch(inst, rows[start:start + size])
+        yield bounds[start:start + size], values, x
+
+
+def _leaf_bound(inst, pieces, rest, stop_above):
+    """Bound a listed node that passed its entry test by its leaves (see the
+    module docstring): pieces gives (bounds, values, x) of its solved
+    leaves, one tuple per batch in leaf order, and rest is the least bound
+    of the others.  A solved leaf whose bound exceeds stop_above counts as
+    screened, so leaves solved at a higher incumbent give the same bound."""
+    best, x, low = np.inf, None, rest
+    for bounds, values, xs in pieces:
+        keep = bounds <= stop_above
+        values = np.where(keep, values, np.inf)
         i = np.argmin(values)
         if values[i] < best:
             best, x = values[i], xs[i]
-    low = min(best, bounds[~solve].min(initial=np.inf))
+        low = min(low, bounds[~keep].min(initial=np.inf))
+    low = min(best, low)
     if x is None or low > stop_above:
         return BoundResult(low=low, x=None, value=np.inf, status=PRUNED,
                            state=None, iterations=0)
@@ -226,6 +276,94 @@ def _solve_exact(inst, leaves, w, conj, stop_above):
     value = inst.objective(x)
     return BoundResult(low=value, x=x, value=value, status=EXACT,
                        state=None, iterations=0)
+
+
+def _solve_exact(inst, leaves, w, conj, stop_above):
+    """Bound a node that passed its entry test by its leaves alone."""
+    rows, bounds, rest = _screen_leaves(inst, leaves, w, conj, stop_above)
+    return _leaf_bound(inst, _solved(inst, rows, bounds), rest, stop_above)
+
+
+class _Siblings:
+    """The children of one expanded node, listed as bfs_solve lists them
+    (indices, entry bounds), all starting from warm.
+
+    bound(i, p_min) returns None for a child that Node.leaves does not list;
+    any other child it bounds as subtree_solve would at incumbent p_min,
+    from leaves solved in shared batches.  The first listed child whose
+    leaves are not solved yet solves, in one batch, its surviving leaves
+    and those of the following listed siblings that pass their entry tests
+    at p_min, while they fit in _batch_size rows; a child with more
+    survivors is solved alone in batches of that size.  Each sibling is
+    still decided at its own turn by _leaf_bound: the incumbent only falls,
+    so every leaf that survives its screen then was solved.
+    """
+
+    def __init__(self, inst, children, entry, warm, cfg):
+        self.inst, self.children, self.entry, self.cfg = inst, children, entry, cfg
+        self.warm, self.limit = warm, 0 if warm is None else warm.iterations
+        self.w, self.conj = _start_point(inst, _start_state(inst, warm, cfg))
+        self.nodes, self.entry_d, self.solved = {}, {}, {}
+
+    def node(self, i):
+        """Node of child i, built once."""
+        if i not in self.nodes:
+            self.nodes[i] = Node(self.children[i], self.inst.d, self.inst.k)
+        return self.nodes[i]
+
+    def _passes(self, i, stop_above):
+        """True if listed child i passes subtree_solve's entry test."""
+        if i not in self.entry_d:
+            self.entry_d[i] = _entry_bound(self.inst, self.node(i), self.w,
+                                           self.conj)
+        return self.entry_d[i] <= stop_above
+
+    def bound(self, i, p_min):
+        if not self.node(i).lists_leaves(self.limit):
+            return None
+        stop_above = p_min + ZERO_TOL if self.cfg.pruning else np.inf
+        if not self._passes(i, stop_above):
+            return BoundResult(low=self.entry_d[i], x=None, value=np.inf,
+                               status=PRUNED, state=None, iterations=0)
+        if i not in self.solved:
+            self._solve(i, p_min, stop_above)
+        pieces, rest = self.solved.pop(i)
+        return _leaf_bound(self.inst, pieces, rest, stop_above)
+
+    def _screen(self, i, stop_above):
+        leaves = self.node(i).leaves(self.limit)
+        return _screen_leaves(self.inst, leaves, self.w, self.conj, stop_above)
+
+    def _solve(self, i, p_min, stop_above):
+        """Solve the leaves of child i, and of the siblings after it that
+        fit, in one batch; at most one child's leaves and one batch of
+        rows are held at a time."""
+        rows, bounds, rest = self._screen(i, stop_above)
+        size = _batch_size(self.inst)
+        if len(rows) > size:
+            self.solved[i] = _solved(self.inst, rows, bounds), rest
+            return
+        taken, total = [(i, rows, bounds, rest)], len(rows)
+        for j in range(i + 1, len(self.children)):
+            # the tests bfs_solve and subtree_solve would take at p_min
+            if (self.entry[j] > p_min + ZERO_TOL
+                    or not self.node(j).lists_leaves(self.limit)
+                    or not self._passes(j, stop_above)):
+                continue
+            rows, bounds, rest = self._screen(j, stop_above)
+            if total + len(rows) > size:
+                break
+            taken.append((j, rows, bounds, rest))
+            total += len(rows)
+        if total:
+            xs, values, _ = solve_restricted_batch(
+                self.inst, np.concatenate([t[1] for t in taken]))
+        start = 0
+        for j, rows, bounds, rest in taken:
+            end = start + len(rows)
+            pieces = [(bounds, values[start:end], xs[start:end])] if len(rows) else []
+            self.solved[j] = pieces, rest
+            start = end
 
 
 def _converged(improve, incumbent, epsilon):
@@ -251,10 +389,8 @@ def _ascend(inst, node, init, prune_threshold, cfg, step, first_stop, limit):
     Converged, from iteration first_stop on, when the D improvement is
     epsilon-small relative to the incumbent and the current D is D_max.
     """
-    beta, w, conj = init.beta, init.w, init.conj
-    if w is None:  # root and hand-built states
-        w, conj = inst.AT @ beta, inst.loss.conjugate(beta)
-    d_max = d_prev = -conj - _penalty(w, node) / (2.0 * inst.lam)
+    beta, (w, conj) = init.beta, _start_point(inst, init)
+    d_max = d_prev = _entry_bound(inst, node, w, conj)
     stop_above = prune_threshold + ZERO_TOL if cfg.pruning else np.inf
     if d_prev > stop_above:
         return BoundResult(low=d_max, x=None, value=np.inf,
@@ -396,7 +532,8 @@ def subtree_solve(inst, node, warm=None, prune_threshold=np.inf, cfg=None):
     """Lower bound + feasible candidate for the subtree below node.
 
     Picks cfg.subroutine's maximizer and its start state; the maximizer's
-    loop bounds the node, exactly when Node.leaves(limit) lists it.  warm is
+    loop bounds the node, exactly when Node.leaves(limit) lists it (bfs_solve
+    bounds such a node through _Siblings, by the same rule).  warm is
     the parent's final DualState/SgaState, the start state if _warm_start
     takes it; limit is its dual iteration count in any case, so which nodes
     are listed does not depend on warm starting.  prune_threshold is the
@@ -404,10 +541,7 @@ def subtree_solve(inst, node, warm=None, prune_threshold=np.inf, cfg=None):
     it even when pruning is disabled.
     """
     cfg = _solver_config(cfg)
-    if cfg.subroutine == "pdal":
-        maximize, root_state = pdal_maximize, pdal_root_state
-    else:
-        maximize, root_state = sga_maximize, sga_root_state
-    init = _warm_start(warm, cfg) or root_state(inst)
+    maximize = pdal_maximize if cfg.subroutine == "pdal" else sga_maximize
     limit = 0 if warm is None else warm.iterations
-    return maximize(inst, node, init, prune_threshold, cfg, limit)
+    return maximize(inst, node, _start_state(inst, warm, cfg), prune_threshold,
+                    cfg, limit)

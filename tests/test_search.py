@@ -1,12 +1,17 @@
+import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
 
+import l0bfs.restricted
 import l0bfs.search
+import l0bfs.subtree
 from helpers import leaf_values, random_instance
-from l0bfs import (DUAL_BOUND, EXACT, PRUNED, BoundResult, Node, SolverConfig,
-                   bfs_solve, exhaustive_solve, solve_restricted)
+from l0bfs import (DUAL_BOUND, EXACT, PRUNED, BoundResult, ConvergenceError,
+                   Node, SolverConfig, bfs_solve, exhaustive_solve,
+                   solve_restricted, subtree_solve)
 from l0bfs.subtree import ZERO_TOL
 
 KINDS = ["quadratic", "huber", "logistic"]
@@ -138,8 +143,16 @@ class TestChildScreen:
             bounded.append(node.indices)
             return solve(inst, node, *args)
 
+        class Counted(l0bfs.search._Siblings):  # listed children, from a batch
+            def bound(self, i, p_min):
+                res = super().bound(i, p_min)
+                if res is not None:
+                    bounded.append(self.node(i).indices)
+                return res
+
         with monkeypatch.context() as m:
             m.setattr(l0bfs.search, "subtree_solve", counted)
+            m.setattr(l0bfs.search, "_Siblings", Counted)
             if not screen:   # the screen prunes nothing
                 bounds = l0bfs.search._child_entry_bounds
                 m.setattr(l0bfs.search, "_child_entry_bounds",
@@ -232,8 +245,9 @@ class TestBoundLog:
 
 
 class TestEmptyHeap:
-    """The search loop under a stubbed subtree_solve: only the root may leave
-    the heap empty, and only float noise can prune it (D <= F <= P(0))."""
+    """The search loop under a stubbed subtree_solve and sibling batch path:
+    only the root may leave the heap empty, and only float noise can prune
+    it (D <= F <= P(0))."""
 
     @staticmethod
     def stub(monkeypatch, root_result, child_result):
@@ -242,7 +256,15 @@ class TestEmptyHeap:
         def fake(inst, node, warm, prune_threshold, cfg):
             calls.append(node.indices)
             return root_result if node.size == 0 else child_result
+
+        class Fake(l0bfs.search._Siblings):  # listed children get fake too
+            def bound(self, i, p_min):
+                if not self.node(i).lists_leaves(self.limit):
+                    return None
+                return fake(self.inst, self.node(i), self.warm, p_min, self.cfg)
+
         monkeypatch.setattr(l0bfs.search, "subtree_solve", fake)
+        monkeypatch.setattr(l0bfs.search, "_Siblings", Fake)
         return calls
 
     def test_pruned_root_returns_zero(self, monkeypatch):
@@ -309,7 +331,7 @@ class TestExhaustiveBatches:
         # 84 supports in batches of 9 rows: nine full batches and one of 3
         d, k = 9, 3
         inst = random_instance(kind, d=d, k=k, n=10, seed=71, lam=1e-2)
-        monkeypatch.setattr(l0bfs.search, "_ENUM_ROWS", 1)
+        monkeypatch.setattr(l0bfs.subtree, "_BATCH_ROWS", 1)
         batches, solve = [], l0bfs.search.solve_restricted_batch
 
         def spy(inst, supports):
@@ -343,3 +365,188 @@ class TestExhaustiveBatches:
         best_support, best_value = min(table.items(), key=lambda kv: kv[1])
         assert rep.support == best_support
         assert rep.objective == pytest.approx(best_value, rel=1e-12, abs=1e-15)
+
+
+class TestSiblingBatches:
+    """bfs_solve bounds the listed children of an expansion from shared
+    leaf batches, each as subtree_solve would bound it alone at its turn."""
+
+    CFGS = [{}, {"warm_start": False}, {"pruning": False}]
+    SHAPES = [(8, 3), (10, 3), (10, 4)]
+
+    @staticmethod
+    def instances(kind, shapes=SHAPES):
+        return [random_instance(kind, d=d, k=k, n=12, seed=90 + seed, lam=1e-2)
+                for seed, (d, k) in enumerate(shapes)]
+
+    @staticmethod
+    def spied(monkeypatch, on_bound=None):
+        """Record the rows of every batch call, per expansion."""
+        expansions, solve = [], l0bfs.subtree.solve_restricted_batch
+
+        class Spied(l0bfs.search._Siblings):
+            def __init__(self, *args):
+                super().__init__(*args)
+                expansions.append([])
+
+            def bound(self, i, p_min):
+                res = super().bound(i, p_min)
+                if res is not None and on_bound is not None:
+                    on_bound(self, i, p_min, res)
+                return res
+
+        def batch(inst, supports):
+            expansions[-1].append(len(supports))
+            return solve(inst, supports)
+
+        monkeypatch.setattr(l0bfs.search, "_Siblings", Spied)
+        monkeypatch.setattr(l0bfs.subtree, "solve_restricted_batch", batch)
+        return expansions
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("subroutine", ["pdal", "sga"])
+    @pytest.mark.parametrize("overrides", CFGS)
+    def test_each_child_as_bounded_alone(self, kind, subroutine, overrides,
+                                         monkeypatch):
+        cfg = SolverConfig(subroutine=subroutine, **overrides)
+        statuses = []
+
+        def check(siblings, i, p_min, got):
+            node = siblings.node(i)
+            want = subtree_solve(siblings.inst, node, siblings.warm, p_min,
+                                 siblings.cfg)
+            assert got.status == want.status, node.indices
+            assert (got.x is None) == (want.x is None)
+            if got.x is not None:
+                assert np.flatnonzero(got.x).tolist() == \
+                    np.flatnonzero(want.x).tolist()
+            for a, b in ((got.value, want.value), (got.low, want.low)):
+                assert a == pytest.approx(b, rel=1e-14, abs=0.0)
+            statuses.append(got.status)
+
+        self.spied(monkeypatch, check)
+        for inst in self.instances(kind):
+            rep = bfs_solve(inst, cfg=cfg)
+            assert_matches_oracle(rep, exhaustive_solve(inst))
+        assert EXACT in statuses
+        assert (PRUNED in statuses) == cfg.pruning
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("subroutine", ["pdal", "sga"])
+    def test_one_batch_per_expansion_when_the_leaves_fit(
+            self, kind, subroutine, monkeypatch):
+        # every leaf of these trees fits one batch
+        insts = self.instances(kind, self.SHAPES[:2])
+        assert all(math.comb(inst.d, inst.k)
+                   <= l0bfs.subtree._BATCH_ROWS * inst.d for inst in insts)
+        expansions = self.spied(monkeypatch)
+        cfg = SolverConfig(subroutine=subroutine)
+        for inst in insts:
+            bfs_solve(inst, cfg=cfg)
+        assert all(len(calls) <= 1 for calls in expansions)
+        assert sum(map(len, expansions)) > 1
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("subroutine", ["pdal", "sga"])
+    @pytest.mark.parametrize("overrides", CFGS)
+    def test_small_batches_give_the_same_search(self, kind, subroutine,
+                                                overrides, monkeypatch):
+        cfg = SolverConfig(subroutine=subroutine, **overrides)
+        several = 0
+        for inst in self.instances(kind):
+            with monkeypatch.context() as m:
+                want = bfs_solve(inst, cfg=cfg, record_bounds=True)
+                m.setattr(l0bfs.subtree, "_BATCH_ROWS", 1)
+                expansions = self.spied(m)
+                got = bfs_solve(inst, cfg=cfg, record_bounds=True)
+            assert max(itertools.chain(*expansions)) <= inst.d
+            several += sum(len(calls) > 1 for calls in expansions)
+            assert ((got.solver_calls, got.pruned, got.heap_peak)
+                    == (want.solver_calls, want.pruned, want.heap_peak))
+            assert got.support == want.support
+            assert got.objective == pytest.approx(want.objective, rel=1e-14)
+            for a, b in zip(got.bound_log, want.bound_log, strict=True):
+                assert (a[0], a[2]) == (b[0], b[2])
+                assert a[1] == pytest.approx(b[1], rel=1e-14, abs=0.0)
+                assert a[3] == pytest.approx(b[3], rel=1e-14, abs=0.0)
+        if overrides:
+            # cold children and pruning off screen out too few leaves for
+            # one d-row batch to hold all of an expansion's survivors
+            assert several > 0
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_an_uncertified_sibling_row_raises(self, kind, monkeypatch):
+        # a row of a batch that another child's turn solved fails to certify
+        inst = random_instance(kind, d=10, k=3, n=12, seed=95, lam=1e-2)
+        turns, batches = [], []
+        solve = l0bfs.subtree.solve_restricted_batch
+
+        class Turns(l0bfs.search._Siblings):
+            def bound(self, i, p_min):
+                turns.append(self.node(i))
+                res = super().bound(i, p_min)
+                if res is not None:
+                    turns.append(res)
+                return res
+
+        def batch(inst, supports):
+            batches.append((turns[-1], [tuple(map(int, s)) for s in supports]))
+            return solve(inst, supports)
+
+        monkeypatch.setattr(l0bfs.search, "_Siblings", Turns)
+        monkeypatch.setattr(l0bfs.subtree, "solve_restricted_batch", batch)
+        bfs_solve(inst)
+        call, row, node, support = next(
+            (c, r, node, s) for c, (node, rows) in enumerate(batches)
+            for r, s in enumerate(rows) if not node.covers_support(s))
+        sibling = support[:node.size]
+
+        newton, count = l0bfs.restricted._solve_newton, itertools.count()
+
+        def stubbed(AtS, loss, lam):
+            w, z, cert = newton(AtS, loss, lam)
+            if AtS.ndim == 3 and next(count) == call:
+                cert = cert.copy()
+                cert[row] = 1.0
+            return w, z, cert
+
+        monkeypatch.setattr(l0bfs.restricted, "_solve_newton", stubbed)
+        turns.clear()
+        with pytest.raises(ConvergenceError) as err:
+            bfs_solve(inst)
+        assert tuple(np.flatnonzero(err.value.best.x)) == support
+        assert err.value.best.certificate == 1.0
+        # the search stopped at the turn that solved the row: no bound came
+        # from that batch, and the sibling the row belongs to had no turn
+        assert turns[-1] == node
+        assert sibling not in [n.indices for n in turns if isinstance(n, Node)]
+
+    @pytest.mark.parametrize("rows,batches", [(16, [140, 70]), (1, None)])
+    def test_a_capped_parent_stays_within_the_batch_size(self, rows, batches,
+                                                         monkeypatch):
+        # a parent at the iteration cap lists children with up to 84 leaves:
+        # 84 + 56 fit 16 d = 160 rows; at d = 10 rows each child is solved
+        # alone in batches, and none exceeds the size
+        inst = random_instance("huber", d=10, k=4, n=12, seed=92, lam=1e-2)
+        cfg = SolverConfig(pruning=False)
+        root, p0 = Node((), inst.d, inst.k), inst.objective(np.zeros(inst.d))
+        warm = dataclasses.replace(
+            subtree_solve(inst, root, None, p0, cfg).state,
+            iterations=cfg.max_dual_iters)
+        children = [(j,) for j in range(inst.d - inst.k + 1)]
+        entry = l0bfs.search._child_entry_bounds(inst, root, warm, cfg)
+        want = [subtree_solve(inst, Node(c, inst.d, inst.k), warm, p0, cfg)
+                for c in children]
+        monkeypatch.setattr(l0bfs.subtree, "_BATCH_ROWS", rows)
+        expansions = self.spied(monkeypatch)
+        siblings = l0bfs.search._Siblings(inst, children, entry, warm, cfg)
+        got = [siblings.bound(i, p0) for i in range(len(children))]
+        [sizes] = expansions
+        assert max(sizes) <= rows * inst.d
+        assert sum(sizes) == math.comb(inst.d, inst.k)
+        if batches is not None:
+            assert sizes == batches
+        for a, b in zip(got, want, strict=True):
+            assert a.status == b.status == EXACT
+            assert np.flatnonzero(a.x).tolist() == np.flatnonzero(b.x).tolist()
+            assert a.value == pytest.approx(b.value, rel=1e-14, abs=0.0)

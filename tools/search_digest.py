@@ -3,20 +3,30 @@
 Runs bfs_solve with pdal and with sga on every seed-0 instance of the
 planted, hard and logistic workloads (perfbench/workloads.py), 102 searches
 in all.  For each (workload, subroutine) pair it prints the calls, the
-prunes and one SHA-256 over its searches' objectives, x, calls, prunes,
-heap peaks and bound_log entries; the last line is one SHA-256 over all
-102.  Before that last line, one line does the same for exhaustive_solve on
-the 13 seed-0 enum instances: their calls and one SHA-256 over each
-objective, x and calls.  It stays out of the last line, which covers the
-bfs searches alone.  Two checkouts that print the same digest on a line ran
-those searches bit for bit alike, so a change to one workload's search can
-show that the others are unchanged.  Beside it, the decisions digest is the same hash
-with the low of every PRUNED bound_log entry left out: a pruned node's low
-steers nothing, so two checkouts that print the same decisions digest made
-the same search decisions and returned the same x, even where a bound was
-computed by another route and rounds differently.  BLAS is pinned to one
-thread, as perfbench/run.py pins it, since the thread count changes how
-matrix products round and with it the digest.
+prunes and three SHA-256 digests of its searches; the last line is one
+SHA-256 over all 102.  Before that last line, one line does the same for
+exhaustive_solve on the 13 seed-0 enum instances: their calls and one
+SHA-256 over each objective, x and calls.  It stays out of the last line,
+which covers the bfs searches alone.
+
+  * sha256 hashes the objectives, x, calls, prunes, heap peaks and
+    bound_log entries.  Two checkouts that print the same digest on a line
+    ran those searches bit for bit alike, so a change to one workload's
+    search can show that the others are unchanged.
+  * decisions is the same hash with the low of every PRUNED bound_log entry
+    left out: a pruned node's low steers nothing, so two checkouts that
+    print the same decisions digest made the same search decisions and
+    returned the same x, even where a bound was computed by another route
+    and rounds differently.
+  * shape hashes no float at all: each bound_log entry's indices and
+    status, the calls, prunes and heap peak, and the support of x.  Two
+    checkouts that print the same shape digest bounded the same nodes in
+    the same order to the same statuses and returned the same supports,
+    even where the makeup of a leaf batch moved a restricted minimum by an
+    ulp.
+
+BLAS is pinned to one thread, as perfbench/run.py pins it, since the
+thread count changes how matrix products round and with it the digests.
 
     python3 tools/search_digest.py
 """
@@ -49,6 +59,14 @@ def _update(digest, report, decisions=False):
         digest.update(f"{indices}|{low}|{status}|{float(value).hex()}".encode())
 
 
+def _update_shape(digest, report):
+    """Hash a search's shape: no objective, bound or x value, only x's support."""
+    digest.update(f"{report.support},{report.solver_calls},{report.pruned},"
+                  f"{report.heap_peak}".encode())
+    for indices, _, status, _ in report.bound_log:
+        digest.update(f"{indices}|{status}".encode())
+
+
 def _enum_line():
     """Calls and one SHA-256 over the seed-0 enum pass of exhaustive_solve."""
     cases, _ = build_cases("enum", 0)
@@ -69,7 +87,7 @@ def main():
         for subroutine in SUBROUTINES:
             cfg = SolverConfig(subroutine=subroutine)
             calls = pruned = 0
-            pair, decided = hashlib.sha256(), hashlib.sha256()
+            pair, decided, shape = (hashlib.sha256() for _ in range(3))
             for case in cases:
                 report = bfs_solve(case.instance(), cfg=cfg, record_bounds=True)
                 calls += report.solver_calls
@@ -77,9 +95,10 @@ def main():
                 _update(digest, report)
                 _update(pair, report)
                 _update(decided, report, decisions=True)
+                _update_shape(shape, report)
             print(f"{workload:8s} {subroutine:4s} calls {calls:5d}  "
                   f"pruned {pruned:5d}  sha256 {pair.hexdigest()}  "
-                  f"decisions {decided.hexdigest()}")
+                  f"decisions {decided.hexdigest()}  shape {shape.hexdigest()}")
     print(_enum_line())
     print(f"sha256 {digest.hexdigest()}")
 
