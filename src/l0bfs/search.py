@@ -10,17 +10,17 @@ pruned once a bound exceeds the incumbent objective.  The root is bounded
 by the same loop, as the one child of the start, cold and against the
 incumbent P(0); only it can leave the heap empty.  All children share
 the parent's final dual state, and each first takes one entry test, D at
-that state, before any restricted solve or dual ascent of its own; when
-they start from it, they take that test together in one pass, and a child
-that fails it is pruned without its Node being built.  A node with few
-leaves (always a last-level node, one index short of a leaf; see
-subtree.py for the count) is bounded exactly, so it certifies when popped
-and no leaf node is ever created.  The listed children of one expansion
-are bounded from shared batches of their surviving leaves (_Siblings),
-not by subtree_solve: the first to take its turn solves its own and its
-following listed siblings' survivors together, and each is decided at
-its own turn, against the incumbent then, as subtree_solve would decide
-it.
+the state it starts from, before any restricted solve or dual ascent of
+its own.  One pass gives all their entry bounds (_child_entry_bounds),
+and under pruning a child that fails its test is pruned without its Node
+being built.  A node with few leaves (always a last-level node, one index
+short of a leaf; see subtree.py for the count) is bounded exactly, so it
+certifies when popped and no leaf node is ever created.  The listed
+children of one expansion are bounded by _Siblings, as subtree_solve
+bounds one listed node, from shared batches of their surviving leaves:
+the first to take its turn solves its own and its following listed
+siblings' survivors together, and each is decided at its own turn,
+against the incumbent then.  Every other child ascends in subtree_solve.
 
 exhaustive_solve is the independent reference: it lists every size-k
 support with itertools.combinations, not through the tree's Node.leaves,
@@ -37,8 +37,10 @@ from typing import Optional
 import numpy as np
 
 from .restricted import _real, solve_restricted_batch
+from .state_space import root_node
 from .subtree import (PRUNED, ZERO_TOL, _batch_size, _child_entry_bounds,
-                      _Siblings, _solver_config, subtree_solve)
+                      _node_entry_bound, _Siblings, _solver_config,
+                      subtree_solve)
 
 __all__ = ["SolveReport", "bfs_solve", "exhaustive_solve"]
 
@@ -78,14 +80,15 @@ def bfs_solve(inst, delta=0.0, cfg=None, record_bounds=False):
     # a sound prune threshold, since every bound sits below the optimum
     p_min = inst.objective(np.zeros(inst.d))
 
-    # the children to bound, with their entry bounds at the parent's state
-    children, entry, warm = [()], [-np.inf], None
+    # the children to bound, with their entry bounds: first the root, cold
+    children, warm = [()], None
+    entry = [_node_entry_bound(inst, root_node(inst.d, inst.k), warm, cfg)]
     heap, calls, seq, heap_peak, pruned_count = [], 0, 0, 0, 0
     while True:
         siblings = _Siblings(inst, children, entry, warm, cfg)
         for i, (indices, d_entry) in enumerate(zip(children, entry)):
             calls += 1
-            if d_entry > p_min + ZERO_TOL:  # pruned at entry: no Node built
+            if cfg.pruning and d_entry > p_min + ZERO_TOL:  # pruned at entry
                 low, status, value = float(d_entry), PRUNED, np.inf
             else:
                 child = siblings.node(i)

@@ -2,42 +2,42 @@
 
 subtree_solve returns, for a tree node S, a lower bound on the best
 objective over the subtree below S together with a feasible candidate.
-A node with at most max(|tail|, t) leaves, where t is the number of dual
-iterations its parent's ascent took (0 at the root), is bounded exactly:
-its subtree minimum is the least restricted minimum over its leaves,
-solved in batches of at most _BATCH_ROWS * d rows.  The parent's count
-stands in for the cost of the node's own ascent, and a leaf in a batch
-costs less than one dual iteration; the rule reads no clock, so the search
-stays deterministic.  The last level k - |S| = 1 is always listed.  Every
-other node maximizes the concave dual lower bound
+Every bound rests on the concave dual lower bound
 
     D(beta; S) = -L*(beta) - (1/(2 lam)) ||A_S^T beta||^2
                  - (1/(2 lam)) ||A_tail^T beta||_{k-s,2}^2,
 
 which under-estimates the subtree minimum for every beta (Fenchel-Young
 applied to L, then minimizing the linearized objective over supports
-reachable below S).
+reachable below S).  Each node first takes one entry test: D at the state
+it starts from (_start_state), from that state's w = A^T beta and
+conj = L*(beta).  All children of a node share that state (its arrays are
+read-only), and the search computes their entry bounds in one pass
+(_child_entry_bounds); the root and a direct subtree_solve call take their
+node's own (_node_entry_bound).  D never exceeds the subtree minimum, so
+no winner is pruned.
 
-Both dual maximizers run one loop (_ascend), and every node that
-subtree_solve bounds goes through it.  The loop owns the entry test: D at
-the dual point the parent handed down, from that state's w = A^T beta and
-conj = L*(beta); siblings share the state (its arrays are read-only), and
-the search takes their tests together first when they start from it and
-prune (_child_entry_bounds, the same D to a few ulps).  D never exceeds the
-subtree minimum, so no winner is pruned.  A node that passes and is bounded
-exactly then screens each leaf T by D with the top-k term exact on T.  It
-is EXACT, with its best leaf as candidate and bound, when that leaf does
-not exceed the incumbent, and so certifies when popped: the search never
-creates a leaf.  Otherwise it is PRUNED, bounded by the least of its solved
-minima and screened leaf bounds (_leaf_bound).  All children of a node
-start from one state, so the search bounds its listed children from
-shared batches of their surviving leaves (_Siblings), each by the same
-rule at its own turn; subtree_solve bounds a listed node from its own
-leaves alone (_solve_exact).  Every other node ascends: the loop owns
-the prune test after each iteration, the running max D_max, the
-convergence test, the polish restricted solve and the iteration cap.  Each
-maximizer holds only its method's state and a step closure that makes one
-iteration:
+A node with at most max(|tail|, t) leaves, where t is the number of dual
+iterations its parent's ascent took (0 at the root), is bounded exactly:
+its subtree minimum is the least restricted minimum over its leaves.  The
+parent's count stands in for the cost of the node's own ascent, and a leaf
+in a batch costs less than one dual iteration; the rule reads no clock, so
+the search stays deterministic.  The last level k - |S| = 1 is always
+listed.  Every listed node is bounded by _Siblings: the search hands it
+the listed children of an expansion, subtree_solve its one node.  A
+listed node that passes its entry test screens each leaf T by D with the
+top-k term exact on T, and its surviving leaves are solved in batches of
+at most _BATCH_ROWS * d rows, shared with its siblings'.  It is EXACT,
+with its best leaf as candidate and bound, when that leaf does not exceed
+the incumbent, and so certifies when popped: the search never creates a
+leaf.  Otherwise it is PRUNED, bounded by the least of its solved minima
+and screened leaf bounds (_leaf_bound).
+
+Every other node ascends.  Both dual maximizers run one loop (_ascend),
+which owns the entry test, the prune test after each iteration, the
+running max D_max, the convergence test, the polish restricted solve and
+the iteration cap.  Each maximizer holds only its method's state and a
+step closure that makes one iteration:
 
   * pdal_maximize: a primal-dual iteration with linesearch, whose step
     returns before its linesearch when the new D already prunes;
@@ -178,17 +178,20 @@ def _penalty(w, node):
     return float(ws @ ws) + top_norm(rem, w[node.tail_array]) ** 2
 
 
-def _warm_start(warm, cfg):
-    """warm if a node starts from it (warm starting on, cfg's state type)."""
-    state_type = DualState if cfg.subroutine == "pdal" else SgaState
-    return warm if cfg.warm_start and isinstance(warm, state_type) else None
+def _check_node(inst, node):
+    """ValueError unless node belongs to inst's tree (same d and k)."""
+    if (node.d, node.k) != (inst.d, inst.k):
+        raise ValueError(f"node {node} is for d={node.d}, k={node.k}, the "
+                         f"instance for d={inst.d}, k={inst.k}")
 
 
 def _start_state(inst, warm, cfg):
-    """The state a node starts from: warm if _warm_start takes it, else the
-    root state of cfg's maximizer."""
-    root_state = pdal_root_state if cfg.subroutine == "pdal" else sga_root_state
-    return _warm_start(warm, cfg) or root_state(inst)
+    """The state a node starts from: warm when warm starting is on and warm
+    is cfg's state type, else the root state of cfg's maximizer."""
+    pdal = cfg.subroutine == "pdal"
+    if cfg.warm_start and isinstance(warm, DualState if pdal else SgaState):
+        return warm
+    return (pdal_root_state if pdal else sga_root_state)(inst)
 
 
 def _start_point(inst, state):
@@ -204,24 +207,27 @@ def _entry_bound(inst, node, w, conj):
     return -conj - _penalty(w, node) / (2.0 * inst.lam)
 
 
+def _node_entry_bound(inst, node, warm, cfg):
+    """D at the state node starts from (_start_state): its entry bound."""
+    return _entry_bound(inst, node,
+                        *_start_point(inst, _start_state(inst, warm, cfg)))
+
+
 def _child_entry_bounds(inst, node, warm, cfg):
-    """D_j = -conj - (||w_S||^2 + w_j^2 + ||w_{>j}||_{k-s-1,2}^2) / (2 lam) at
-    warm's w and conj, subtree_solve's entry bound for each child S + {j}
-    in order; all -inf when pruning is off or the children start cold or
-    from a state without w."""
+    """D_j = -conj - (||w_S||^2 + w_j^2 + ||w_{>j}||_{k-s-1,2}^2) / (2 lam),
+    the entry bound of each child S + {j} in order, at the w and conj of
+    the state the children start from (_start_state)."""
     rem = node.k - node.size - 1
     count = node.tail_size - rem
-    init = _warm_start(warm, cfg)
-    if not cfg.pruning or init is None or init.w is None:
-        return np.full(count, -np.inf)
-    ws, sq = init.w[node.support_array], init.w[node.cut:] ** 2
+    w, conj = _start_point(inst, _start_state(inst, warm, cfg))
+    ws, sq = w[node.support_array], w[node.cut:] ** 2
     # top-rem sums of sq[j+1:], one min-heap scan from the right (no d x d mask)
     top, tops = sorted(sq[count:].tolist()), []   # a sorted list is a heap
     for v in reversed(sq[:count].tolist()):
         tops.append(sum(top))
         heapq.heappushpop(top, v)
     penalty = float(ws @ ws) + sq[:count] + tops[::-1]
-    return -init.conj - penalty / (2.0 * inst.lam)
+    return -conj - penalty / (2.0 * inst.lam)
 
 
 def dual_value(inst, node, beta, w=None):
@@ -278,19 +284,14 @@ def _leaf_bound(inst, pieces, rest, stop_above):
                        state=None, iterations=0)
 
 
-def _solve_exact(inst, leaves, w, conj, stop_above):
-    """Bound a node that passed its entry test by its leaves alone."""
-    rows, bounds, rest = _screen_leaves(inst, leaves, w, conj, stop_above)
-    return _leaf_bound(inst, _solved(inst, rows, bounds), rest, stop_above)
-
-
 class _Siblings:
-    """The children of one expanded node, listed as bfs_solve lists them
-    (indices, entry bounds), all starting from warm.
+    """Nodes that share one parent state warm, as index tuples with their
+    entry bounds at the state they start from: the children of an
+    expansion, listed as bfs_solve lists them, or subtree_solve's one node.
 
     bound(i, p_min) returns None for a child that Node.leaves does not list;
-    any other child it bounds as subtree_solve would at incumbent p_min,
-    from leaves solved in shared batches.  The first listed child whose
+    any other child it bounds at incumbent p_min by its entry bound, then
+    by its leaves, solved in shared batches.  The first listed child whose
     leaves are not solved yet solves, in one batch, its surviving leaves
     and those of the following listed siblings that pass their entry tests
     at p_min, while they fit in _batch_size rows; a child with more
@@ -303,7 +304,7 @@ class _Siblings:
         self.inst, self.children, self.entry, self.cfg = inst, children, entry, cfg
         self.warm, self.limit = warm, 0 if warm is None else warm.iterations
         self.w, self.conj = _start_point(inst, _start_state(inst, warm, cfg))
-        self.nodes, self.entry_d, self.solved = {}, {}, {}
+        self.nodes, self.solved = {}, {}
 
     def node(self, i):
         """Node of child i, built once."""
@@ -311,22 +312,15 @@ class _Siblings:
             self.nodes[i] = Node(self.children[i], self.inst.d, self.inst.k)
         return self.nodes[i]
 
-    def _passes(self, i, stop_above):
-        """True if listed child i passes subtree_solve's entry test."""
-        if i not in self.entry_d:
-            self.entry_d[i] = _entry_bound(self.inst, self.node(i), self.w,
-                                           self.conj)
-        return self.entry_d[i] <= stop_above
-
     def bound(self, i, p_min):
         if not self.node(i).lists_leaves(self.limit):
             return None
         stop_above = p_min + ZERO_TOL if self.cfg.pruning else np.inf
-        if not self._passes(i, stop_above):
-            return BoundResult(low=self.entry_d[i], x=None, value=np.inf,
+        if self.entry[i] > stop_above:
+            return BoundResult(low=float(self.entry[i]), x=None, value=np.inf,
                                status=PRUNED, state=None, iterations=0)
         if i not in self.solved:
-            self._solve(i, p_min, stop_above)
+            self._solve(i, stop_above)
         pieces, rest = self.solved.pop(i)
         return _leaf_bound(self.inst, pieces, rest, stop_above)
 
@@ -334,7 +328,7 @@ class _Siblings:
         leaves = self.node(i).leaves(self.limit)
         return _screen_leaves(self.inst, leaves, self.w, self.conj, stop_above)
 
-    def _solve(self, i, p_min, stop_above):
+    def _solve(self, i, stop_above):
         """Solve the leaves of child i, and of the siblings after it that
         fit, in one batch; at most one child's leaves and one batch of
         rows are held at a time."""
@@ -345,10 +339,9 @@ class _Siblings:
             return
         taken, total = [(i, rows, bounds, rest)], len(rows)
         for j in range(i + 1, len(self.children)):
-            # the tests bfs_solve and subtree_solve would take at p_min
-            if (self.entry[j] > p_min + ZERO_TOL
-                    or not self.node(j).lists_leaves(self.limit)
-                    or not self._passes(j, stop_above)):
+            # the tests bound(j) would take at this incumbent
+            if (self.entry[j] > stop_above
+                    or not self.node(j).lists_leaves(self.limit)):
                 continue
             rows, bounds, rest = self._screen(j, stop_above)
             if total + len(rows) > size:
@@ -374,30 +367,27 @@ def _converged(improve, incumbent, epsilon):
     return improve <= epsilon
 
 
-def _ascend(inst, node, init, prune_threshold, cfg, step, first_stop, limit):
-    """Bound node from init: one entry test, then its leaves or an ascent.
+def _ascend(inst, node, init, prune_threshold, cfg, step, first_stop):
+    """Bound node from init: one entry test, then an ascent.
 
     The entry test is D(init.beta; node), from init.w and init.conj when the
-    parent handed them down.  A node that passes it and that
-    Node.leaves(limit) lists is bounded exactly by _solve_exact.  Every
-    other node maximizes D(.; node) by calls of step(beta, w, d, stop_above),
-    which makes one iteration from beta (w = A^T beta, d its D value) and
-    returns (beta, w, D, finish); finish(t) gives the primal point to polish
-    and the state for the children, which records the t iterations taken.
-    The step may return early once D > stop_above, since that iteration
-    ends in a prune.  The returned bound is the running max D_max.
-    Converged, from iteration first_stop on, when the D improvement is
-    epsilon-small relative to the incumbent and the current D is D_max.
+    parent handed them down.  A node that passes it maximizes D(.; node)
+    by calls of step(beta, w, d, stop_above), which makes one iteration
+    from beta (w = A^T beta, d its D value) and returns (beta, w, D,
+    finish); finish(t) gives the primal point to polish and the state for
+    the children, which records the t iterations taken.  The step may
+    return early once D > stop_above, since that iteration ends in a
+    prune.  The returned bound is the running max D_max.  Converged, from
+    iteration first_stop on, when the D improvement is epsilon-small
+    relative to the incumbent and the current D is D_max.
     """
+    _check_node(inst, node)
     beta, (w, conj) = init.beta, _start_point(inst, init)
     d_max = d_prev = _entry_bound(inst, node, w, conj)
     stop_above = prune_threshold + ZERO_TOL if cfg.pruning else np.inf
     if d_prev > stop_above:
         return BoundResult(low=d_max, x=None, value=np.inf,
                            status=PRUNED, state=None, iterations=0)
-    leaves = node.leaves(limit)
-    if leaves is not None:
-        return _solve_exact(inst, leaves, w, conj, stop_above)
 
     for t in range(1, cfg.max_dual_iters + 1):
         beta, w, d_cur, finish = step(beta, w, d_prev, stop_above)
@@ -418,7 +408,7 @@ def _ascend(inst, node, init, prune_threshold, cfg, step, first_stop, limit):
                        status=DUAL_BOUND, state=state, iterations=t)
 
 
-def pdal_maximize(inst, node, init, prune_threshold, cfg, limit=0):
+def pdal_maximize(inst, node, init, prune_threshold, cfg):
     """Maximize D(.; node) by a primal-dual iteration with linesearch.
 
     Dual step: beta_t = prox of tau * L* at beta - tau * A y.  Primal step:
@@ -432,13 +422,14 @@ def pdal_maximize(inst, node, init, prune_threshold, cfg, limit=0):
 
     Convergence is accepted from the second iteration on: a warm start at a
     near-fixed point shows no improvement on its first step without having
-    ascended.  The polish point is the top-k truncation of y.
+    ascended.  The polish point is the top-k truncation of y.  It ascends
+    on any node, listed or not (subtree_solve lists the leaves instead).
     """
     A, lam, loss = inst.A, inst.lam, inst.loss
     k, rem = node.k, node.k - node.size
     s_arr, tail = node.support_array, node.tail_array
     y = init.y
-    # tau is set at the first step: an exact node takes none, nor needs ||A||
+    # tau is set at the first step: a node pruned at entry needs no ||A||
     tau, rho, theta = None, 1.0, 1.0
 
     def step(beta, w, d, stop_above):
@@ -476,8 +467,7 @@ def pdal_maximize(inst, node, init, prune_threshold, cfg, limit=0):
             truncate_top(k, y_new),
             DualState(beta_new, y_new, w_new, loss.conjugate(beta_new), t))
 
-    return _ascend(inst, node, init, prune_threshold, cfg, step, first_stop=2,
-                   limit=limit)
+    return _ascend(inst, node, init, prune_threshold, cfg, step, first_stop=2)
 
 
 def _sga_primal(inst, node, w):
@@ -490,7 +480,7 @@ def _sga_primal(inst, node, w):
     return x / (-inst.lam)
 
 
-def sga_maximize(inst, node, init, prune_threshold, cfg, limit=0):
+def sga_maximize(inst, node, init, prune_threshold, cfg):
     """Maximize D(.; node) by projected supergradient ascent.
 
     Each iteration doubles the previous step then halves it until the dual
@@ -524,24 +514,28 @@ def sga_maximize(inst, node, init, prune_threshold, cfg, limit=0):
             _sga_primal(inst, node, w_cand),
             SgaState(cand, eta_first, w_cand, loss.conjugate(cand), t))
 
-    return _ascend(inst, node, init, prune_threshold, cfg, step, first_stop=1,
-                   limit=limit)
+    return _ascend(inst, node, init, prune_threshold, cfg, step, first_stop=1)
 
 
 def subtree_solve(inst, node, warm=None, prune_threshold=np.inf, cfg=None):
     """Lower bound + feasible candidate for the subtree below node.
 
-    Picks cfg.subroutine's maximizer and its start state; the maximizer's
-    loop bounds the node, exactly when Node.leaves(limit) lists it (bfs_solve
-    bounds such a node through _Siblings, by the same rule).  warm is
-    the parent's final DualState/SgaState, the start state if _warm_start
-    takes it; limit is its dual iteration count in any case, so which nodes
-    are listed does not depend on warm starting.  prune_threshold is the
-    incumbent objective; it also scales the dual convergence test, so pass
-    it even when pruning is disabled.
+    warm is the parent's final DualState/SgaState, the start state if
+    _start_state takes it.  Its dual iteration count sets which nodes
+    Node.leaves lists whether or not warm starting is on.  A listed node
+    is bounded through _Siblings as its one child, from D at the start
+    state (_node_entry_bound); bfs_solve bounds it the same way among its
+    siblings.  Any other node is bounded by cfg.subroutine's maximizer.
+    prune_threshold is the incumbent objective; it also scales the dual
+    convergence test, so pass it even when pruning is disabled.  Raises
+    ValueError for a node of another tree than inst's (other d or k).
     """
     cfg = _solver_config(cfg)
+    _check_node(inst, node)
+    if node.lists_leaves(0 if warm is None else warm.iterations):
+        entry = _node_entry_bound(inst, node, warm, cfg)
+        return _Siblings(inst, [node.indices], [entry], warm,
+                         cfg).bound(0, prune_threshold)
     maximize = pdal_maximize if cfg.subroutine == "pdal" else sga_maximize
-    limit = 0 if warm is None else warm.iterations
-    return maximize(inst, node, _start_state(inst, warm, cfg), prune_threshold,
-                    cfg, limit)
+    return maximize(inst, node, _start_state(inst, warm, cfg),
+                    prune_threshold, cfg)

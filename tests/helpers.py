@@ -11,7 +11,8 @@ import itertools
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from l0bfs import Instance, Node, make_loss, solve_restricted
+from l0bfs import (EXACT, PRUNED, BoundResult, Instance, Node, dual_value,
+                   make_loss, solve_restricted)
 
 
 def random_instance(kind, d, k, n, seed, lam=1e-2, delta=1.0):
@@ -97,6 +98,38 @@ def subtree_min(inst, node, leaves=None):
     if leaves is None:
         leaves = leaf_values(inst)
     return min(leaves[s] for s in descendant_leaves(node))
+
+
+def listed_node_bound(inst, node, beta, threshold):
+    """Bound a node by its leaves alone, one by one, from the dual point beta.
+
+    The node is PRUNED at D(beta; node) when that exceeds threshold.
+    Otherwise each leaf T with D(beta; T) <= threshold is solved by
+    solve_restricted, and the node is EXACT at its best solved leaf (the
+    first in leaf order) when that leaf's value does not exceed threshold,
+    else PRUNED at the least of the solved values and the other leaves'
+    D(beta; T).
+    """
+    entry = dual_value(inst, node, beta)
+    if entry > threshold:
+        return BoundResult(low=entry, x=None, value=np.inf, status=PRUNED,
+                           state=None, iterations=0)
+    best, low = None, np.inf
+    for leaf in descendant_leaves(node):
+        bound = dual_value(inst, Node(leaf, node.d, node.k), beta)
+        if bound > threshold:
+            low = min(low, bound)
+            continue
+        sol = solve_restricted(inst, leaf)
+        if best is None or sol.value < best.value:
+            best = sol
+    if best is None or best.value > threshold:
+        low = low if best is None else min(low, best.value)
+        return BoundResult(low=low, x=None, value=np.inf, status=PRUNED,
+                           state=None, iterations=0)
+    value = inst.objective(best.x)
+    return BoundResult(low=value, x=best.x, value=value, status=EXACT,
+                       state=None, iterations=0)
 
 
 def random_interior_node(rng, d, k):

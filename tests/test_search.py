@@ -8,7 +8,7 @@ import pytest
 import l0bfs.restricted
 import l0bfs.search
 import l0bfs.subtree
-from helpers import leaf_values, random_instance
+from helpers import leaf_values, listed_node_bound, random_instance
 from l0bfs import (DUAL_BOUND, EXACT, PRUNED, BoundResult, ConvergenceError,
                    Node, SolverConfig, bfs_solve, exhaustive_solve,
                    solve_restricted, subtree_solve)
@@ -130,7 +130,8 @@ class TestDelta:
 
 class TestChildScreen:
     """The children bfs_solve prunes at entry without building them are the
-    ones subtree_solve would prune at entry, with the same search after."""
+    ones subtree_solve, computing its own entry bound, would prune at entry,
+    with the same search after."""
 
     CFGS = [{}, {"warm_start": False}, {"pruning": False}]
 
@@ -150,6 +151,10 @@ class TestChildScreen:
                     bounded.append(self.node(i).indices)
                 return res
 
+        class Unlisted(l0bfs.search._Siblings):  # every child: subtree_solve
+            def bound(self, i, p_min):
+                return None
+
         with monkeypatch.context() as m:
             m.setattr(l0bfs.search, "subtree_solve", counted)
             m.setattr(l0bfs.search, "_Siblings", Counted)
@@ -157,6 +162,7 @@ class TestChildScreen:
                 bounds = l0bfs.search._child_entry_bounds
                 m.setattr(l0bfs.search, "_child_entry_bounds",
                           lambda *args: np.full(len(bounds(*args)), -np.inf))
+                m.setattr(l0bfs.search, "_Siblings", Unlisted)
             return bfs_solve(inst, cfg=cfg, record_bounds=True), bounded
 
     @pytest.mark.parametrize("kind", KINDS)
@@ -170,18 +176,22 @@ class TestChildScreen:
             inst = random_instance(kind, d=d, k=k, n=12, seed=80 + seed,
                                    lam=1e-2)
             got, bounded = self.run(inst, cfg, monkeypatch, screen=True)
-            want, _ = self.run(inst, cfg, monkeypatch, screen=False)
+            want, unscreened = self.run(inst, cfg, monkeypatch, screen=False)
+            assert unscreened == [e[0] for e in want.bound_log]
             assert ((got.solver_calls, got.pruned, got.heap_peak)
                     == (want.solver_calls, want.pruned, want.heap_peak))
-            assert got.objective == want.objective
-            assert got.x.tobytes() == want.x.tobytes()
-            assert len(got.bound_log) == len(want.bound_log)
-            for a, b in zip(got.bound_log, want.bound_log):
-                assert (a[0], a[2], a[3]) == (b[0], b[2], b[3])
+            # the reference solves each listed child's leaves in a batch of
+            # its own, which can move a restricted minimum by an ulp
+            assert got.support == want.support
+            assert got.objective == pytest.approx(want.objective, rel=1e-14)
+            for a, b in zip(got.bound_log, want.bound_log, strict=True):
+                assert (a[0], a[2]) == (b[0], b[2])
                 assert a[1] == pytest.approx(b[1], rel=1e-14, abs=0.0)
+                assert a[3] == pytest.approx(b[3], rel=1e-14, abs=0.0)
             screened += got.solver_calls - len(bounded)
             if overrides:
-                # cold children and pruning off take no screen
+                # a cold child's D, at beta = 0, never exceeds the
+                # incumbent, and pruning off takes no screen
                 assert bounded == [e[0] for e in got.bound_log]
         assert (screened > 0) == (not overrides)
 
@@ -369,7 +379,8 @@ class TestExhaustiveBatches:
 
 class TestSiblingBatches:
     """bfs_solve bounds the listed children of an expansion from shared
-    leaf batches, each as subtree_solve would bound it alone at its turn."""
+    leaf batches, each as it would be bounded leaf by leaf alone at its
+    turn (listed_node_bound)."""
 
     CFGS = [{}, {"warm_start": False}, {"pruning": False}]
     SHAPES = [(8, 3), (10, 3), (10, 4)]
@@ -412,9 +423,11 @@ class TestSiblingBatches:
         statuses = []
 
         def check(siblings, i, p_min, got):
-            node = siblings.node(i)
-            want = subtree_solve(siblings.inst, node, siblings.warm, p_min,
-                                 siblings.cfg)
+            node, inst = siblings.node(i), siblings.inst
+            warm = siblings.warm if cfg.warm_start else None
+            beta = np.zeros(inst.n) if warm is None else warm.beta
+            threshold = p_min + ZERO_TOL if cfg.pruning else np.inf
+            want = listed_node_bound(inst, node, beta, threshold)
             assert got.status == want.status, node.indices
             assert (got.x is None) == (want.x is None)
             if got.x is not None:
@@ -535,8 +548,8 @@ class TestSiblingBatches:
             iterations=cfg.max_dual_iters)
         children = [(j,) for j in range(inst.d - inst.k + 1)]
         entry = l0bfs.search._child_entry_bounds(inst, root, warm, cfg)
-        want = [subtree_solve(inst, Node(c, inst.d, inst.k), warm, p0, cfg)
-                for c in children]
+        want = [listed_node_bound(inst, Node(c, inst.d, inst.k), warm.beta,
+                                  np.inf) for c in children]
         monkeypatch.setattr(l0bfs.subtree, "_BATCH_ROWS", rows)
         expansions = self.spied(monkeypatch)
         siblings = l0bfs.search._Siblings(inst, children, entry, warm, cfg)

@@ -394,6 +394,22 @@ class TestPdalWarmStart:
 
 
 class TestSubtreeSolveDispatch:
+    @pytest.mark.parametrize("indices", [(1,), ()])
+    def test_node_of_another_tree_rejected(self, indices):
+        # (1,) is listed, () ascends; read against a d = 6 tail, either
+        # would bound the d = 8 subtree from too few supports
+        inst = random_instance("quadratic", d=8, k=2, n=12, seed=2, lam=1e-2)
+        node = Node(indices, 6, 2)
+        with pytest.raises(ValueError, match="d=6"):
+            subtree_solve(inst, node)
+        for maximize, root_state in ((pdal_maximize, pdal_root_state),
+                                     (sga_maximize, sga_root_state)):
+            with pytest.raises(ValueError, match="d=6"):
+                maximize(inst, node, root_state(inst), np.inf, SolverConfig())
+        other_k = Node(indices, 8, 3)
+        with pytest.raises(ValueError, match="k=3"):
+            subtree_solve(inst, other_k)
+
     def test_warm_state_type_mismatch_falls_back_to_cold(self):
         inst = small_instance("quadratic", 21)
         node = root_node(inst.d, inst.k)
@@ -513,35 +529,6 @@ class TestSharedParentState:
                             cfg=SolverConfig(subroutine=subroutine))
         assert res.status == PRUNED and res.low == d
         assert calls == {"penalty": 1, "leaves": 0}
-
-    @pytest.mark.parametrize("kind", KINDS)
-    @pytest.mark.parametrize("subroutine", ["pdal", "sga"])
-    @pytest.mark.parametrize("pruning", [True, False])
-    def test_maximizer_on_a_listed_node_is_subtree_solve(
-            self, subroutine, kind, pruning):
-        inst, root, state = self.parent_state(kind, subroutine)
-        cfg = SolverConfig(subroutine=subroutine, pruning=pruning)
-        maximize = pdal_maximize if subroutine == "pdal" else sga_maximize
-        p0 = inst.objective(np.zeros(inst.d))
-        statuses = set()
-        for indices in [(1, 3), (5,)]:   # a last-level and a whole-tail node
-            node = Node(indices, inst.d, inst.k)
-            assert node.leaves() is not None
-            d = dual_value(inst, node, state.beta)
-            for threshold in (np.inf, p0, d - 1e-3):
-                want = subtree_solve(inst, node, warm=state,
-                                     prune_threshold=threshold, cfg=cfg)
-                got = maximize(inst, node, state, threshold, cfg)
-                assert (got.status, got.iterations, got.state) == \
-                    (want.status, want.iterations, None)
-                assert float(got.low).hex() == float(want.low).hex()
-                assert float(got.value).hex() == float(want.value).hex()
-                if want.x is None:
-                    assert got.x is None
-                else:
-                    assert got.x.tobytes() == want.x.tobytes()
-                statuses.add(got.status)
-        assert statuses == ({EXACT, PRUNED} if pruning else {EXACT})
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("subroutine", ["pdal", "sga"])
@@ -716,19 +703,28 @@ class TestChildEntryBounds:
     @pytest.mark.parametrize("subroutine", ["pdal", "sga"])
     def test_no_screen_where_children_do_not_start_from_the_state(
             self, subroutine):
+        # children that start cold, from a state without w or with pruning
+        # off get D at the state they do start from, not a placeholder
         inst = self.instances("huber")[0]
         state = self.states(inst, subroutine, np.random.default_rng(0))[0]
         other = "sga" if subroutine == "pdal" else "pdal"
         hand_built = (DualState(state.beta, np.zeros(inst.d))
                       if subroutine == "pdal" else SgaState(state.beta, 1.0))
-        cases = [(None, {}), (state, {"warm_start": False}),
-                 (state, {"pruning": False}), (hand_built, {}),
-                 (state, {"subroutine": other})]
+        cold = np.zeros(inst.n)
+        cases = [(None, {}, cold), (state, {"warm_start": False}, cold),
+                 (state, {"subroutine": other}, cold),
+                 (state, {"pruning": False}, state.beta),
+                 (hand_built, {}, state.beta)]
         node = Node((1,), inst.d, inst.k)
-        for warm, overrides in cases:
+        for warm, overrides, beta in cases:
             cfg = SolverConfig(**{"subroutine": subroutine, **overrides})
             got = l0bfs.subtree._child_entry_bounds(inst, node, warm, cfg)
-            assert got.tolist() == [-np.inf] * len(node.children())
-        screened = l0bfs.subtree._child_entry_bounds(
-            inst, node, state, SolverConfig(subroutine=subroutine))
-        assert np.isfinite(screened).all()
+            want = [dual_value(inst, child, beta) for child in node.children()]
+            conj = inst.loss.conjugate(beta)
+            scale = max(abs(conj), *(abs(conj + d) for d in want))
+            assert np.isfinite(got).all()
+            np.testing.assert_allclose(got, want, rtol=0.0,
+                                       atol=1e-15 * scale)
+        assert (l0bfs.subtree._child_entry_bounds(inst, node, None,
+                                                  SolverConfig()).tolist()
+                == [-inst.loss.conjugate(cold)] * len(node.children()))

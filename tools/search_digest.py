@@ -6,8 +6,12 @@ in all.  For each (workload, subroutine) pair it prints the calls, the
 prunes and three SHA-256 digests of its searches; the last line is one
 SHA-256 over all 102.  Before that last line, one line does the same for
 exhaustive_solve on the 13 seed-0 enum instances: their calls and one
-SHA-256 over each objective, x and calls.  It stays out of the last line,
-which covers the bfs searches alone.
+SHA-256 over each objective, x and calls.  One more line covers the
+ablations, which the default searches never run: the seed-0 hard and
+logistic searches with pdal and sga, each under warm_start=False and under
+pruning=False, with their calls and one SHA-256 over each objective, x and
+bound_log entry.  Both lines stay out of the last line, which covers the
+default bfs searches alone.
 
   * sha256 hashes the objectives, x, calls, prunes, heap peaks and
     bound_log entries.  Two checkouts that print the same digest on a line
@@ -47,6 +51,8 @@ from workloads import build_cases  # noqa: E402
 
 WORKLOADS = ("planted", "hard", "logistic")
 SUBROUTINES = ("pdal", "sga")
+ABLATION_WORKLOADS = ("hard", "logistic")
+ABLATIONS = ({"warm_start": False}, {"pruning": False})
 
 
 def _update(digest, report, decisions=False):
@@ -80,6 +86,26 @@ def _enum_line():
     return f"enum     exh  calls {calls:5d}  sha256 {digest.hexdigest()}"
 
 
+def _ablation_line():
+    """Calls and one SHA-256 over the seed-0 ablation searches."""
+    calls, digest = 0, hashlib.sha256()
+    for workload in ABLATION_WORKLOADS:
+        cases, _ = build_cases(workload, 0)
+        for subroutine in SUBROUTINES:
+            for ablation in ABLATIONS:
+                cfg = SolverConfig(subroutine=subroutine, **ablation)
+                for case in cases:
+                    report = bfs_solve(case.instance(), cfg=cfg,
+                                       record_bounds=True)
+                    calls += report.solver_calls
+                    digest.update(float(report.objective).hex().encode())
+                    digest.update(report.x.tobytes())
+                    for indices, low, status, value in report.bound_log:
+                        digest.update(f"{indices}|{float(low).hex()}|{status}|"
+                                      f"{float(value).hex()}".encode())
+    return f"ablation bfs  calls {calls:5d}  sha256 {digest.hexdigest()}"
+
+
 def main():
     digest = hashlib.sha256()
     for workload in WORKLOADS:
@@ -100,6 +126,7 @@ def main():
                   f"pruned {pruned:5d}  sha256 {pair.hexdigest()}  "
                   f"decisions {decided.hexdigest()}  shape {shape.hexdigest()}")
     print(_enum_line())
+    print(_ablation_line())
     print(f"sha256 {digest.hexdigest()}")
 
 
