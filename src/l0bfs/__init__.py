@@ -5,9 +5,8 @@ for quadratic, huber and logistic losses, with a certified optimality gap.
 """
 
 from .baselines import htp, iht, omp
-from .instances import (GeneratedInstance, GenSpec, default_n, gen_huber,
-                        gen_logistic, gen_quadratic, generate, load_instance,
-                        pssr, save_instance)
+from .instances import (GeneratedInstance, GenSpec, default_n, generate,
+                        load_instance, pssr, save_instance)
 from .linalg import spectral_norm, top_norm, truncate_top
 from .losses import HuberLoss, LogisticLoss, Loss, QuadraticLoss, make_loss
 from .restricted import (ConvergenceError, Instance, RestrictedSolution,
@@ -28,9 +27,8 @@ __all__ = [
     "GenSpec", "GeneratedInstance", "HuberLoss", "Instance", "LogisticLoss",
     "Loss", "Node", "QuadraticLoss", "RestrictedSolution", "SgaState",
     "SolveReport", "SolverConfig", "bfs_solve", "default_n", "dual_value",
-    "exhaustive_solve", "gen_huber", "gen_logistic", "gen_quadratic",
-    "generate", "htp", "iht", "is_node", "load_instance", "make_loss", "omp",
-    "pdal_maximize", "pdal_root_state", "prox_topk_sq",
+    "exhaustive_solve", "generate", "htp", "iht", "is_node", "load_instance",
+    "make_loss", "omp", "pdal_maximize", "pdal_root_state", "prox_topk_sq",
     "prox_topk_sq_conjugate", "pssr", "root_node", "save_instance",
     "sga_maximize", "sga_root_state", "solve_restricted",
     "solve_restricted_batch", "spectral_norm",

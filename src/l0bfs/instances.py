@@ -26,9 +26,8 @@ from .losses import make_loss
 from .restricted import Instance, _integer, _real
 
 __all__ = [
-    "GenSpec", "GeneratedInstance", "generate", "gen_huber", "gen_logistic",
-    "gen_quadratic", "default_n", "pssr", "save_instance", "load_instance",
-    "FAMILIES",
+    "GenSpec", "GeneratedInstance", "generate", "default_n", "pssr",
+    "save_instance", "load_instance", "FAMILIES",
 ]
 
 FAMILIES = ("huber", "logistic", "quadratic")
@@ -109,7 +108,8 @@ def _correlated_rows(rng, n, dim, corr):
 def _normalize_columns(A):
     norms = np.linalg.norm(A, axis=0)
     if np.any(norms == 0):
-        raise ValueError("zero column in generated design")
+        raise ValueError(f"column {int(np.argmin(norms))} of the design is "
+                         f"zero and cannot be normalized")
     return A / norms
 
 
@@ -132,7 +132,7 @@ def _huber_design(spec, rng):
     n_out = n // 10
     if n_out == 0:
         warnings.warn(f"n={n} too small for outliers, generating none",
-                      stacklevel=3)
+                      stacklevel=4)
         rows = ()
     else:
         picked = rng.choice(n, size=n_out, replace=False)
@@ -149,29 +149,20 @@ def _finish(spec, support, A, b, x_true, **extras):
 
 
 def _gen_regression(spec):
+    """The huber and quadratic families: one (A, b) draw, either loss."""
     rng = np.random.default_rng(spec.seed)
     support, A, b, x_true, x_noise, rows = _huber_design(spec, rng)
     return _finish(spec, support, A, b, x_true,
                    x_noise=x_noise, outlier_rows=rows)
 
 
-def gen_huber(spec):
-    return _gen_regression(spec.resolved())
-
-
-def gen_quadratic(spec):
-    """Same (A, b) draw as the huber family, squared loss instead."""
-    return _gen_regression(spec.resolved())
-
-
-def gen_logistic(spec):
+def _gen_logistic(spec):
     """Classification with a decoy-correlated block.
 
     Draw order: support, confuser set (ceil(k/2) true coordinates then
     floor(k/2) off-support ones), confuser design block, remaining block,
     label coin flips.
     """
-    spec = spec.resolved()
     d, k, n = spec.d, spec.k, spec.n
     n_in = (k + 1) // 2
     n_out = k - n_in
@@ -196,12 +187,12 @@ def gen_logistic(spec):
                    confusers=tuple(int(i) for i in hat))
 
 
-_GENERATORS = {"huber": gen_huber, "logistic": gen_logistic,
-               "quadratic": gen_quadratic}
-
-
 def generate(spec):
-    return _GENERATORS[spec.family](spec)
+    """The instance of spec.family drawn from spec.seed."""
+    spec = spec.resolved()
+    if spec.family == "logistic":
+        return _gen_logistic(spec)
+    return _gen_regression(spec)
 
 
 def pssr(found_supports, true_supports):

@@ -5,22 +5,17 @@ bounds.  Popping the smallest bound and checking the node's own candidate
 against it gives a certificate: if P(candidate) <= bound + delta, no
 unexplored subtree can beat the candidate by more than delta, so the
 candidate is returned (delta = 0 gives the exact minimum up to numeric
-tolerance).  Otherwise the node's children are bounded and pushed, or
-pruned once a bound exceeds the incumbent objective.  The root is bounded
-by the same loop, as the one child of the start, cold and against the
-incumbent P(0); only it can leave the heap empty.  All children share
-the parent's final dual state, and each first takes one entry test, D at
-the state it starts from, before any restricted solve or dual ascent of
-its own.  One pass gives all their entry bounds (_child_entry_bounds),
-and under pruning a child that fails its test is pruned without its Node
-being built.  A node with few leaves (always a last-level node, one index
-short of a leaf; see subtree.py for the count) is bounded exactly, so it
-certifies when popped and no leaf node is ever created.  The listed
-children of one expansion are bounded by _Siblings, as subtree_solve
-bounds one listed node, from shared batches of their surviving leaves:
-the first to take its turn solves its own and its following listed
-siblings' survivors together, and each is decided at its own turn,
-against the incumbent then.  Every other child ascends in subtree_solve.
+tolerance).  Otherwise the node is expanded: subtree._Siblings lists its
+children, gives them their entry tests and bounds the listed ones, and
+every child that passes its test unlisted ascends in subtree_solve.  The
+search itself keeps only the heap, the counters, the bound log and the
+certificate: it pushes each child not pruned, and the incumbent objective
+falls to the best candidate yet.  The root is bounded by the same loop,
+as an expansion of the root alone, cold and against the incumbent P(0);
+only it can leave the heap empty.  A node with few leaves (always a
+last-level node, one index short of a leaf; see subtree.py for the count)
+is bounded exactly, so it certifies when popped and no leaf node is ever
+created.
 
 exhaustive_solve is the independent reference: it lists every size-k
 support with itertools.combinations, not through the tree's Node.leaves,
@@ -38,9 +33,8 @@ import numpy as np
 
 from .restricted import _real, solve_restricted_batch
 from .state_space import root_node
-from .subtree import (PRUNED, ZERO_TOL, _batch_size, _child_entry_bounds,
-                      _node_entry_bound, _Siblings, _solver_config,
-                      subtree_solve)
+from .subtree import (PRUNED, ZERO_TOL, _batch_size, _Siblings,
+                      _solver_config, subtree_solve)
 
 __all__ = ["SolveReport", "bfs_solve", "exhaustive_solve"]
 
@@ -80,31 +74,25 @@ def bfs_solve(inst, delta=0.0, cfg=None, record_bounds=False):
     # a sound prune threshold, since every bound sits below the optimum
     p_min = inst.objective(np.zeros(inst.d))
 
-    # the children to bound, with their entry bounds: first the root, cold
-    children, warm = [()], None
-    entry = [_node_entry_bound(inst, root_node(inst.d, inst.k), warm, cfg)]
+    # the first expansion: the root alone, cold
+    expansion = _Siblings.lone(inst, root_node(inst.d, inst.k), None, cfg)
     heap, calls, seq, heap_peak, pruned_count = [], 0, 0, 0, 0
     while True:
-        siblings = _Siblings(inst, children, entry, warm, cfg)
-        for i, (indices, d_entry) in enumerate(zip(children, entry)):
+        for i, indices in enumerate(expansion.children):
             calls += 1
-            if cfg.pruning and d_entry > p_min + ZERO_TOL:  # pruned at entry
-                low, status, value = float(d_entry), PRUNED, np.inf
-            else:
-                child = siblings.node(i)
-                child_res = siblings.bound(i, p_min)
-                if child_res is None:   # not listed: an ascent bounds it
-                    child_res = subtree_solve(inst, child, warm, p_min, cfg)
-                low, status, value = child_res.low, child_res.status, child_res.value
+            res = expansion.bound(i, p_min)
+            if res is None:   # not listed: an ascent bounds it
+                res = subtree_solve(inst, expansion.node(i), expansion.warm,
+                                    p_min, cfg)
             if record_bounds:
-                log.append((indices, low, status, value))
-            if status == PRUNED:
+                log.append((indices, res.low, res.status, res.value))
+            if res.status == PRUNED:
                 pruned_count += 1
                 continue
-            heapq.heappush(heap, (low, seq, child, child_res))
+            heapq.heappush(heap, (res.low, seq, expansion.node(i), res))
             seq += 1
             heap_peak = max(heap_peak, len(heap))
-            p_min = min(p_min, value)
+            p_min = min(p_min, res.value)
         if not heap:
             if calls > 1:
                 raise AssertionError("heap exhausted before termination;"
@@ -117,8 +105,7 @@ def bfs_solve(inst, delta=0.0, cfg=None, record_bounds=False):
         if res.value <= low + delta + ZERO_TOL:
             x, objective = res.x, res.value
             break
-        warm, entry = res.state, _child_entry_bounds(inst, node, res.state, cfg)
-        children = [node.indices + (j,) for j in range(node.cut, node.cut + len(entry))]
+        expansion = _Siblings(inst, node, res.state, cfg)
     return SolveReport(x=x, objective=objective, solver_calls=calls,
                        pruned=pruned_count, heap_peak=heap_peak,
                        wall_time=time.perf_counter() - t0, delta=delta,

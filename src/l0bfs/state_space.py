@@ -72,19 +72,21 @@ class Node:
     def tail_size(self):
         return self.d - self.cut
 
-    def children(self):
-        """Valid one-index extensions, in increasing order of the new index.
+    def child_range(self):
+        """The tree's child rule: the new index j of each child S + {j}, in
+        increasing order; empty at a leaf.
 
         Adding j leaves d - j - 1 indices open, so j can run only up to
         d - k + |S|; larger j could never be completed to a size-k leaf.
         """
-        s = self.size
-        if s == self.k:
-            return []
-        return [
-            Node(self.indices + (j,), self.d, self.k)
-            for j in range(self.cut, self.d - self.k + s + 1)
-        ]
+        if self.size == self.k:
+            return range(0)
+        return range(self.cut, self.d - self.k + self.size + 1)
+
+    def children(self):
+        """Valid one-index extensions, in the order of child_range."""
+        return [Node(self.indices + (j,), self.d, self.k)
+                for j in self.child_range()]
 
     def lists_leaves(self, limit=0):
         """True iff the node has at most max(|tail|, limit, 1) leaves, so

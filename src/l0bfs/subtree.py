@@ -12,10 +12,11 @@ applied to L, then minimizing the linearized objective over supports
 reachable below S).  Each node first takes one entry test: D at the state
 it starts from (_start_state), from that state's w = A^T beta and
 conj = L*(beta).  All children of a node share that state (its arrays are
-read-only), and the search computes their entry bounds in one pass
-(_child_entry_bounds); the root and a direct subtree_solve call take their
-node's own (_node_entry_bound).  D never exceeds the subtree minimum, so
-no winner is pruned.
+read-only).  The expansion of a node (_Siblings) resolves their start
+point once, lists them by Node.child_range and computes their entry bounds
+in one pass (_child_entry_bounds); the root and a direct subtree_solve
+call's listed node are expansions of one node, which take that node's
+own.  D never exceeds the subtree minimum, so no winner is pruned.
 
 A node with at most max(|tail|, t) leaves, where t is the number of dual
 iterations its parent's ascent took (0 at the root), is bounded exactly:
@@ -23,11 +24,11 @@ its subtree minimum is the least restricted minimum over its leaves.  The
 parent's count stands in for the cost of the node's own ascent, and a leaf
 in a batch costs less than one dual iteration; the rule reads no clock, so
 the search stays deterministic.  The last level k - |S| = 1 is always
-listed.  Every listed node is bounded by _Siblings: the search hands it
-the listed children of an expansion, subtree_solve its one node.  A
-listed node that passes its entry test screens each leaf T by D with the
-top-k term exact on T, and its surviving leaves are solved in batches of
-at most _BATCH_ROWS * d rows, shared with its siblings'.  It is EXACT,
+listed.  Every listed node is bounded by an expansion: the search's of its
+parent, or subtree_solve's of the node alone.  A listed node that passes
+its entry test screens each leaf T by D with the top-k term exact on T,
+and its surviving leaves are solved in batches of at most
+_BATCH_ROWS * d rows, shared with its siblings'.  It is EXACT,
 with its best leaf as candidate and bound, when that leaf does not exceed
 the incumbent, and so certifies when popped: the search never creates a
 leaf.  Otherwise it is PRUNED, bounded by the least of its solved minima
@@ -207,21 +208,13 @@ def _entry_bound(inst, node, w, conj):
     return -conj - _penalty(w, node) / (2.0 * inst.lam)
 
 
-def _node_entry_bound(inst, node, warm, cfg):
-    """D at the state node starts from (_start_state): its entry bound."""
-    return _entry_bound(inst, node,
-                        *_start_point(inst, _start_state(inst, warm, cfg)))
-
-
-def _child_entry_bounds(inst, node, warm, cfg):
+def _child_entry_bounds(inst, node, w, conj):
     """D_j = -conj - (||w_S||^2 + w_j^2 + ||w_{>j}||_{k-s-1,2}^2) / (2 lam),
-    the entry bound of each child S + {j} in order, at the w and conj of
-    the state the children start from (_start_state)."""
-    rem = node.k - node.size - 1
-    count = node.tail_size - rem
-    w, conj = _start_point(inst, _start_state(inst, warm, cfg))
+    the entry bound of each child S + {j} of node in the order of
+    node.child_range, from w = A^T beta and conj = L*(beta)."""
+    count = len(node.child_range())
     ws, sq = w[node.support_array], w[node.cut:] ** 2
-    # top-rem sums of sq[j+1:], one min-heap scan from the right (no d x d mask)
+    # top-(k-s-1) sums of sq[j+1:], one min-heap scan from the right (no mask)
     top, tops = sorted(sq[count:].tolist()), []   # a sorted list is a heap
     for v in reversed(sq[:count].tolist()):
         tops.append(sum(top))
@@ -285,24 +278,47 @@ def _leaf_bound(inst, pieces, rest, stop_above):
 
 
 class _Siblings:
-    """Nodes that share one parent state warm, as index tuples with their
-    entry bounds at the state they start from: the children of an
-    expansion, listed as bfs_solve lists them, or subtree_solve's one node.
+    """An expansion: the children of one node, which all start from the
+    state the node ended at, as index tuples (Node.child_range) with their
+    entry bounds at that start point (_child_entry_bounds).  lone() gives a
+    node alone instead, as the one child of the state it starts from: the
+    search's root and subtree_solve's listed node.
 
-    bound(i, p_min) returns None for a child that Node.leaves does not list;
-    any other child it bounds at incumbent p_min by its entry bound, then
-    by its leaves, solved in shared batches.  The first listed child whose
-    leaves are not solved yet solves, in one batch, its surviving leaves
-    and those of the following listed siblings that pass their entry tests
-    at p_min, while they fit in _batch_size rows; a child with more
+    bound(i, p_min) decides child i at incumbent p_min.  It takes the entry
+    test first, and a child that fails it is PRUNED without its Node being
+    built.  It returns None for a child that passes and that Node.leaves
+    does not list: that child ascends in subtree_solve.  A listed child it
+    bounds by its leaves, solved in shared batches.  The first listed child
+    whose leaves are not solved yet solves, in one batch, its surviving
+    leaves and those of the following listed siblings that pass their entry
+    tests at p_min, while they fit in _batch_size rows; a child with more
     survivors is solved alone in batches of that size.  Each sibling is
     still decided at its own turn by _leaf_bound: the incumbent only falls,
     so every leaf that survives its screen then was solved.
     """
 
-    def __init__(self, inst, children, entry, warm, cfg):
-        self.inst, self.children, self.entry, self.cfg = inst, children, entry, cfg
-        self.warm, self.limit = warm, 0 if warm is None else warm.iterations
+    def __init__(self, inst, node, state, cfg):
+        """The children of node, which ended its bound at state."""
+        self._start(inst, state, cfg)
+        self.children = [node.indices + (j,) for j in node.child_range()]
+        self.entry = _child_entry_bounds(inst, node, self.w, self.conj)
+
+    @classmethod
+    def lone(cls, inst, node, warm, cfg):
+        """node alone, from warm, its parent's final state (None at the
+        root)."""
+        self = cls.__new__(cls)
+        self._start(inst, warm, cfg)
+        self.children = [node.indices]
+        self.nodes[0] = node
+        self.entry = [_entry_bound(inst, node, self.w, self.conj)]
+        return self
+
+    def _start(self, inst, warm, cfg):
+        """Resolve the children's start state from warm, and its (w, conj),
+        once for all of them."""
+        self.inst, self.warm, self.cfg = inst, warm, cfg
+        self.limit = 0 if warm is None else warm.iterations
         self.w, self.conj = _start_point(inst, _start_state(inst, warm, cfg))
         self.nodes, self.solved = {}, {}
 
@@ -313,12 +329,12 @@ class _Siblings:
         return self.nodes[i]
 
     def bound(self, i, p_min):
-        if not self.node(i).lists_leaves(self.limit):
-            return None
         stop_above = p_min + ZERO_TOL if self.cfg.pruning else np.inf
         if self.entry[i] > stop_above:
             return BoundResult(low=float(self.entry[i]), x=None, value=np.inf,
                                status=PRUNED, state=None, iterations=0)
+        if not self.node(i).lists_leaves(self.limit):
+            return None
         if i not in self.solved:
             self._solve(i, stop_above)
         pieces, rest = self.solved.pop(i)
@@ -523,9 +539,9 @@ def subtree_solve(inst, node, warm=None, prune_threshold=np.inf, cfg=None):
     warm is the parent's final DualState/SgaState, the start state if
     _start_state takes it.  Its dual iteration count sets which nodes
     Node.leaves lists whether or not warm starting is on.  A listed node
-    is bounded through _Siblings as its one child, from D at the start
-    state (_node_entry_bound); bfs_solve bounds it the same way among its
-    siblings.  Any other node is bounded by cfg.subroutine's maximizer.
+    is bounded as an expansion of itself alone (_Siblings.lone), from D at
+    the start state; bfs_solve bounds it the same way in its parent's
+    expansion.  Any other node is bounded by cfg.subroutine's maximizer.
     prune_threshold is the incumbent objective; it also scales the dual
     convergence test, so pass it even when pruning is disabled.  Raises
     ValueError for a node of another tree than inst's (other d or k).
@@ -533,9 +549,7 @@ def subtree_solve(inst, node, warm=None, prune_threshold=np.inf, cfg=None):
     cfg = _solver_config(cfg)
     _check_node(inst, node)
     if node.lists_leaves(0 if warm is None else warm.iterations):
-        entry = _node_entry_bound(inst, node, warm, cfg)
-        return _Siblings(inst, [node.indices], [entry], warm,
-                         cfg).bound(0, prune_threshold)
+        return _Siblings.lone(inst, node, warm, cfg).bound(0, prune_threshold)
     maximize = pdal_maximize if cfg.subroutine == "pdal" else sga_maximize
     return maximize(inst, node, _start_state(inst, warm, cfg),
                     prune_threshold, cfg)

@@ -129,9 +129,9 @@ class TestDelta:
 
 
 class TestChildScreen:
-    """The children bfs_solve prunes at entry without building them are the
-    ones subtree_solve, computing its own entry bound, would prune at entry,
-    with the same search after."""
+    """The children an expansion prunes at entry without building them are
+    the ones subtree_solve, computing its own entry bound, would prune at
+    entry, with the same search after."""
 
     CFGS = [{}, {"warm_start": False}, {"pruning": False}]
 
@@ -147,7 +147,9 @@ class TestChildScreen:
         class Counted(l0bfs.search._Siblings):  # listed children, from a batch
             def bound(self, i, p_min):
                 res = super().bound(i, p_min)
-                if res is not None:
+                screened = (self.cfg.pruning
+                            and self.entry[i] > p_min + ZERO_TOL)
+                if res is not None and not screened:
                     bounded.append(self.node(i).indices)
                 return res
 
@@ -158,10 +160,7 @@ class TestChildScreen:
         with monkeypatch.context() as m:
             m.setattr(l0bfs.search, "subtree_solve", counted)
             m.setattr(l0bfs.search, "_Siblings", Counted)
-            if not screen:   # the screen prunes nothing
-                bounds = l0bfs.search._child_entry_bounds
-                m.setattr(l0bfs.search, "_child_entry_bounds",
-                          lambda *args: np.full(len(bounds(*args)), -np.inf))
+            if not screen:   # no screen: subtree_solve bounds every child
                 m.setattr(l0bfs.search, "_Siblings", Unlisted)
             return bfs_solve(inst, cfg=cfg, record_bounds=True), bounded
 
@@ -547,12 +546,12 @@ class TestSiblingBatches:
             subtree_solve(inst, root, None, p0, cfg).state,
             iterations=cfg.max_dual_iters)
         children = [(j,) for j in range(inst.d - inst.k + 1)]
-        entry = l0bfs.search._child_entry_bounds(inst, root, warm, cfg)
         want = [listed_node_bound(inst, Node(c, inst.d, inst.k), warm.beta,
                                   np.inf) for c in children]
         monkeypatch.setattr(l0bfs.subtree, "_BATCH_ROWS", rows)
         expansions = self.spied(monkeypatch)
-        siblings = l0bfs.search._Siblings(inst, children, entry, warm, cfg)
+        siblings = l0bfs.search._Siblings(inst, root, warm, cfg)
+        assert siblings.children == children
         got = [siblings.bound(i, p0) for i in range(len(children))]
         [sizes] = expansions
         assert max(sizes) <= rows * inst.d

@@ -639,7 +639,7 @@ class TestLastLevel:
 
 
 class TestChildEntryBounds:
-    """The search's one-pass entry bounds of a node's children equal the
+    """An expansion's one-pass entry bounds of a node's children equal the
     entry bound subtree_solve takes for each child from the same state."""
 
     @staticmethod
@@ -681,8 +681,8 @@ class TestChildEntryBounds:
         for inst in self.instances(kind):
             for state in self.states(inst, subroutine, rng):
                 for node in self.interior_nodes(inst.d, inst.k):
-                    got = l0bfs.subtree._child_entry_bounds(inst, node, state,
-                                                            cfg)
+                    got = l0bfs.subtree._child_entry_bounds(
+                        inst, node, *l0bfs.subtree._start_point(inst, state))
                     children = node.children()
                     assert len(got) == len(children)
                     for bound, child in zip(got, children):
@@ -703,8 +703,10 @@ class TestChildEntryBounds:
     @pytest.mark.parametrize("subroutine", ["pdal", "sga"])
     def test_no_screen_where_children_do_not_start_from_the_state(
             self, subroutine):
-        # children that start cold, from a state without w or with pruning
-        # off get D at the state they do start from, not a placeholder
+        # an expansion whose children start cold, from a state without w or
+        # with pruning off gives D at the state they do start from, not a
+        # placeholder; _child_entry_bounds takes the hand-built state's
+        # start point as well
         inst = self.instances("huber")[0]
         state = self.states(inst, subroutine, np.random.default_rng(0))[0]
         other = "sga" if subroutine == "pdal" else "pdal"
@@ -716,15 +718,31 @@ class TestChildEntryBounds:
                  (state, {"pruning": False}, state.beta),
                  (hand_built, {}, state.beta)]
         node = Node((1,), inst.d, inst.k)
+        direct = l0bfs.subtree._child_entry_bounds(
+            inst, node, *l0bfs.subtree._start_point(inst, hand_built))
         for warm, overrides, beta in cases:
             cfg = SolverConfig(**{"subroutine": subroutine, **overrides})
-            got = l0bfs.subtree._child_entry_bounds(inst, node, warm, cfg)
+            got = l0bfs.subtree._Siblings(inst, node, warm, cfg).entry
             want = [dual_value(inst, child, beta) for child in node.children()]
             conj = inst.loss.conjugate(beta)
             scale = max(abs(conj), *(abs(conj + d) for d in want))
-            assert np.isfinite(got).all()
-            np.testing.assert_allclose(got, want, rtol=0.0,
-                                       atol=1e-15 * scale)
-        assert (l0bfs.subtree._child_entry_bounds(inst, node, None,
-                                                  SolverConfig()).tolist()
+            for bounds in [got] + [direct] * (warm is hand_built):
+                assert np.isfinite(bounds).all()
+                np.testing.assert_allclose(bounds, want, rtol=0.0,
+                                           atol=1e-15 * scale)
+        assert (l0bfs.subtree._Siblings(inst, node, None,
+                                        SolverConfig()).entry.tolist()
                 == [-inst.loss.conjugate(cold)] * len(node.children()))
+
+    def test_an_expansion_lists_the_children(self):
+        # every interior node of the d <= 9 trees: one entry bound per child
+        for d in range(1, 10):
+            for k in range(1, d + 1):
+                inst = random_instance("huber", d=d, k=k, n=6, seed=d,
+                                       lam=1e-2)
+                for node in self.interior_nodes(d, k):
+                    expansion = l0bfs.subtree._Siblings(inst, node, None,
+                                                        SolverConfig())
+                    assert expansion.children == [
+                        child.indices for child in node.children()]
+                    assert len(expansion.entry) == len(expansion.children)

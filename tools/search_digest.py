@@ -10,8 +10,13 @@ SHA-256 over each objective, x and calls.  One more line covers the
 ablations, which the default searches never run: the seed-0 hard and
 logistic searches with pdal and sga, each under warm_start=False and under
 pruning=False, with their calls and one SHA-256 over each objective, x and
-bound_log entry.  Both lines stay out of the last line, which covers the
-default bfs searches alone.
+bound_log entry.  A third line calls subtree_solve directly, as no search
+does, on the seed-0 hard and logistic instances with pdal and sga: on the
+root, cold, then on every child of each node it bounds by an ascent, warm
+from that node's result, all against P(0).  It gives the calls and one
+SHA-256 over each call's indices, low, status, value and iterations.  These
+three lines stay out of the last line, which covers the default bfs
+searches alone.
 
   * sha256 hashes the objectives, x, calls, prunes, heap peaks and
     bound_log entries.  Two checkouts that print the same digest on a line
@@ -46,7 +51,10 @@ os.environ.update({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
-from l0bfs import PRUNED, SolverConfig, bfs_solve, exhaustive_solve  # noqa: E402
+import numpy as np  # noqa: E402
+
+from l0bfs import (DUAL_BOUND, PRUNED, SolverConfig, bfs_solve,  # noqa: E402
+                   exhaustive_solve, root_node, subtree_solve)
 from workloads import build_cases  # noqa: E402
 
 WORKLOADS = ("planted", "hard", "logistic")
@@ -106,6 +114,30 @@ def _ablation_line():
     return f"ablation bfs  calls {calls:5d}  sha256 {digest.hexdigest()}"
 
 
+def _subtree_line():
+    """Calls and one SHA-256 over the seed-0 direct subtree_solve calls."""
+    calls, digest = 0, hashlib.sha256()
+    for workload in ABLATION_WORKLOADS:
+        cases, _ = build_cases(workload, 0)
+        for subroutine in SUBROUTINES:
+            cfg = SolverConfig(subroutine=subroutine)
+            for case in cases:
+                inst = case.instance()
+                p0 = inst.objective(np.zeros(inst.d))
+                pending = [(root_node(inst.d, inst.k), None)]
+                while pending:
+                    node, warm = pending.pop()
+                    res = subtree_solve(inst, node, warm, p0, cfg)
+                    calls += 1
+                    digest.update(f"{node.indices}|{float(res.low).hex()}|"
+                                  f"{res.status}|{float(res.value).hex()}|"
+                                  f"{res.iterations}".encode())
+                    if res.status == DUAL_BOUND:
+                        pending.extend((child, res.state)
+                                       for child in reversed(node.children()))
+    return f"subtree  dir  calls {calls:5d}  sha256 {digest.hexdigest()}"
+
+
 def main():
     digest = hashlib.sha256()
     for workload in WORKLOADS:
@@ -127,6 +159,7 @@ def main():
                   f"decisions {decided.hexdigest()}  shape {shape.hexdigest()}")
     print(_enum_line())
     print(_ablation_line())
+    print(_subtree_line())
     print(f"sha256 {digest.hexdigest()}")
 
 
