@@ -261,7 +261,11 @@ def load_instance(path):
 
     A = np.loadtxt(rel("A"), delimiter=",", ndmin=2)
     b = np.loadtxt(rel("b"), delimiter=",", ndmin=1)
-    if manifest.get("normalize_columns"):
+    normalize = manifest.get("normalize_columns", False)
+    if not isinstance(normalize, bool):
+        raise ValueError(f"manifest entry 'normalize_columns' must be a JSON "
+                         f"bool, got {normalize!r}")
+    if normalize:
         A = _normalize_columns(A)
 
     family = _required(manifest, "family")

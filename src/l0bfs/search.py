@@ -1,21 +1,21 @@
 """Best-first search for the cardinality-constrained minimum of P.
 
-bfs_solve keeps a min-heap of tree nodes keyed by their subtree lower
-bounds.  Popping the smallest bound and checking the node's own candidate
-against it gives a certificate: if P(candidate) <= bound + delta, no
-unexplored subtree can beat the candidate by more than delta, so the
-candidate is returned (delta = 0 gives the exact minimum up to numeric
-tolerance).  Otherwise the node is expanded: subtree._Siblings lists its
-children, gives them their entry tests and bounds the listed ones, and
-every child that passes its test unlisted ascends in subtree_solve.  The
-search itself keeps only the heap, the counters, the bound log and the
-certificate: it pushes each child not pruned, and the incumbent objective
-falls to the best candidate yet.  The root is bounded by the same loop,
-as an expansion of the root alone, cold and against the incumbent P(0);
-only it can leave the heap empty.  A node with few leaves (always a
-last-level node, one index short of a leaf; see subtree.py for the count)
-is bounded exactly, so it certifies when popped and no leaf node is ever
-created.
+bfs_solve keeps one incumbent, the best candidate found so far (x = 0 with
+P(0) before any), and a min-heap of the nodes still to expand, keyed by
+their subtree lower bounds.  After each expansion one test stops the
+search: when the incumbent's P is within delta of the smallest open bound,
+or no node is open, no unexplored subtree can beat the incumbent by more
+than delta, so the incumbent is returned (delta = 0 gives the exact minimum
+up to numeric tolerance).  Otherwise the node with the smallest bound is
+expanded: subtree._Siblings lists its children, gives them their entry
+tests and bounds the listed ones, and every child that passes its test
+unlisted ascends in subtree_solve.  Each candidate that beats the
+incumbent replaces it; a child with a dual bound is pushed, and a pruned
+or exactly bounded child is done.  The root is bounded by the same loop,
+as an expansion of the root alone, cold and against the incumbent P(0).
+A node with few leaves (always a last-level node, one index short of a
+leaf; see subtree.py for the count) is bounded exactly, so no leaf node is
+ever created.
 
 exhaustive_solve is the independent reference: it lists every size-k
 support with itertools.combinations, not through the tree's Node.leaves,
@@ -33,7 +33,7 @@ import numpy as np
 
 from .restricted import _real, solve_restricted_batch
 from .state_space import root_node
-from .subtree import (PRUNED, ZERO_TOL, _batch_size, _Siblings,
+from .subtree import (DUAL_BOUND, PRUNED, ZERO_TOL, _batch_size, _Siblings,
                       _solver_config, subtree_solve)
 
 __all__ = ["SolveReport", "bfs_solve", "exhaustive_solve"]
@@ -70,9 +70,10 @@ def bfs_solve(inst, delta=0.0, cfg=None, record_bounds=False):
     t0 = time.perf_counter()
     log = [] if record_bounds else None
 
-    # incumbent objective: P(0) before any bound exists gives the root call
-    # a sound prune threshold, since every bound sits below the optimum
-    p_min = inst.objective(np.zeros(inst.d))
+    # the incumbent: x = 0 before any bound exists gives the root call a
+    # sound prune threshold, since every bound sits below the optimum
+    x_inc = np.zeros(inst.d)
+    p_min = inst.objective(x_inc)
 
     # the first expansion: the root alone, cold
     expansion = _Siblings.lone(inst, root_node(inst.d, inst.k), None, cfg)
@@ -89,24 +90,19 @@ def bfs_solve(inst, delta=0.0, cfg=None, record_bounds=False):
             if res.status == PRUNED:
                 pruned_count += 1
                 continue
-            heapq.heappush(heap, (res.low, seq, expansion.node(i), res))
-            seq += 1
-            heap_peak = max(heap_peak, len(heap))
-            p_min = min(p_min, res.value)
-        if not heap:
-            if calls > 1:
-                raise AssertionError("heap exhausted before termination;"
-                                     " exact bounds should always fire")
-            # the root was pruned, only reachable through float noise:
-            # D <= F <= P(0) there
-            x, objective = np.zeros(inst.d), p_min
+            if res.value < p_min:
+                x_inc, p_min = res.x, res.value
+            if res.status == DUAL_BOUND:   # an EXACT child is done
+                heapq.heappush(heap, (res.low, seq, expansion.node(i),
+                                      res.state))
+                seq += 1
+                heap_peak = max(heap_peak, len(heap))
+        # empty: every subtree was bounded above the incumbent
+        if not heap or p_min <= heap[0][0] + delta + ZERO_TOL:
             break
-        low, _, node, res = heapq.heappop(heap)
-        if res.value <= low + delta + ZERO_TOL:
-            x, objective = res.x, res.value
-            break
-        expansion = _Siblings(inst, node, res.state, cfg)
-    return SolveReport(x=x, objective=objective, solver_calls=calls,
+        _, _, node, state = heapq.heappop(heap)
+        expansion = _Siblings(inst, node, state, cfg)
+    return SolveReport(x=x_inc, objective=p_min, solver_calls=calls,
                        pruned=pruned_count, heap_peak=heap_peak,
                        wall_time=time.perf_counter() - t0, delta=delta,
                        bound_log=log)

@@ -28,11 +28,11 @@ listed.  Every listed node is bounded by an expansion: the search's of its
 parent, or subtree_solve's of the node alone.  A listed node that passes
 its entry test screens each leaf T by D with the top-k term exact on T,
 and its surviving leaves are solved in batches of at most
-_BATCH_ROWS * d rows, shared with its siblings'.  It is EXACT,
-with its best leaf as candidate and bound, when that leaf does not exceed
-the incumbent, and so certifies when popped: the search never creates a
-leaf.  Otherwise it is PRUNED, bounded by the least of its solved minima
-and screened leaf bounds (_leaf_bound).
+_BATCH_ROWS * d rows, shared with its siblings'.  It is EXACT, with its
+best leaf as candidate and bound, when that leaf does not exceed the
+incumbent: the search takes the leaf as a candidate and never expands the
+node, so it never creates a leaf.  Otherwise it is PRUNED, bounded by the
+least of its solved minima and screened leaf bounds (_leaf_bound).
 
 Every other node ascends.  Both dual maximizers run one loop (_ascend),
 which owns the entry test, the prune test after each iteration, the
@@ -55,7 +55,7 @@ at a loose bound; for sga beta and the parent's first accepted step.
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -153,8 +153,7 @@ class SgaState(_Shared):
     iterations: int = 0
 
 
-@dataclass(frozen=True)
-class BoundResult:
+class BoundResult(NamedTuple):
     low: float                 # admissible lower bound for the subtree
     x: Optional[np.ndarray]    # feasible candidate (None when pruned early)
     value: float               # P(x), inf when pruned early
@@ -395,8 +394,10 @@ def _ascend(inst, node, init, prune_threshold, cfg, step, first_stop):
     return early once D > stop_above, since that iteration ends in a
     prune.  The returned bound is the running max D_max.  Converged, from
     iteration first_stop on, when the D improvement is epsilon-small
-    relative to the incumbent and the current D is D_max.
+    relative to the incumbent and the current D is D_max.  cfg is a
+    SolverConfig, or None for the default one.
     """
+    cfg = _solver_config(cfg)
     _check_node(inst, node)
     beta, (w, conj) = init.beta, _start_point(inst, init)
     d_max = d_prev = _entry_bound(inst, node, w, conj)

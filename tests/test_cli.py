@@ -118,7 +118,8 @@ class TestParsing:
 
     @pytest.mark.parametrize("key,value", [
         ("k", 2.5), ("k", True), ("k", "2"), ("k", None), ("lambda", "0.1"),
-        ("delta", "x")])
+        ("delta", "x"), ("normalize_columns", "false"),
+        ("normalize_columns", 1), ("normalize_columns", None)])
     def test_manifest_value_of_wrong_type_is_an_error_line(
             self, tmp_path, capsys, key, value):
         inst = gen_dir(tmp_path)
@@ -135,6 +136,8 @@ class TestParsing:
         err = capsys.readouterr().err
         assert rc == 1
         assert err.startswith("error:") and "Traceback" not in err
+        if key == "normalize_columns":
+            assert repr(key) in err
         assert not os.path.exists(tmp_path / "r.csv")
 
     @pytest.mark.parametrize("case", ["paths_string", "path_number",

@@ -260,6 +260,25 @@ class TestDiskFormat:
         np.testing.assert_array_equal(inst.loss.b, b)
         assert meta["true_support"] is None
 
+    @pytest.mark.parametrize("flag", ["false", "true", 0, 1, None])
+    def test_normalize_columns_must_be_a_bool(self, tmp_path, flag):
+        # a JSON string "false" is truthy: it must not rescale the design
+        np.savetxt(tmp_path / "A.csv", [[3.0, 0.0], [4.0, 2.0]],
+                   fmt="%.17g", delimiter=",")
+        np.savetxt(tmp_path / "b.csv", np.ones(2), fmt="%.17g", delimiter=",")
+        manifest = {"family": "external", "loss": "quadratic", "k": 1,
+                    "lambda": 0.01, "normalize_columns": flag,
+                    "paths": {"A": "A.csv", "b": "b.csv"}}
+        with open(tmp_path / "manifest.json", "w") as f:
+            json.dump(manifest, f)
+        with pytest.raises(ValueError, match="'normalize_columns'"):
+            load_instance(tmp_path)
+        manifest["normalize_columns"] = False
+        with open(tmp_path / "manifest.json", "w") as f:
+            json.dump(manifest, f)
+        inst, _ = load_instance(tmp_path)
+        np.testing.assert_array_equal(inst.A, [[3.0, 0.0], [4.0, 2.0]])
+
     def test_zero_column_of_a_loaded_design_is_named(self, tmp_path):
         A = np.ones((4, 3))
         A[:, 1] = 0.0

@@ -127,6 +127,18 @@ class TestDelta:
                 # relaxing the stopping test never expands more nodes
                 assert rep.solver_calls <= base_calls
 
+    @pytest.mark.parametrize("kind,seed", [("huber", 7), ("quadratic", 29),
+                                           ("logistic", 15)])
+    @pytest.mark.parametrize("delta", [0.0, 1e-3, 1e-2, 1e-1])
+    def test_returns_the_best_candidate_found(self, kind, seed, delta):
+        # a delta > 0 stop may come before the best candidate's subtree is
+        # popped; the search still returns that candidate, not a worse one
+        inst = random_instance(kind, d=12, k=3, n=20, seed=seed)
+        rep = bfs_solve(inst, delta=delta, record_bounds=True)
+        found = [value for _, _, status, value in rep.bound_log
+                 if status != PRUNED]
+        assert rep.objective == inst.objective(rep.x) == min(found)
+
 
 class TestChildScreen:
     """The children an expansion prunes at entry without building them are
@@ -255,8 +267,9 @@ class TestBoundLog:
 
 class TestEmptyHeap:
     """The search loop under a stubbed subtree_solve and sibling batch path:
-    only the root may leave the heap empty, and only float noise can prune
-    it (D <= F <= P(0))."""
+    an empty heap means every subtree was bounded above the incumbent, which
+    is returned (x = 0 with P(0) when even the root was pruned, which only
+    float noise can do: D <= F <= P(0))."""
 
     @staticmethod
     def stub(monkeypatch, root_result, child_result):
@@ -288,15 +301,23 @@ class TestEmptyHeap:
         assert (rep.solver_calls, rep.pruned, rep.heap_peak) == (1, 1, 0)
         assert rep.bound_log == [((), np.inf, PRUNED, np.inf)]
 
-    def test_later_empty_heap_raises(self, monkeypatch):
+    def test_later_empty_heap_returns_the_incumbent(self, monkeypatch):
+        # every child is pruned, so the heap empties after the root's
+        # expansion and the root's candidate is the incumbent returned
         inst = random_instance("huber", d=6, k=2, n=9, seed=34, lam=1e-2)
-        root = BoundResult(low=0.0, x=np.zeros(inst.d), value=1.0,
+        x_root = np.zeros(inst.d)
+        x_root[[1, 4]] = 0.5, -0.25
+        value = 0.5 * inst.objective(np.zeros(inst.d))
+        root = BoundResult(low=0.0, x=x_root, value=value,
                            status=DUAL_BOUND, state=None, iterations=1)
         pruned = BoundResult(low=np.inf, x=None, value=np.inf, status=PRUNED,
                              state=None, iterations=0)
-        self.stub(monkeypatch, root, pruned)
-        with pytest.raises(AssertionError, match="heap exhausted"):
-            bfs_solve(inst)
+        calls = self.stub(monkeypatch, root, pruned)
+        rep = bfs_solve(inst)
+        assert rep.x is x_root and rep.objective == value
+        children = [(j,) for j in range(inst.d - inst.k + 1)]
+        assert calls == [()] + children
+        assert (rep.solver_calls, rep.pruned, rep.heap_peak) == (6, 5, 1)
 
 
 class TestReportFields:

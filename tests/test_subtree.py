@@ -462,6 +462,28 @@ class TestSubtreeSolveDispatch:
         assert (res.status, res.low, res.iterations) == (
             ref.status, ref.low, ref.iterations)
 
+    @pytest.mark.parametrize("maximize,root_state",
+                             [(pdal_maximize, pdal_root_state),
+                              (sga_maximize, sga_root_state)])
+    def test_maximizers_take_none_cfg_as_the_default(self, maximize,
+                                                     root_state):
+        inst = small_instance("huber", 24)
+        node = root_node(inst.d, inst.k)
+        res = maximize(inst, node, root_state(inst), np.inf, None)
+        ref = maximize(inst, node, root_state(inst), np.inf, SolverConfig())
+        assert res.status == DUAL_BOUND
+        assert (res.low, res.value, res.iterations) == (
+            ref.low, ref.value, ref.iterations)
+
+    @pytest.mark.parametrize("maximize,root_state",
+                             [(pdal_maximize, pdal_root_state),
+                              (sga_maximize, sga_root_state)])
+    def test_maximizers_reject_a_dict_cfg(self, maximize, root_state):
+        inst = small_instance("huber", 24)
+        with pytest.raises(ValueError, match="cfg"):
+            maximize(inst, root_node(inst.d, inst.k), root_state(inst),
+                     np.inf, {"pruning": False})
+
 
 class TestSharedParentState:
     """Children read the entry bound off their parent's shared state."""

@@ -14,8 +14,11 @@ bound_log entry.  A third line calls subtree_solve directly, as no search
 does, on the seed-0 hard and logistic instances with pdal and sga: on the
 root, cold, then on every child of each node it bounds by an ascent, warm
 from that node's result, all against P(0).  It gives the calls and one
-SHA-256 over each call's indices, low, status, value and iterations.  These
-three lines stay out of the last line, which covers the default bfs
+SHA-256 over each call's indices, low, status, value and iterations.  A
+fourth line covers delta > 0, which the other lines never set: the seed-0
+hard and logistic searches with pdal at delta 1e-3 and 1e-2, with their
+calls and one SHA-256 over each objective, x and bound_log entry.  These
+four lines stay out of the last line, which covers the default bfs
 searches alone.
 
   * sha256 hashes the objectives, x, calls, prunes, heap peaks and
@@ -61,6 +64,7 @@ WORKLOADS = ("planted", "hard", "logistic")
 SUBROUTINES = ("pdal", "sga")
 ABLATION_WORKLOADS = ("hard", "logistic")
 ABLATIONS = ({"warm_start": False}, {"pruning": False})
+DELTAS = (1e-3, 1e-2)
 
 
 def _update(digest, report, decisions=False):
@@ -94,24 +98,36 @@ def _enum_line():
     return f"enum     exh  calls {calls:5d}  sha256 {digest.hexdigest()}"
 
 
-def _ablation_line():
-    """Calls and one SHA-256 over the seed-0 ablation searches."""
+def _searches_line(name, runs):
+    """Calls and one SHA-256 over the seed-0 hard and logistic searches run
+    with each (cfg, delta) pair of runs."""
     calls, digest = 0, hashlib.sha256()
     for workload in ABLATION_WORKLOADS:
         cases, _ = build_cases(workload, 0)
-        for subroutine in SUBROUTINES:
-            for ablation in ABLATIONS:
-                cfg = SolverConfig(subroutine=subroutine, **ablation)
-                for case in cases:
-                    report = bfs_solve(case.instance(), cfg=cfg,
-                                       record_bounds=True)
-                    calls += report.solver_calls
-                    digest.update(float(report.objective).hex().encode())
-                    digest.update(report.x.tobytes())
-                    for indices, low, status, value in report.bound_log:
-                        digest.update(f"{indices}|{float(low).hex()}|{status}|"
-                                      f"{float(value).hex()}".encode())
-    return f"ablation bfs  calls {calls:5d}  sha256 {digest.hexdigest()}"
+        for cfg, delta in runs:
+            for case in cases:
+                report = bfs_solve(case.instance(), delta=delta, cfg=cfg,
+                                   record_bounds=True)
+                calls += report.solver_calls
+                digest.update(float(report.objective).hex().encode())
+                digest.update(report.x.tobytes())
+                for indices, low, status, value in report.bound_log:
+                    digest.update(f"{indices}|{float(low).hex()}|{status}|"
+                                  f"{float(value).hex()}".encode())
+    return f"{name} bfs  calls {calls:5d}  sha256 {digest.hexdigest()}"
+
+
+def _ablation_line():
+    """The seed-0 ablation searches: pdal and sga under each ablation."""
+    return _searches_line("ablation", [
+        (SolverConfig(subroutine=subroutine, **ablation), 0.0)
+        for subroutine in SUBROUTINES for ablation in ABLATIONS])
+
+
+def _delta_line():
+    """The seed-0 pdal searches at each delta of DELTAS."""
+    return _searches_line("delta   ", [(SolverConfig(), delta)
+                                       for delta in DELTAS])
 
 
 def _subtree_line():
@@ -160,6 +176,7 @@ def main():
     print(_enum_line())
     print(_ablation_line())
     print(_subtree_line())
+    print(_delta_line())
     print(f"sha256 {digest.hexdigest()}")
 
 
