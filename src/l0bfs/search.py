@@ -9,10 +9,13 @@ than delta, so the incumbent is returned (delta = 0 gives the exact minimum
 up to numeric tolerance).  Otherwise the node with the smallest bound is
 expanded: subtree._Siblings lists its children, gives them their entry
 tests and bounds the listed ones, and every child that passes its test
-unlisted ascends in subtree_solve.  Each candidate that beats the
-incumbent replaces it; a child with a dual bound is pushed, and a pruned
-or exactly bounded child is done.  The root is bounded by the same loop,
-as an expansion of the root alone, cold and against the incumbent P(0).
+unlisted ascends in subtree_solve.  The point each ascent stops at
+re-screens the children after it (_Siblings.rescreen), so each entry
+test reads the best of the start point's bound and those points'.  Each
+candidate that beats the incumbent replaces it; a child with a dual bound
+is pushed, and a pruned or exactly bounded child is done.  The root is
+bounded by the same loop, as an expansion of the root alone, cold and
+against the incumbent P(0).
 A node with few leaves (always a last-level node, one index short of a
 leaf; see subtree.py for the count) is bounded exactly, so no leaf node is
 ever created.
@@ -85,6 +88,7 @@ def bfs_solve(inst, delta=0.0, cfg=None, record_bounds=False):
             if res is None:   # not listed: an ascent bounds it
                 res = subtree_solve(inst, expansion.node(i), expansion.warm,
                                     p_min, cfg)
+                expansion.rescreen(i, res.state)
             if record_bounds:
                 log.append((indices, res.low, res.status, res.value))
             if res.status == PRUNED:

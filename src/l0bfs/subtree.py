@@ -16,7 +16,12 @@ read-only).  The expansion of a node (_Siblings) resolves their start
 point once, lists them by Node.child_range and computes their entry bounds
 in one pass (_child_entry_bounds); the root and a direct subtree_solve
 call's listed node are expansions of one node, which take that node's
-own.  D never exceeds the subtree minimum, so no winner is pruned.
+own.  Every ascent hands back the dual point it stopped at, in the state
+of its result, pruned or not, and the expansion re-tests the children
+after it there (_Siblings.rescreen): each entry bound becomes the max of
+D over the start point and those points, so a child takes its entry test
+against the best bound the expansion has seen for it by its turn.  D
+never exceeds the subtree minimum, so no winner is pruned.
 
 A node with at most max(|tail|, t) leaves, where t is the number of dual
 iterations its parent's ascent took (0 at the root), is bounded exactly:
@@ -54,7 +59,7 @@ at a loose bound; for sga beta and the parent's first accepted step.
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -158,7 +163,7 @@ class BoundResult(NamedTuple):
     x: Optional[np.ndarray]    # feasible candidate (None when pruned early)
     value: float               # P(x), inf when pruned early
     status: str                # EXACT, DUAL_BOUND, or PRUNED
-    state: object              # DualState/SgaState for warm-starting children
+    state: object              # DualState/SgaState the ascent ended at
     iterations: int
 
 
@@ -207,18 +212,19 @@ def _entry_bound(inst, node, w, conj):
     return -conj - _penalty(w, node) / (2.0 * inst.lam)
 
 
-def _child_entry_bounds(inst, node, w, conj):
+def _child_entry_bounds(inst, node, w, conj, first=0):
     """D_j = -conj - (||w_S||^2 + w_j^2 + ||w_{>j}||_{k-s-1,2}^2) / (2 lam),
     the entry bound of each child S + {j} of node in the order of
-    node.child_range, from w = A^T beta and conj = L*(beta)."""
+    node.child_range, from the first-th child on, from w = A^T beta and
+    conj = L*(beta)."""
     count = len(node.child_range())
     ws, sq = w[node.support_array], w[node.cut:] ** 2
     # top-(k-s-1) sums of sq[j+1:], one min-heap scan from the right (no mask)
     top, tops = sorted(sq[count:].tolist()), []   # a sorted list is a heap
-    for v in reversed(sq[:count].tolist()):
+    for v in reversed(sq[first:count].tolist()):
         tops.append(sum(top))
         heapq.heappushpop(top, v)
-    penalty = float(ws @ ws) + sq[:count] + tops[::-1]
+    penalty = float(ws @ ws) + sq[first:count] + tops[::-1]
     return -conj - penalty / (2.0 * inst.lam)
 
 
@@ -281,10 +287,13 @@ class _Siblings:
     state the node ended at, as index tuples (Node.child_range) with their
     entry bounds at that start point (_child_entry_bounds).  lone() gives a
     node alone instead, as the one child of the state it starts from: the
-    search's root and subtree_solve's listed node.
+    search's root and subtree_solve's listed node.  rescreen(i, state)
+    raises the entry bounds of the children after i to their D at the
+    point child i's ascent stopped at, where that is higher.
 
     bound(i, p_min) decides child i at incumbent p_min.  It takes the entry
-    test first, and a child that fails it is PRUNED without its Node being
+    test first, at the entry bound as the re-screens left it, and a child
+    that fails it is PRUNED, at that bound, without its Node being
     built.  It returns None for a child that passes and that Node.leaves
     does not list: that child ascends in subtree_solve.  A listed child it
     bounds by its leaves, solved in shared batches.  The first listed child
@@ -299,6 +308,7 @@ class _Siblings:
     def __init__(self, inst, node, state, cfg):
         """The children of node, which ended its bound at state."""
         self._start(inst, state, cfg)
+        self.parent = node
         self.children = [node.indices + (j,) for j in node.child_range()]
         self.entry = _child_entry_bounds(inst, node, self.w, self.conj)
 
@@ -326,6 +336,17 @@ class _Siblings:
         if i not in self.nodes:
             self.nodes[i] = Node(self.children[i], self.inst.d, self.inst.k)
         return self.nodes[i]
+
+    def rescreen(self, i, state):
+        """Raise the entry bound of each child after i to its D at state,
+        the point child i's ascent stopped at, where that is higher.  Off
+        when pruning is, since no entry test reads the bounds then."""
+        if (i + 1 >= len(self.children) or state is None
+                or not self.cfg.pruning):
+            return
+        raised = _child_entry_bounds(self.inst, self.parent, state.w,
+                                     state.conj, i + 1)
+        np.maximum(self.entry[i + 1:], raised, out=self.entry[i + 1:])
 
     def bound(self, i, p_min):
         stop_above = p_min + ZERO_TOL if self.cfg.pruning else np.inf
@@ -394,8 +415,10 @@ def _ascend(inst, node, init, prune_threshold, cfg, step, first_stop):
     return early once D > stop_above, since that iteration ends in a
     prune.  The returned bound is the running max D_max.  Converged, from
     iteration first_stop on, when the D improvement is epsilon-small
-    relative to the incumbent and the current D is D_max.  cfg is a
-    SolverConfig, or None for the default one.
+    relative to the incumbent and the current D is D_max.  A node pruned
+    after t >= 1 iterations returns as its state init with the beta, w and
+    conj of the point it stopped at and t, for its siblings' re-screen.
+    cfg is a SolverConfig, or None for the default one.
     """
     cfg = _solver_config(cfg)
     _check_node(inst, node)
@@ -410,8 +433,11 @@ def _ascend(inst, node, init, prune_threshold, cfg, step, first_stop):
         beta, w, d_cur, finish = step(beta, w, d_prev, stop_above)
         d_max = max(d_max, d_cur)
         if d_cur > stop_above:
+            # no child starts from a pruned node: y or eta stay init's
+            state = replace(init, beta=beta, w=w,
+                            conj=inst.loss.conjugate(beta), iterations=t)
             return BoundResult(low=d_max, x=None, value=np.inf,
-                               status=PRUNED, state=None, iterations=t)
+                               status=PRUNED, state=state, iterations=t)
         if (t >= first_stop and d_cur >= d_max
                 and _converged(d_cur - d_prev, prune_threshold, cfg.epsilon)):
             break

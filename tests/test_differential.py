@@ -1,7 +1,8 @@
 """bfs_solve against enumeration on degenerate inputs.
 
-Every case runs with each loss and each dual subroutine, and the certified
-objective must equal exhaustive_solve's to 1e-10 relative.  The cases are
+Every case runs with each loss and each dual subroutine, and with pdal
+under warm_start=False, and the certified objective must equal
+exhaustive_solve's to 1e-10 relative.  The cases are
 the ones where a bound, a screen or a restricted solve is most likely to
 slip: duplicate and collinear columns (tied or singular leaves), a ridge
 weight of 1e-10 (nearly singular Hessians and a steep dual penalty),
@@ -22,6 +23,10 @@ from l0bfs import (GenSpec, Instance, SolverConfig, bfs_solve,
 KINDS = ["quadratic", "huber", "logistic"]
 CASES = ["duplicate", "collinear", "tiny_lam", "separable", "k_one", "k_equals_d",
          "zero_design", "low_sample"]
+# each dual subroutine warm, and pdal cold, where its siblings' ascent
+# points are all that prune a child at entry
+CFGS = [SolverConfig(), SolverConfig(subroutine="sga"),
+        SolverConfig(warm_start=False)]
 
 
 def case_instance(case, kind):
@@ -52,13 +57,13 @@ def case_instance(case, kind):
     return Instance(A=A, loss=inst.loss, lam=inst.lam, k=inst.k)
 
 
-@pytest.mark.parametrize("subroutine", ["pdal", "sga"])
+@pytest.mark.parametrize("cfg", CFGS, ids=["pdal", "sga", "pdal-cold"])
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("case", CASES)
-def test_bfs_matches_enumeration(case, kind, subroutine):
+def test_bfs_matches_enumeration(case, kind, cfg):
     inst = case_instance(case, kind)
     oracle = exhaustive_solve(inst)
-    rep = bfs_solve(inst, cfg=SolverConfig(subroutine=subroutine))
+    rep = bfs_solve(inst, cfg=cfg)
     assert rep.objective == pytest.approx(oracle.objective, rel=1e-10, abs=0.0)
     assert np.flatnonzero(rep.x).size <= inst.k
     assert rep.objective == inst.objective(rep.x)

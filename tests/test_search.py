@@ -8,9 +8,10 @@ import pytest
 import l0bfs.restricted
 import l0bfs.search
 import l0bfs.subtree
-from helpers import leaf_values, listed_node_bound, random_instance
+from helpers import (leaf_values, listed_node_bound, random_instance,
+                     subtree_min)
 from l0bfs import (DUAL_BOUND, EXACT, PRUNED, BoundResult, ConvergenceError,
-                   Node, SolverConfig, bfs_solve, exhaustive_solve,
+                   Node, SolverConfig, bfs_solve, dual_value, exhaustive_solve,
                    solve_restricted, subtree_solve)
 from l0bfs.subtree import ZERO_TOL
 
@@ -22,6 +23,30 @@ def assert_matches_oracle(report, oracle, rel=1e-8):
     gap = report.objective - oracle.objective
     assert gap <= rel * max(1.0, abs(oracle.objective))
     assert gap >= -1e-12  # brute force is the true minimum
+
+
+class Points(l0bfs.search._Siblings):
+    """An expansion that keeps the dual points its re-screens read."""
+
+    def _start(self, *args):
+        super()._start(*args)
+        self.points = []
+
+    def rescreen(self, i, state):
+        if state is not None:
+            self.points.append(state.beta)
+        super().rescreen(i, state)
+
+    def start_beta(self):
+        """The children's start point: the parent's beta when warm."""
+        warm = self.warm if self.cfg.warm_start else None
+        return np.zeros(self.inst.n) if warm is None else warm.beta
+
+    def screen(self, i):
+        """max D(beta; child i) over the start point and the points of the
+        re-screens so far, each by dual_value."""
+        return max(dual_value(self.inst, self.node(i), beta)
+                   for beta in [self.start_beta(), *self.points])
 
 
 class TestExhaustive:
@@ -143,26 +168,33 @@ class TestDelta:
 class TestChildScreen:
     """The children an expansion prunes at entry without building them are
     the ones subtree_solve, computing its own entry bound, would prune at
-    entry, with the same search after."""
+    entry or after its ascent, with the same search after.  A child pruned
+    at entry has the max of D over the start point and the points of its
+    siblings' ascents as its low."""
 
     CFGS = [{}, {"warm_start": False}, {"pruning": False}]
 
     @staticmethod
     def run(inst, cfg, monkeypatch, screen):
-        bounded = []
+        bounded, screens = [], []
         solve = l0bfs.search.subtree_solve
 
         def counted(inst, node, *args):
             bounded.append(node.indices)
             return solve(inst, node, *args)
 
-        class Counted(l0bfs.search._Siblings):  # listed children, from a batch
+        class Counted(Points):  # listed children, from a batch
             def bound(self, i, p_min):
                 res = super().bound(i, p_min)
                 screened = (self.cfg.pruning
                             and self.entry[i] > p_min + ZERO_TOL)
                 if res is not None and not screened:
                     bounded.append(self.node(i).indices)
+                screens.append(None)
+                if screened:   # whether the start point prunes it, max D
+                    start = dual_value(self.inst, self.node(i),
+                                       self.start_beta())
+                    screens[-1] = start > p_min + ZERO_TOL, self.screen(i)
                 return res
 
         class Unlisted(l0bfs.search._Siblings):  # every child: subtree_solve
@@ -174,7 +206,8 @@ class TestChildScreen:
             m.setattr(l0bfs.search, "_Siblings", Counted)
             if not screen:   # no screen: subtree_solve bounds every child
                 m.setattr(l0bfs.search, "_Siblings", Unlisted)
-            return bfs_solve(inst, cfg=cfg, record_bounds=True), bounded
+            report = bfs_solve(inst, cfg=cfg, record_bounds=True)
+            return report, bounded, screens
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("subroutine", ["pdal", "sga"])
@@ -182,12 +215,14 @@ class TestChildScreen:
     def test_same_search_as_without_the_screen(self, kind, subroutine,
                                                overrides, monkeypatch):
         cfg = SolverConfig(subroutine=subroutine, **overrides)
-        screened = 0
+        screened = at_start = 0
         for seed, (d, k) in enumerate([(8, 3), (10, 3), (10, 4)]):
             inst = random_instance(kind, d=d, k=k, n=12, seed=80 + seed,
                                    lam=1e-2)
-            got, bounded = self.run(inst, cfg, monkeypatch, screen=True)
-            want, unscreened = self.run(inst, cfg, monkeypatch, screen=False)
+            got, bounded, screens = self.run(inst, cfg, monkeypatch,
+                                             screen=True)
+            want, unscreened, _ = self.run(inst, cfg, monkeypatch,
+                                           screen=False)
             assert unscreened == [e[0] for e in want.bound_log]
             assert ((got.solver_calls, got.pruned, got.heap_peak)
                     == (want.solver_calls, want.pruned, want.heap_peak))
@@ -195,16 +230,114 @@ class TestChildScreen:
             # its own, which can move a restricted minimum by an ulp
             assert got.support == want.support
             assert got.objective == pytest.approx(want.objective, rel=1e-14)
-            for a, b in zip(got.bound_log, want.bound_log, strict=True):
+            for a, b, screen in zip(got.bound_log, want.bound_log, screens,
+                                    strict=True):
                 assert (a[0], a[2]) == (b[0], b[2])
-                assert a[1] == pytest.approx(b[1], rel=1e-14, abs=0.0)
+                low = b[1] if screen is None else screen[1]
+                assert a[1] == pytest.approx(low, rel=1e-14, abs=0.0)
                 assert a[3] == pytest.approx(b[3], rel=1e-14, abs=0.0)
-            screened += got.solver_calls - len(bounded)
-            if overrides:
-                # a cold child's D, at beta = 0, never exceeds the
-                # incumbent, and pruning off takes no screen
-                assert bounded == [e[0] for e in got.bound_log]
-        assert (screened > 0) == (not overrides)
+            screens = [screen for screen in screens if screen is not None]
+            assert len(screens) == got.solver_calls - len(bounded)
+            screened += len(screens)
+            at_start += sum(start for start, _ in screens)
+        # a cold child's D at beta = 0 never exceeds the incumbent, so only
+        # a sibling's ascent point prunes it at entry, and pruning off
+        # takes no screen
+        assert (screened > 0) == cfg.pruning
+        assert (at_start > 0) == (not overrides)
+
+
+class TestRescreen:
+    """After each ascent of an expansion's child, the children after it take
+    their entry test at the larger of their entry bound and their D at the
+    point that ascent stopped at."""
+
+    SHAPES = [(10, 4), (12, 3)]
+    CFGS = [{}, {"warm_start": False}]
+
+    @staticmethod
+    def instances(kind):
+        return [random_instance(kind, d=d, k=k, n=12, seed=100 + seed)
+                for d, k in TestRescreen.SHAPES for seed in range(3)]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("subroutine", ["pdal", "sga"])
+    def test_raises_the_later_entry_bounds(self, kind, subroutine,
+                                           monkeypatch):
+        raised = []
+
+        class Spy(l0bfs.search._Siblings):
+            def rescreen(self, i, state):
+                before = np.array(self.entry)
+                super().rescreen(i, state)
+                after = np.array(self.entry)
+                assert state is not None
+                np.testing.assert_array_equal(after[:i + 1], before[:i + 1])
+                for j in range(i + 1, len(self.children)):
+                    node = Node(self.children[j], self.inst.d, self.inst.k)
+                    want = max(before[j], dual_value(self.inst, node,
+                                                     state.beta))
+                    assert after[j] == pytest.approx(want, rel=1e-14, abs=0.0)
+                raised.append(int(np.sum(after > before)))
+
+        monkeypatch.setattr(l0bfs.search, "_Siblings", Spy)
+        cfg = SolverConfig(subroutine=subroutine)
+        for inst in self.instances(kind):
+            bfs_solve(inst, cfg=cfg)
+        assert sum(raised) > 0
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("subroutine", ["pdal", "sga"])
+    @pytest.mark.parametrize("overrides", CFGS)
+    def test_exact_with_admissible_lows(self, kind, subroutine, overrides,
+                                        monkeypatch):
+        cfg = SolverConfig(subroutine=subroutine, **overrides)
+        rescreened = 0
+
+        class Spy(Points):
+            def bound(self, i, p_min):
+                nonlocal rescreened
+                res = super().bound(i, p_min)
+                threshold = p_min + ZERO_TOL
+                start = dual_value(self.inst, self.node(i), self.start_beta())
+                rescreened += bool(self.entry[i] > threshold >= start)
+                return res
+
+        monkeypatch.setattr(l0bfs.search, "_Siblings", Spy)
+        for inst in self.instances(kind):
+            oracle = exhaustive_solve(inst)
+            rep = bfs_solve(inst, cfg=cfg, record_bounds=True)
+            assert_matches_oracle(rep, oracle)
+            assert rep.support == oracle.support
+            table = leaf_values(inst)
+            for indices, low, status, _ in rep.bound_log:
+                if status == PRUNED:
+                    node = Node(indices, inst.d, inst.k)
+                    assert low <= subtree_min(inst, node, table) + 1e-9
+        assert rescreened > 0
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("subroutine", ["pdal", "sga"])
+    def test_none_without_pruning(self, kind, subroutine, monkeypatch):
+        cfg = SolverConfig(subroutine=subroutine, pruning=False)
+        firsts, bounds = [], l0bfs.subtree._child_entry_bounds
+
+        def spy(inst, node, w, conj, first=0):
+            firsts.append(first)
+            return bounds(inst, node, w, conj, first)
+
+        monkeypatch.setattr(l0bfs.subtree, "_child_entry_bounds", spy)
+        for inst in self.instances(kind):
+            got = bfs_solve(inst, cfg=cfg, record_bounds=True)
+            with monkeypatch.context() as m:
+                m.setattr(l0bfs.search._Siblings, "rescreen",
+                          lambda self, i, state: None)
+                want = bfs_solve(inst, cfg=cfg, record_bounds=True)
+            assert got.bound_log == want.bound_log
+            assert got.objective == want.objective
+            np.testing.assert_array_equal(got.x, want.x)
+        # each expansion's own entry bounds, and no re-screen
+        assert firsts and set(firsts) == {0}
 
 
 class TestBoundLog:
@@ -415,7 +548,7 @@ class TestSiblingBatches:
         """Record the rows of every batch call, per expansion."""
         expansions, solve = [], l0bfs.subtree.solve_restricted_batch
 
-        class Spied(l0bfs.search._Siblings):
+        class Spied(Points):
             def __init__(self, *args):
                 super().__init__(*args)
                 expansions.append([])
@@ -444,18 +577,24 @@ class TestSiblingBatches:
 
         def check(siblings, i, p_min, got):
             node, inst = siblings.node(i), siblings.inst
-            warm = siblings.warm if cfg.warm_start else None
-            beta = np.zeros(inst.n) if warm is None else warm.beta
             threshold = p_min + ZERO_TOL if cfg.pruning else np.inf
-            want = listed_node_bound(inst, node, beta, threshold)
+            want = listed_node_bound(inst, node, siblings.start_beta(),
+                                     threshold)
             assert got.status == want.status, node.indices
+            statuses.append(got.status)
+            screen = siblings.screen(i)
+            if screen > threshold:
+                # pruned at entry, at the start point or a sibling's ascent
+                # point: the max of D over them is its low
+                assert got.x is None
+                assert got.low == pytest.approx(screen, rel=1e-14, abs=0.0)
+                return
             assert (got.x is None) == (want.x is None)
             if got.x is not None:
                 assert np.flatnonzero(got.x).tolist() == \
                     np.flatnonzero(want.x).tolist()
             for a, b in ((got.value, want.value), (got.low, want.low)):
                 assert a == pytest.approx(b, rel=1e-14, abs=0.0)
-            statuses.append(got.status)
 
         self.spied(monkeypatch, check)
         for inst in self.instances(kind):

@@ -3,7 +3,9 @@
 Runs bfs_solve with pdal and with sga on every seed-0 instance of the
 planted, hard and logistic workloads (perfbench/workloads.py), 102 searches
 in all.  For each (workload, subroutine) pair it prints the calls, the
-prunes and three SHA-256 digests of its searches; the last line is one
+prunes, the dual iterations (iters: the sum of BoundResult.iterations over
+the search's subtree_solve calls, outside every digest) and three SHA-256
+digests of its searches; the last line is one
 SHA-256 over all 102.  Before that last line, one line does the same for
 exhaustive_solve on the 13 seed-0 enum instances: their calls and one
 SHA-256 over each objective, x and calls.  One more line covers the
@@ -56,6 +58,7 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 import numpy as np  # noqa: E402
 
+import l0bfs.search  # noqa: E402
 from l0bfs import (DUAL_BOUND, PRUNED, SolverConfig, bfs_solve,  # noqa: E402
                    exhaustive_solve, root_node, subtree_solve)
 from workloads import build_cases  # noqa: E402
@@ -154,13 +157,26 @@ def _subtree_line():
     return f"subtree  dir  calls {calls:5d}  sha256 {digest.hexdigest()}"
 
 
+class _Iterations:
+    """search.subtree_solve, summing the iterations of its results."""
+
+    def __init__(self, solve):
+        self.solve, self.total = solve, 0
+
+    def __call__(self, *args):
+        res = self.solve(*args)
+        self.total += res.iterations
+        return res
+
+
 def main():
     digest = hashlib.sha256()
+    iterations = l0bfs.search.subtree_solve = _Iterations(subtree_solve)
     for workload in WORKLOADS:
         cases, _ = build_cases(workload, 0)
         for subroutine in SUBROUTINES:
             cfg = SolverConfig(subroutine=subroutine)
-            calls = pruned = 0
+            calls = pruned = iterations.total = 0
             pair, decided, shape = (hashlib.sha256() for _ in range(3))
             for case in cases:
                 report = bfs_solve(case.instance(), cfg=cfg, record_bounds=True)
@@ -171,7 +187,8 @@ def main():
                 _update(decided, report, decisions=True)
                 _update_shape(shape, report)
             print(f"{workload:8s} {subroutine:4s} calls {calls:5d}  "
-                  f"pruned {pruned:5d}  sha256 {pair.hexdigest()}  "
+                  f"pruned {pruned:5d}  iters {iterations.total:5d}  "
+                  f"sha256 {pair.hexdigest()}  "
                   f"decisions {decided.hexdigest()}  shape {shape.hexdigest()}")
     print(_enum_line())
     print(_ablation_line())
