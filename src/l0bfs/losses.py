@@ -82,7 +82,7 @@ class Loss:
     def prox_conjugate(self, tau, v):
         """argmin_beta tau L*(beta) + ||beta - v||^2 / 2, exact per component."""
         v = self._check_dim(v)
-        if tau <= 0:
+        if not tau > 0:
             raise ValueError("tau must be positive")
         return self._prox_conjugate(tau, v)
 

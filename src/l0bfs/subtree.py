@@ -177,10 +177,13 @@ def sga_root_state(inst):
 
 
 def _penalty(w, node):
-    """||w_S||^2 + ||w_tail||_{k-s,2}^2 for w = A^T beta."""
+    """||w_S||^2 + ||w_tail||_{k-s,2}^2 for w = A^T beta; the open tail is
+    the slice w[cut:]."""
+    tail = top_norm(node.k - node.size, w[node.cut:]) ** 2
+    if not node.indices:
+        return tail
     ws = w[node.support_array]
-    rem = node.k - node.size
-    return float(ws @ ws) + top_norm(rem, w[node.tail_array]) ** 2
+    return float(ws @ ws) + tail
 
 
 def _check_node(inst, node):
@@ -469,8 +472,8 @@ def pdal_maximize(inst, node, init, prune_threshold, cfg):
     on any node, listed or not (subtree_solve lists the leaves instead).
     """
     A, lam, loss = inst.A, inst.lam, inst.loss
-    k, rem = node.k, node.k - node.size
-    s_arr, tail = node.support_array, node.tail_array
+    k, rem, cut = node.k, node.k - node.size, node.cut
+    s_arr = node.support_array
     y = init.y
     # tau is set at the first step: a node pruned at entry needs no ||A||
     tau, rho, theta = None, 1.0, 1.0
@@ -493,9 +496,10 @@ def pdal_maximize(inst, node, init, prune_threshold, cfg):
             coef = rho_new * tau_new
             ybar = y + coef * (w_new + theta_new * dw)
             y_new = np.zeros(inst.d)
-            y_new[s_arr] = ybar[s_arr] / (1.0 + lam * coef)
-            if tail.size:
-                y_new[tail] = prox_topk_sq_conjugate(coef, rem, ybar[tail], lam)
+            if s_arr.size:
+                y_new[s_arr] = ybar[s_arr] / (1.0 + lam * coef)
+            if cut < inst.d:
+                y_new[cut:] = prox_topk_sq_conjugate(coef, rem, ybar[cut:], lam)
             diff = y_new - y
             nd = l2_norm(diff)
             if math.sqrt(rho_new) * tau_new * l2_norm(A @ diff) <= nd:
@@ -516,10 +520,11 @@ def pdal_maximize(inst, node, init, prune_threshold, cfg):
 def _sga_primal(inst, node, w):
     """x~(beta; node) used for the supergradient: blockwise -w/lam, truncated on the tail."""
     x = np.zeros(inst.d)
-    x[node.support_array] = w[node.support_array]
-    tail = node.tail_array
-    if tail.size:
-        x[tail] = truncate_top(node.k - node.size, w[tail])
+    if node.indices:
+        x[node.support_array] = w[node.support_array]
+    cut = node.cut
+    if cut < inst.d:
+        x[cut:] = truncate_top(node.k - node.size, w[cut:])
     return x / (-inst.lam)
 
 

@@ -2,12 +2,26 @@
 
 prox_topk_sq computes argmin_x { (mu/2) ||x||_{k,2}^2 + (1/2) ||x - v||^2 }
 where ||x||_{k,2} is the l2-norm of the k largest-magnitude entries.  The
-minimizer, expressed on |v| sorted non-increasingly, shrinks a leading block
-by 1/(1+mu), keeps a trailing block unchanged, and is constant equal to some
-xi on a middle block straddling position k.  After a stable sort, an O(d)
-scan on Python floats locates that block by examining at most d candidate
-(j_start, j_end) pairs.  The vectors are short (the open tail of a search
-node), so per-call numpy overhead would outweigh the arithmetic.
+minimizer, expressed on |v| sorted non-increasingly as u, shrinks a leading
+block by 1/(1+mu), keeps a trailing block unchanged, and is constant equal
+to some xi on a middle block [js, je] straddling position k.  After a
+stable sort, an O(d) scan on Python floats walks a staircase of at most d
+candidate blocks, each with its xi from one prefix sum of u.  The objective
+is strictly convex, so its minimizer is the one block whose xi meets the
+optimality conditions
+
+    u_{je+1} <= xi <= u_{js-1}/(1+mu)   and   u_js/(1+mu) <= xi <= u_je,
+
+the block conditions of the squared k-support-norm prox, whose norm is the
+dual of this one (Argyriou, Foygel & Srebro, NeurIPS 2012).  The scan stops
+at the first candidate that meets them.  It forms no squares, so the prox
+of s*v is, up to rounding, s times the prox of v down to the subnormal
+range; should the prefix sums of a finite v overflow, the scan runs on v
+scaled down by a power of two.  When rounding leaves no candidate
+consistent (exact ties at some scales), a second pass takes the candidate
+of least violation, with its xi clamped to its neighbours.  The vectors
+are short (the open tail of a search node), so per-call numpy overhead
+would outweigh the arithmetic.
 
 prox_topk_sq_conjugate gives the prox of alpha * h* for h = (1/(2 lam)) *
 ||.||_{k,2}^2, the form needed by the dual solver's primal update, via
@@ -15,11 +29,15 @@ Moreau's identity.
 """
 
 from itertools import accumulate
-from math import inf
+from math import inf, isfinite, ldexp
 
 import numpy as np
 
 __all__ = ["prox_topk_sq", "prox_topk_sq_conjugate"]
+
+# binary exponent by which an input whose prefix sums overflow is scaled
+# down: a sum of fewer than 2**63 terms then stays finite
+_RESCALE = 64
 
 
 def prox_topk_sq(mu, k, v, with_count=False):
@@ -27,21 +45,44 @@ def prox_topk_sq(mu, k, v, with_count=False):
 
     Parameters
     ----------
-    mu : positive shrinkage weight.
+    mu : positive, finite shrinkage weight.
     k : number of entries the norm covers; k <= 0 returns v unchanged,
         k > v.size is treated as v.size.
     v : 1-D array.
-    with_count : also return the number of candidate triplets examined
+    with_count : also return the number of candidate blocks examined
         (always <= v.size; the basis of the linear-time bound).
     """
     v = np.asarray(v, dtype=float)
-    if mu <= 0:
-        raise ValueError("mu must be positive")
+    if not mu > 0 or not isfinite(mu):
+        raise ValueError("mu must be positive and finite")
     if k <= 0:
         out = v.copy()
         return (out, 0) if with_count else out
     out, count = _prox_list(float(mu), int(k), v.tolist())
     return (np.array(out), count) if with_count else np.array(out)
+
+
+def _candidates(mu, k, d, U, Ubar, cum_u):
+    """The candidate blocks (js, je, xi) in scan order, xi unclamped."""
+    j_hat = k
+    e = k - 1  # last index known to satisfy u_j > current threshold
+    for js in range(1, k + 1):
+        thresh = Ubar[js]
+        # endpoints: {j : u_j > ubar_js and j >= j_hat}; u non-increasing, so
+        # the threshold set is a prefix whose end e only moves right as js grows
+        while e + 1 <= d and U[e + 1] > thresh:
+            e += 1
+        if e < j_hat:
+            continue
+        m1 = k - js + 1
+        for je in range(j_hat, e + 1):
+            yield js, je, (cum_u[je] - cum_u[js - 1]) / (mu * m1 + je - js + 1)
+        j_hat = e
+
+
+def _violation(U, Ubar, js, je, xi):
+    """How far xi falls outside the optimality conditions of block [js, je]."""
+    return max(U[je + 1] - xi, xi - Ubar[js - 1], Ubar[js] - xi, xi - U[je])
 
 
 def _prox_list(mu, k, vals):
@@ -65,44 +106,20 @@ def _prox_list(mu, k, vals):
         # shrink-top branch: blocks don't interact
         x_sorted = ub + u[k:]
     else:
-        # prefix sums over the 1-based u and ubar grids for O(1) candidate
-        # cost; accumulate adds in np.cumsum's order
+        # accumulate adds in np.cumsum's order
         cum_u = list(accumulate(u, initial=0.0))
-        cum_u2 = list(accumulate([x * x for x in u], initial=0.0))
-        cum_ub = list(accumulate(ub, initial=0.0))
-        cum_ub2 = list(accumulate([x * x for x in ub], initial=0.0))
-
-        j_hat = k
-        g_min = inf
-        best = None
-        e = k - 1  # last index known to satisfy u_j > current threshold
-        for js in range(1, k + 1):
-            thresh = Ubar[js]
-            # endpoints: {j : u_j > ubar_js and j >= j_hat}; u non-increasing, so
-            # the threshold set is a prefix whose end e only moves right as js grows
-            while e + 1 <= d and U[e + 1] > thresh:
-                e += 1
-            if e < j_hat:
-                continue
-            m1 = k - js + 1
-            s1 = cum_ub[k] - cum_ub[js - 1]
-            q1 = cum_ub2[k] - cum_ub2[js - 1]
-            for je in range(j_hat, e + 1):
-                count += 1
-                xi_free = (cum_u[je] - cum_u[js - 1]) / (mu * m1 + je - js + 1)
-                xi = min(Ubar[js - 1], max(U[je + 1], xi_free))
-                # g = (1+mu) sum_{i=js}^{k} (xi - ubar_i)^2 + sum_{i=k+1}^{je} (xi - u_i)^2
-                g = shrink * (m1 * xi * xi - 2.0 * xi * s1 + q1)
-                if je > k:
-                    g += ((je - k) * xi * xi - 2.0 * xi * (cum_u[je] - cum_u[k])
-                          + (cum_u2[je] - cum_u2[k]))
-                if g < g_min:
-                    g_min = g
-                    best = (js, je, xi)
-            j_hat = e
+        if cum_u[d] == inf and u[0] < inf:  # finite v whose sums overflow
+            out, count = _prox_list(mu, k, [ldexp(x, -_RESCALE) for x in vals])
+            return [ldexp(x, _RESCALE) for x in out], count
+        for count, (js, je, xi) in enumerate(
+                _candidates(mu, k, d, U, Ubar, cum_u), 1):
+            if U[je + 1] <= xi <= Ubar[js - 1] and Ubar[js] <= xi <= U[je]:
+                break  # the block of the minimizer
+        else:  # rounding left no block consistent
+            js, je, xi = min(_candidates(mu, k, d, U, Ubar, cum_u),
+                             key=lambda c: _violation(U, Ubar, *c))
+            xi = min(Ubar[js - 1], max(U[je + 1], xi))
         assert count <= d, "candidate scan exceeded the linear bound"
-        assert best is not None
-        js, je, xi = best
         x_sorted = ub[:js - 1] + [xi] * (je - js + 1) + u[je:]
 
     # the sign of v, with v >= 0 (so -0.0 too) taken as positive
@@ -119,8 +136,9 @@ def prox_topk_sq_conjugate(alpha, k, v, lam):
     and h/alpha has shrinkage weight mu = 1/(lam * alpha).  The identity is
     applied on Python floats, with the same operations numpy would make.
     """
-    if alpha <= 0 or lam <= 0:
-        raise ValueError("alpha and lam must be positive")
+    if (not alpha > 0 or not lam > 0
+            or not isfinite(alpha) or not isfinite(lam)):
+        raise ValueError("alpha and lam must be positive and finite")
     v = np.asarray(v, dtype=float)
     if k <= 0:
         # h = 0, so h* is the indicator of {0} and its prox is the zero map;

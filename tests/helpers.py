@@ -172,9 +172,11 @@ def domain_point(loss, rng, scale=1.0):
 def numpy_prox_topk_sq(mu, k, v):
     """Frozen numpy implementation of l0bfs.topk_prox.prox_topk_sq.
 
-    The same scan written with argsort, cumsum and numpy scalars, kept as the
-    bit-level reference for the Python-float version.  Returns
-    (prox, candidate count).
+    The scan that picks the candidate of least objective g, written with
+    argsort, cumsum and numpy scalars, kept as the bit-level reference for
+    the Python-float version.  Returns (prox, candidate count, 1-based
+    position of the chosen candidate in scan order), with count and position
+    0 when no scan runs.
     """
     v = np.asarray(v, dtype=float)
     d = v.size
@@ -191,7 +193,7 @@ def numpy_prox_topk_sq(mu, k, v):
         return out * signs
 
     if Ubar[k] >= U[k + 1]:
-        return scatter(np.concatenate((Ubar[1:], u[k:]))), 0
+        return scatter(np.concatenate((Ubar[1:], u[k:]))), 0, 0
 
     cum_u = np.concatenate(([0.0], np.cumsum(u)))
     cum_u2 = np.concatenate(([0.0], np.cumsum(u * u)))
@@ -224,7 +226,8 @@ def numpy_prox_topk_sq(mu, k, v):
             xi = min(Ubar[js - 1], max(U[je + 1], xi_free))
             g = g_value(js, je, xi)
             if g < g_min:
-                g_min, best = g, (js, je, xi)
+                g_min, best, position = g, (js, je, xi), count
         j_hat = e
     js, je, xi = best
-    return scatter(np.concatenate((Ubar[1:js], np.full(je - js + 1, xi), u[je:]))), count
+    out = scatter(np.concatenate((Ubar[1:js], np.full(je - js + 1, xi), u[je:])))
+    return out, count, position

@@ -297,6 +297,12 @@ class TestProxConjugate:
             recon = tau * loss.prox(1.0 / tau, v / tau) + loss.prox_conjugate(tau, v)
             np.testing.assert_allclose(recon, v, atol=1e-10)
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_rejects_nan_tau(self, kind):
+        loss = random_loss(kind, np.random.default_rng(17))
+        with pytest.raises(ValueError):
+            loss.prox_conjugate(np.nan, np.zeros(loss.n))
+
     def test_quadratic_hand_value(self):
         # b=0, n=1: argmin tau*L*(y) + 0.5(y-v)^2 with L*(y) = y^2/2,
         # tau=1, v=2  ->  y = 1

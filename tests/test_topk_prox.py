@@ -82,6 +82,11 @@ class TestHandCases:
         with pytest.raises(ValueError):
             prox_topk_sq(0.0, 1, [1.0])
 
+    @pytest.mark.parametrize("mu", [np.nan, np.inf])
+    def test_rejects_nan_and_infinite_mu(self, mu):
+        with pytest.raises(ValueError):
+            prox_topk_sq(mu, 1, [1.0, 2.0])
+
 
 class TestAgainstBruteForce:
     @pytest.mark.parametrize("seed", range(40))
@@ -134,7 +139,9 @@ def draw_vector(family, rng, d):
 
 
 class TestAgainstNumpyReference:
-    """Bit-level agreement with the frozen numpy scan in tests/helpers.py."""
+    """Bit-level agreement with the frozen numpy scan in tests/helpers.py,
+    which keeps the candidate of least objective: the scan stops at that
+    candidate, the first whose block meets the optimality conditions."""
 
     @pytest.mark.parametrize("seed,family", enumerate(
         ["gaussian", "integer", "signed_zeros", "repeated", "rounded"]))
@@ -147,9 +154,9 @@ class TestAgainstNumpyReference:
             mu = float(10.0 ** rng.uniform(-4.0, 4.0))
             v = draw_vector(family, rng, d)
             out, count = prox_topk_sq(mu, k, v, with_count=True)
-            ref, ref_count = numpy_prox_topk_sq(mu, k, v)
+            ref, _, ref_position = numpy_prox_topk_sq(mu, k, v)
             assert out.tobytes() == ref.tobytes(), (mu, k, v.tolist())
-            assert count == ref_count, (mu, k, v.tolist())
+            assert count == ref_position, (mu, k, v.tolist())
             seen["d=1"] += d == 1
             seen["k=d"] += k == d
             seen["k>d"] += k > d
@@ -172,6 +179,64 @@ class TestOptimality:
                 r /= np.linalg.norm(r)
                 for eps in (1e-4, 1e-5):
                     assert objective(mu, k, v, x + eps * r) >= base - 1e-10
+
+    def test_block_meets_optimality_conditions(self):
+        # xi is the k-th largest output magnitude and [js, je] the positions
+        # (1-based, in |v| order) whose output equals it; in exact arithmetic
+        # u_{je+1} <= xi <= u_{js-1}/(1+mu), u_js/(1+mu) <= xi <= u_je, and
+        # the block sums to xi (mu (k - js + 1) + je - js + 1)
+        rng = np.random.default_rng(4)
+        for _ in range(400):
+            d = int(rng.integers(1, 30))
+            k = int(rng.integers(1, d + 1))
+            mu = float(10.0 ** rng.uniform(-3.0, 3.0))
+            v = rng.standard_normal(d)
+            order = np.argsort(-np.abs(v), kind="stable")
+            u = np.abs(v)[order]
+            x = np.abs(prox_topk_sq(mu, k, v))[order]
+            xi = x[k - 1]
+            block = np.flatnonzero(x == xi)
+            js, je = block[0] + 1, block[-1] + 1
+            assert np.array_equal(block, np.arange(js - 1, je))
+            U = np.concatenate(([np.inf], u, [0.0]))
+            Ubar = np.concatenate(([np.inf], u[:k] / (1.0 + mu)))
+            tol = 1e-12 * u[0]
+            assert U[je + 1] <= xi + tol and xi <= Ubar[js - 1] + tol
+            assert Ubar[js] <= xi + tol and xi <= U[je] + tol
+            np.testing.assert_allclose(
+                u[js - 1:je].sum(), xi * (mu * (k - js + 1) + je - js + 1),
+                rtol=1e-12, atol=1e-300)
+            np.testing.assert_allclose(x[:js - 1], Ubar[1:js], rtol=1e-15)
+            np.testing.assert_array_equal(x[je:], u[je:])
+
+
+class TestScale:
+    """prox(mu, k, s v) / s equals prox(mu, k, v) at scales where squares
+    of the entries overflow or underflow and where their sums overflow."""
+
+    CASES = [
+        (1.0, 1, [3.0, -2.9, 1.0]),
+        (2.0, 5, [0.0, 4.0, 0.0, 0.0, -4.0, -2.0, 2.0, 1.0, 4.0, -4.0]),
+        # rounding leaves no candidate block consistent at 1e-300 and 1e154
+        (2.0, 4, [4.0, 1.0, -1.0, 2.0, -2.0, 3.0, -4.0]),
+        (1.5, 7, [-3.0, -2.0, 1.0, 3.0, -1.0, -2.0, -3.0, -2.0, -4.0, -4.0]),
+    ]
+
+    @pytest.mark.parametrize("scale", [1e154, 1e300, 1e-300, 4e307])
+    @pytest.mark.parametrize("mu,k,v", CASES)
+    def test_scaled_input_scales_output(self, mu, k, v, scale):
+        v = np.array(v)
+        np.testing.assert_allclose(prox_topk_sq(mu, k, scale * v) / scale,
+                                   prox_topk_sq(mu, k, v), rtol=1e-12)
+
+    def test_finite_output_for_finite_input(self):
+        rng = np.random.default_rng(5)
+        for _ in range(2000):
+            d = int(rng.integers(1, 20))
+            k = int(rng.integers(1, d + 1))
+            mu = float(10.0 ** rng.uniform(-300.0, 300.0))
+            v = rng.integers(-4, 5, size=d) * 10.0 ** rng.uniform(-320.0, 307.0)
+            assert np.all(np.isfinite(prox_topk_sq(mu, k, v))), (mu, k, v)
 
 
 class TestStructure:
@@ -241,3 +306,9 @@ class TestConjugateProx:
             prox_topk_sq_conjugate(0.0, 1, np.array([1.0]), 1.0)
         with pytest.raises(ValueError):
             prox_topk_sq_conjugate(1.0, 1, np.array([1.0]), 0.0)
+
+    @pytest.mark.parametrize("alpha,lam", [(np.nan, 0.5), (1.0, np.nan),
+                                           (np.inf, 0.5), (1.0, np.inf)])
+    def test_rejects_nan_and_infinite_parameters(self, alpha, lam):
+        with pytest.raises(ValueError):
+            prox_topk_sq_conjugate(alpha, 1, np.array([1.0, 2.0]), lam)
