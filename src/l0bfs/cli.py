@@ -33,7 +33,7 @@ OUT_ENV = "L0BFS_OUT"
 
 COLUMNS = ["instance_id", "method", "delta", "objective", "objective_error",
            "solver_calls", "pruned", "wall_ms", "support", "status",
-           "subroutine", "warm_start", "pruning", "seed", "ref_support"]
+           "subroutine", "warm_start", "seed", "ref_support"]
 
 METHODS = ("bfs", "omp", "iht", "htp", "oracle")
 
@@ -71,8 +71,7 @@ def read_rows(path):
 def _run_method(inst, method, args):
     if method == "bfs":
         cfg = SolverConfig(epsilon=args.epsilon, subroutine=args.subroutine,
-                           warm_start=not args.no_warm_start,
-                           pruning=not args.no_pruning)
+                           warm_start=not args.no_warm_start)
         return bfs_solve(inst, delta=args.delta, cfg=cfg)
     if method == "oracle":
         return exhaustive_solve(inst)
@@ -104,8 +103,7 @@ def _record(inst, iid, method, args, seed, ref, oracle_objective, report=None):
         row["objective_error"] = _fmt(report.objective - oracle_objective)
     if method == "bfs":
         row.update(subroutine=args.subroutine,
-                   warm_start=str(not args.no_warm_start).lower(),
-                   pruning=str(not args.no_pruning).lower())
+                   warm_start=str(not args.no_warm_start).lower())
     row.update(delta=_fmt(report.delta), objective=_fmt(report.objective),
                solver_calls=str(report.solver_calls), pruned=str(report.pruned),
                wall_ms=_fmt(report.wall_time * 1000.0),
@@ -300,7 +298,6 @@ def _add_solver_flags(p):
     p.add_argument("--epsilon", type=_positive, default=SolverConfig.epsilon,
                    help="relative convergence tolerance of the bound subroutine")
     p.add_argument("--no-warm-start", action="store_true")
-    p.add_argument("--no-pruning", action="store_true")
 
 
 def build_parser():

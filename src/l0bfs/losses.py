@@ -71,19 +71,19 @@ class Loss:
         raise NotImplementedError
 
     def prox(self, tau, v):
-        """prox of tau*L at v via Moreau's identity."""
+        """prox of tau*L at v via Moreau's identity; v where 1/tau overflows."""
         v = self._check_dim(v)
         if tau < 0:
             raise ValueError("tau must be nonnegative")
-        if tau == 0:
+        if tau == 0 or 1.0 / float(tau) == math.inf:
             return v.copy()
         return v - tau * self.prox_conjugate(1.0 / tau, v / tau)
 
     def prox_conjugate(self, tau, v):
         """argmin_beta tau L*(beta) + ||beta - v||^2 / 2, exact per component."""
         v = self._check_dim(v)
-        if not tau > 0:
-            raise ValueError("tau must be positive")
+        if not 0 < tau < math.inf:
+            raise ValueError("tau must be positive and finite")
         return self._prox_conjugate(tau, v)
 
     def _prox_conjugate(self, tau, v):

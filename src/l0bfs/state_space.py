@@ -90,7 +90,8 @@ class Node:
 
     def lists_leaves(self, limit=0):
         """True iff the node has at most max(|tail|, limit, 1) leaves, so
-        that leaves(limit) lists them."""
+        that leaves(limit) lists them.  It holds for a suffix of the
+        children, as C(t, need) <= max(t, limit, 1) implies it at t - 1."""
         count = math.comb(self.tail_size, self.k - self.size)
         return count <= max(self.tail_size, limit, 1)
 

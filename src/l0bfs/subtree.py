@@ -106,7 +106,6 @@ class SolverConfig:
     subroutine: str = "pdal"  # or "sga"
     max_dual_iters: int = 50_000
     warm_start: bool = True
-    pruning: bool = True
 
     def __post_init__(self):
         if not _real("epsilon", self.epsilon) > 0:
@@ -115,10 +114,8 @@ class SolverConfig:
             raise ValueError("subroutine must be 'pdal' or 'sga'")
         if _integer("max_dual_iters", self.max_dual_iters) < 1:
             raise ValueError("max_dual_iters must be at least 1")
-        for name in ("warm_start", "pruning"):
-            if not isinstance(getattr(self, name), (bool, np.bool_)):
-                raise ValueError(f"{name} must be a bool, got "
-                                 f"{getattr(self, name)!r}")
+        if not isinstance(self.warm_start, (bool, np.bool_)):
+            raise ValueError(f"warm_start must be a bool, got {self.warm_start!r}")
 
 
 def _solver_config(cfg):
@@ -301,8 +298,8 @@ class _Siblings:
     does not list: that child ascends in subtree_solve.  A listed child it
     bounds by its leaves, solved in shared batches.  The first listed child
     whose leaves are not solved yet solves, in one batch, its surviving
-    leaves and those of the following listed siblings that pass their entry
-    tests at p_min, while they fit in _batch_size rows; a child with more
+    leaves and those of the following siblings (all listed) that pass their
+    entry tests at p_min, while they fit in _batch_size rows; a child with more
     survivors is solved alone in batches of that size.  Each sibling is
     still decided at its own turn by _leaf_bound: the incumbent only falls,
     so every leaf that survives its screen then was solved.
@@ -329,7 +326,7 @@ class _Siblings:
     def _start(self, inst, warm, cfg):
         """Resolve the children's start state from warm, and its (w, conj),
         once for all of them."""
-        self.inst, self.warm, self.cfg = inst, warm, cfg
+        self.inst, self.warm = inst, warm
         self.limit = 0 if warm is None else warm.iterations
         self.w, self.conj = _start_point(inst, _start_state(inst, warm, cfg))
         self.nodes, self.solved = {}, {}
@@ -342,17 +339,15 @@ class _Siblings:
 
     def rescreen(self, i, state):
         """Raise the entry bound of each child after i to its D at state,
-        the point child i's ascent stopped at, where that is higher.  Off
-        when pruning is, since no entry test reads the bounds then."""
-        if (i + 1 >= len(self.children) or state is None
-                or not self.cfg.pruning):
+        the point child i's ascent stopped at, where that is higher."""
+        if i + 1 >= len(self.children) or state is None:
             return
         raised = _child_entry_bounds(self.inst, self.parent, state.w,
                                      state.conj, i + 1)
         np.maximum(self.entry[i + 1:], raised, out=self.entry[i + 1:])
 
     def bound(self, i, p_min):
-        stop_above = p_min + ZERO_TOL if self.cfg.pruning else np.inf
+        stop_above = p_min + ZERO_TOL
         if self.entry[i] > stop_above:
             return BoundResult(low=float(self.entry[i]), x=None, value=np.inf,
                                status=PRUNED, state=None, iterations=0)
@@ -378,9 +373,8 @@ class _Siblings:
             return
         taken, total = [(i, rows, bounds, rest)], len(rows)
         for j in range(i + 1, len(self.children)):
-            # the tests bound(j) would take at this incumbent
-            if (self.entry[j] > stop_above
-                    or not self.node(j).lists_leaves(self.limit)):
+            # the entry test bound(j) would take at this incumbent
+            if self.entry[j] > stop_above:
                 continue
             rows, bounds, rest = self._screen(j, stop_above)
             if total + len(rows) > size:
@@ -427,7 +421,7 @@ def _ascend(inst, node, init, prune_threshold, cfg, step, first_stop):
     _check_node(inst, node)
     beta, (w, conj) = init.beta, _start_point(inst, init)
     d_max = d_prev = _entry_bound(inst, node, w, conj)
-    stop_above = prune_threshold + ZERO_TOL if cfg.pruning else np.inf
+    stop_above = prune_threshold + ZERO_TOL
     if d_prev > stop_above:
         return BoundResult(low=d_max, x=None, value=np.inf,
                            status=PRUNED, state=None, iterations=0)
@@ -575,8 +569,8 @@ def subtree_solve(inst, node, warm=None, prune_threshold=np.inf, cfg=None):
     the start state; bfs_solve bounds it the same way in its parent's
     expansion.  Any other node is bounded by cfg.subroutine's maximizer.
     prune_threshold is the incumbent objective; it also scales the dual
-    convergence test, so pass it even when pruning is disabled.  Raises
-    ValueError for a node of another tree than inst's (other d or k).
+    convergence test.  Raises ValueError for a node of another tree than
+    inst's (other d or k).
     """
     cfg = _solver_config(cfg)
     _check_node(inst, node)

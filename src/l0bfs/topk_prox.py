@@ -17,11 +17,12 @@ dual of this one (Argyriou, Foygel & Srebro, NeurIPS 2012).  The scan stops
 at the first candidate that meets them.  It forms no squares, so the prox
 of s*v is, up to rounding, s times the prox of v down to the subnormal
 range; should the prefix sums of a finite v overflow, the scan runs on v
-scaled down by a power of two.  When rounding leaves no candidate
-consistent (exact ties at some scales), a second pass takes the candidate
-of least violation, with its xi clamped to its neighbours.  The vectors
-are short (the open tail of a search node), so per-call numpy overhead
-would outweigh the arithmetic.
+scaled down by a power of two, and should mu * k overflow, xi comes from
+sums and mu scaled down alike (the block lengths it adds lie below an ulp
+of mu).  When rounding leaves no candidate consistent (exact ties at some
+scales), a second pass takes the candidate of least violation, with its
+xi clamped to its neighbours.  The vectors are short (the open tail of a
+search node), so per-call numpy overhead would outweigh the arithmetic.
 
 prox_topk_sq_conjugate gives the prox of alpha * h* for h = (1/(2 lam)) *
 ||.||_{k,2}^2, the form needed by the dual solver's primal update, via
@@ -111,6 +112,8 @@ def _prox_list(mu, k, vals):
         if cum_u[d] == inf and u[0] < inf:  # finite v whose sums overflow
             out, count = _prox_list(mu, k, [ldexp(x, -_RESCALE) for x in vals])
             return [ldexp(x, _RESCALE) for x in out], count
+        if mu * k == inf:  # xi's denominators overflow; mu is not read below
+            mu, cum_u = ldexp(mu, -_RESCALE), [ldexp(x, -_RESCALE) for x in cum_u]
         for count, (js, je, xi) in enumerate(
                 _candidates(mu, k, d, U, Ubar, cum_u), 1):
             if U[je + 1] <= xi <= Ubar[js - 1] and Ubar[js] <= xi <= U[je]:
@@ -135,6 +138,7 @@ def prox_topk_sq_conjugate(alpha, k, v, lam):
     Moreau: prox_{alpha h*}(v) = v - alpha * prox_{h / alpha}(v / alpha),
     and h/alpha has shrinkage weight mu = 1/(lam * alpha).  The identity is
     applied on Python floats, with the same operations numpy would make.
+    Raises ValueError when mu overflows.
     """
     if (not alpha > 0 or not lam > 0
             or not isfinite(alpha) or not isfinite(lam)):
@@ -146,5 +150,8 @@ def prox_topk_sq_conjugate(alpha, k, v, lam):
         # never takes this branch: it calls with k - s >= 1.
         return np.zeros_like(v)
     alpha, vals = float(alpha), v.tolist()
-    p, _ = _prox_list(1.0 / (lam * alpha), int(k), [x / alpha for x in vals])
+    mu = 1.0 / (lam * alpha) if lam * alpha > 0 else inf
+    if mu == inf:
+        raise ValueError(f"1/(lam * alpha) overflows: lam * alpha = {lam * alpha!r}")
+    p, _ = _prox_list(mu, int(k), [x / alpha for x in vals])
     return np.array([x - alpha * q for x, q in zip(vals, p)])

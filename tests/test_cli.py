@@ -37,6 +37,15 @@ class TestParsing:
         capsys.readouterr()
         assert rc == 2
 
+    def test_search_always_prunes(self, tmp_path, capsys):
+        # no flag turns pruning off
+        inst = gen_dir(tmp_path)
+        rc = main(["solve", "--instance", inst, "--method", "bfs",
+                   "--no-pruning", "--out", str(tmp_path / "r.csv")])
+        capsys.readouterr()
+        assert rc == 2
+        assert not os.path.exists(tmp_path / "r.csv")
+
     def test_oracle_rejects_search_flags(self, tmp_path, capsys):
         # the exhaustive solve has no subroutine, delta or warm start
         inst = gen_dir(tmp_path)
@@ -223,7 +232,7 @@ class TestSolve:
         assert row["method"] == "bfs"
         assert row["status"] == "ok"
         assert row["subroutine"] == "pdal"
-        assert row["warm_start"] == "true" and row["pruning"] == "true"
+        assert row["warm_start"] == "true"
         assert row["seed"] == "0"
         assert row["ref_support"]  # generated instances carry their truth
         # a parsed row re-emits byte-identically
@@ -268,20 +277,18 @@ class TestSolve:
         for row in read_rows(out):
             assert row["solver_calls"] == "1"
             assert row["subroutine"] == ""
-            assert row["warm_start"] == "" and row["pruning"] == ""
+            assert row["warm_start"] == ""
 
     def test_ablation_flags_recorded(self, tmp_path, capsys):
         inst = gen_dir(tmp_path)
         out = str(tmp_path / "r.csv")
         assert main(["solve", "--instance", inst, "--method", "bfs",
                      "--subroutine", "sga", "--no-warm-start",
-                     "--no-pruning", "--out", out]) == 0
+                     "--out", out]) == 0
         capsys.readouterr()
         row = read_rows(out)[0]
         assert row["subroutine"] == "sga"
         assert row["warm_start"] == "false"
-        assert row["pruning"] == "false"
-        assert row["pruned"] == "0"
 
     def test_default_flags_build_default_config(self, tmp_path, monkeypatch,
                                                 capsys):

@@ -232,6 +232,17 @@ class TestProx:
         v = rng.standard_normal(4)
         np.testing.assert_allclose(loss.prox(0.0, v), v, atol=1e-15)
 
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("tau", [1e-310, 5e-324])
+    def test_tau_whose_inverse_overflows_is_identity(self, kind, tau):
+        # 1/tau overflows: the prox takes the tau -> 0 limit, as at tau = 0
+        rng = np.random.default_rng(11)
+        loss = random_loss(kind, rng, n=4)
+        v = rng.standard_normal(4)
+        out = loss.prox(tau, v)
+        np.testing.assert_array_equal(out, v)
+        assert out is not v
+
     def test_quadratic_prox_at_b_is_b(self):
         b = np.array([1.0, -2.0])
         loss = QuadraticLoss(b)
@@ -302,6 +313,13 @@ class TestProxConjugate:
         loss = random_loss(kind, np.random.default_rng(17))
         with pytest.raises(ValueError):
             loss.prox_conjugate(np.nan, np.zeros(loss.n))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_rejects_infinite_tau(self, kind):
+        loss = random_loss(kind, np.random.default_rng(18))
+        v = 0.1 * np.random.default_rng(19).standard_normal(loss.n)
+        with pytest.raises(ValueError, match="tau"):
+            loss.prox_conjugate(np.inf, v)
 
     def test_quadratic_hand_value(self):
         # b=0, n=1: argmin tau*L*(y) + 0.5(y-v)^2 with L*(y) = y^2/2,

@@ -28,9 +28,9 @@ def assert_matches_oracle(report, oracle, rel=1e-8):
 class Points(l0bfs.search._Siblings):
     """An expansion that keeps the dual points its re-screens read."""
 
-    def _start(self, *args):
-        super()._start(*args)
-        self.points = []
+    def _start(self, inst, warm, cfg):
+        super()._start(inst, warm, cfg)
+        self.cfg, self.points = cfg, []
 
     def rescreen(self, i, state):
         if state is not None:
@@ -80,15 +80,16 @@ class TestBfsExact:
         assert_matches_oracle(rep, oracle)
 
     @pytest.mark.parametrize("warm", [True, False])
-    @pytest.mark.parametrize("prune", [True, False])
-    def test_ablations_stay_exact(self, warm, prune):
+    @pytest.mark.parametrize("capped", [True, False])
+    def test_ablations_stay_exact(self, warm, capped):
+        # capped: every ascent stops at its second iteration, at a loose
+        # bound
         inst = random_instance("huber", d=7, k=3, n=10, seed=12, lam=1e-2)
         oracle = exhaustive_solve(inst)
-        cfg = SolverConfig(warm_start=warm, pruning=prune)
+        cfg = SolverConfig(warm_start=warm,
+                           max_dual_iters=2 if capped else 50_000)
         rep = bfs_solve(inst, cfg=cfg)
         assert_matches_oracle(rep, oracle)
-        if not prune:
-            assert rep.pruned == 0
 
     def test_k_equals_d_returns_after_one_bound(self):
         inst = random_instance("quadratic", d=4, k=4, n=7, seed=13, lam=1e-2)
@@ -172,7 +173,9 @@ class TestChildScreen:
     at entry has the max of D over the start point and the points of its
     siblings' ascents as its low."""
 
-    CFGS = [{}, {"warm_start": False}, {"pruning": False}]
+    # the last one: longer ascents, whose iteration counts list children
+    # with more leaves
+    CFGS = [{}, {"warm_start": False}, {"epsilon": 1e-8}]
 
     @staticmethod
     def run(inst, cfg, monkeypatch, screen):
@@ -186,8 +189,7 @@ class TestChildScreen:
         class Counted(Points):  # listed children, from a batch
             def bound(self, i, p_min):
                 res = super().bound(i, p_min)
-                screened = (self.cfg.pruning
-                            and self.entry[i] > p_min + ZERO_TOL)
+                screened = self.entry[i] > p_min + ZERO_TOL
                 if res is not None and not screened:
                     bounded.append(self.node(i).indices)
                 screens.append(None)
@@ -241,10 +243,9 @@ class TestChildScreen:
             screened += len(screens)
             at_start += sum(start for start, _ in screens)
         # a cold child's D at beta = 0 never exceeds the incumbent, so only
-        # a sibling's ascent point prunes it at entry, and pruning off
-        # takes no screen
-        assert (screened > 0) == cfg.pruning
-        assert (at_start > 0) == (not overrides)
+        # a sibling's ascent point prunes it at entry
+        assert screened > 0
+        assert (at_start > 0) == cfg.warm_start
 
 
 class TestRescreen:
@@ -315,29 +316,6 @@ class TestRescreen:
                     node = Node(indices, inst.d, inst.k)
                     assert low <= subtree_min(inst, node, table) + 1e-9
         assert rescreened > 0
-
-    @pytest.mark.parametrize("kind", KINDS)
-    @pytest.mark.parametrize("subroutine", ["pdal", "sga"])
-    def test_none_without_pruning(self, kind, subroutine, monkeypatch):
-        cfg = SolverConfig(subroutine=subroutine, pruning=False)
-        firsts, bounds = [], l0bfs.subtree._child_entry_bounds
-
-        def spy(inst, node, w, conj, first=0):
-            firsts.append(first)
-            return bounds(inst, node, w, conj, first)
-
-        monkeypatch.setattr(l0bfs.subtree, "_child_entry_bounds", spy)
-        for inst in self.instances(kind):
-            got = bfs_solve(inst, cfg=cfg, record_bounds=True)
-            with monkeypatch.context() as m:
-                m.setattr(l0bfs.search._Siblings, "rescreen",
-                          lambda self, i, state: None)
-                want = bfs_solve(inst, cfg=cfg, record_bounds=True)
-            assert got.bound_log == want.bound_log
-            assert got.objective == want.objective
-            np.testing.assert_array_equal(got.x, want.x)
-        # each expansion's own entry bounds, and no re-screen
-        assert firsts and set(firsts) == {0}
 
 
 class TestBoundLog:
@@ -416,7 +394,7 @@ class TestEmptyHeap:
             def bound(self, i, p_min):
                 if not self.node(i).lists_leaves(self.limit):
                     return None
-                return fake(self.inst, self.node(i), self.warm, p_min, self.cfg)
+                return fake(self.inst, self.node(i), self.warm, p_min, None)
 
         monkeypatch.setattr(l0bfs.search, "subtree_solve", fake)
         monkeypatch.setattr(l0bfs.search, "_Siblings", Fake)
@@ -535,7 +513,9 @@ class TestSiblingBatches:
     leaf batches, each as it would be bounded leaf by leaf alone at its
     turn (listed_node_bound)."""
 
-    CFGS = [{}, {"warm_start": False}, {"pruning": False}]
+    # the last one: longer ascents, whose iteration counts list children
+    # with more leaves
+    CFGS = [{}, {"warm_start": False}, {"epsilon": 1e-8}]
     SHAPES = [(8, 3), (10, 3), (10, 4)]
 
     @staticmethod
@@ -577,7 +557,7 @@ class TestSiblingBatches:
 
         def check(siblings, i, p_min, got):
             node, inst = siblings.node(i), siblings.inst
-            threshold = p_min + ZERO_TOL if cfg.pruning else np.inf
+            threshold = p_min + ZERO_TOL
             want = listed_node_bound(inst, node, siblings.start_beta(),
                                      threshold)
             assert got.status == want.status, node.indices
@@ -601,7 +581,7 @@ class TestSiblingBatches:
             rep = bfs_solve(inst, cfg=cfg)
             assert_matches_oracle(rep, exhaustive_solve(inst))
         assert EXACT in statuses
-        assert (PRUNED in statuses) == cfg.pruning
+        assert PRUNED in statuses
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("subroutine", ["pdal", "sga"])
@@ -642,8 +622,9 @@ class TestSiblingBatches:
                 assert a[1] == pytest.approx(b[1], rel=1e-14, abs=0.0)
                 assert a[3] == pytest.approx(b[3], rel=1e-14, abs=0.0)
         if overrides:
-            # cold children and pruning off screen out too few leaves for
-            # one d-row batch to hold all of an expansion's survivors
+            # cold children screen out too few leaves, and parents that
+            # ascend longer list too many, for one d-row batch to hold all
+            # of an expansion's survivors
             assert several > 0
 
     @pytest.mark.parametrize("kind", KINDS)
@@ -700,7 +681,7 @@ class TestSiblingBatches:
         # 84 + 56 fit 16 d = 160 rows; at d = 10 rows each child is solved
         # alone in batches, and none exceeds the size
         inst = random_instance("huber", d=10, k=4, n=12, seed=92, lam=1e-2)
-        cfg = SolverConfig(pruning=False)
+        cfg = SolverConfig()   # no bound exceeds p0, so nothing prunes
         root, p0 = Node((), inst.d, inst.k), inst.objective(np.zeros(inst.d))
         warm = dataclasses.replace(
             subtree_solve(inst, root, None, p0, cfg).state,

@@ -215,3 +215,20 @@ class TestLeaves:
         assert listed > 0
         if limit == 10**4 and k >= 3:
             assert deep > 0
+
+
+class TestListedChildren:
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_listed_children_are_a_suffix_of_child_range(self, d):
+        # lists_leaves(limit) changes only where limit crosses a child's
+        # leaf count, so these limits stand for every limit
+        pairs = 0
+        for k in range(1, d + 1):
+            for node in enumerate_tree(d, k):
+                children = node.children()
+                counts = [math.comb(c.tail_size, k - c.size) for c in children]
+                for limit in {0, *counts, *(c - 1 for c in counts)}:
+                    listed = [c.lists_leaves(limit) for c in children]
+                    assert listed == sorted(listed), (node.indices, limit)
+                    pairs += 1
+        assert pairs > 0

@@ -33,7 +33,7 @@ class TestSolverConfig:
             SolverConfig(epsilon=float("nan"))
 
     @pytest.mark.parametrize("field,value", [
-        ("warm_start", "no"), ("warm_start", 0), ("pruning", None),
+        ("warm_start", "no"), ("warm_start", 0),
         ("epsilon", True), ("epsilon", "1e-5"), ("max_dual_iters", True),
         ("max_dual_iters", 2.5), ("max_dual_iters", "10")])
     def test_wrong_types_rejected(self, field, value):
@@ -43,7 +43,7 @@ class TestSolverConfig:
     def test_numpy_scalars_accepted(self):
         cfg = SolverConfig(epsilon=np.float64(1e-4),
                            max_dual_iters=np.int64(10),
-                           warm_start=np.bool_(False), pruning=np.bool_(True))
+                           warm_start=np.bool_(False))
         assert cfg.max_dual_iters == 10 and not cfg.warm_start
 
 
@@ -116,13 +116,6 @@ class TestExactBranches:
         assert res.status == PRUNED
         assert res.low > -1.0
 
-    def test_exact_branch_keeps_winner_when_pruning_off(self):
-        inst = small_instance("quadratic", 8)
-        node = Node((1, 4), inst.d, inst.k)
-        cfg = SolverConfig(pruning=False)
-        res = subtree_solve(inst, node, prune_threshold=-1.0, cfg=cfg)
-        assert res.status == EXACT
-
 
 class TestPdal:
     @pytest.mark.parametrize("kind", KINDS)
@@ -180,8 +173,10 @@ class TestPdal:
             x = u - prox_topk_sq(1.0 / (lam * step), k, u)
         p_relax = inst.loss.value(inst.A @ x) + h_value(x)
 
-        cfg = SolverConfig(epsilon=1e-10, pruning=False)
-        res = pdal_maximize(inst, node, pdal_root_state(inst), p_relax, cfg)
+        # the root's subtree minimum: no D exceeds it, so nothing prunes
+        cfg = SolverConfig(epsilon=1e-10)
+        res = pdal_maximize(inst, node, pdal_root_state(inst),
+                            subtree_min(inst, node), cfg)
         assert res.low <= p_relax + 1e-9
         assert res.low == pytest.approx(p_relax, rel=1e-4, abs=1e-8)
 
@@ -192,7 +187,7 @@ class TestPdal:
         inst = small_instance(kind, 24)
         node = Node((0, 3), inst.d, inst.k)
         ref = solve_restricted(inst, node.indices)
-        cfg = SolverConfig(epsilon=1e-10, pruning=False)
+        cfg = SolverConfig(epsilon=1e-10)   # ref.value is the subtree minimum
         res = pdal_maximize(inst, node, pdal_root_state(inst), ref.value, cfg)
         assert res.low <= ref.value + 1e-9
         assert res.low == pytest.approx(ref.value, rel=1e-5, abs=1e-8)
@@ -202,7 +197,7 @@ class TestPdal:
         # the unconstrained minimum
         inst = random_instance("huber", d=5, k=5, n=8, seed=25, lam=1e-2)
         ref = solve_restricted(inst, range(5))
-        cfg = SolverConfig(epsilon=1e-10, pruning=False)
+        cfg = SolverConfig(epsilon=1e-10)   # ref.value is the subtree minimum
         res = pdal_maximize(inst, root_node(5, 5), pdal_root_state(inst),
                             ref.value, cfg)
         assert res.low <= ref.value + 1e-9
@@ -212,7 +207,7 @@ class TestPdal:
         inst = small_instance("huber", 12)
         node = root_node(inst.d, inst.k)
         p0 = inst.objective(np.zeros(inst.d))
-        cfg = SolverConfig(pruning=False)
+        cfg = SolverConfig()
         first = pdal_maximize(inst, node, pdal_root_state(inst), p0, cfg)
         again = pdal_maximize(inst, node, first.state, p0, cfg)
         assert again.low >= first.low - cfg.epsilon * max(first.value, 1.0)
@@ -220,7 +215,7 @@ class TestPdal:
     def test_iteration_cap_still_returns_valid_bound(self):
         inst = small_instance("logistic", 13)
         node = root_node(inst.d, inst.k)
-        cfg = SolverConfig(max_dual_iters=2, pruning=False)
+        cfg = SolverConfig(max_dual_iters=2)   # P(0) < 1: no D exceeds 1
         res = pdal_maximize(inst, node, pdal_root_state(inst), 1.0, cfg)
         assert res.status == DUAL_BOUND
         assert res.iterations == 2
@@ -253,7 +248,7 @@ class TestSga:
     def test_low_never_below_initial_dual_value(self):
         # the backtracking accepts only non-decreasing dual values
         rng = np.random.default_rng(16)
-        cfg = SolverConfig(subroutine="sga", pruning=False)
+        cfg = SolverConfig(subroutine="sga")   # P(0) < 1: no D exceeds 1
         inst = small_instance("huber", 17)
         node = root_node(inst.d, inst.k)
         for _ in range(10):
@@ -266,7 +261,7 @@ class TestSga:
     def test_iteration_cap_still_returns_valid_bound(self):
         inst = small_instance("quadratic", 18)
         node = root_node(inst.d, inst.k)
-        cfg = SolverConfig(subroutine="sga", max_dual_iters=2, pruning=False)
+        cfg = SolverConfig(subroutine="sga", max_dual_iters=2)   # P(0) < 1
         res = sga_maximize(inst, node, sga_root_state(inst), 1.0, cfg)
         assert res.status == DUAL_BOUND
         assert res.low <= subtree_min(inst, node) + 1e-9
@@ -288,7 +283,7 @@ class TestPruneAfterAscent:
         p0 = inst.objective(np.zeros(inst.d))
         d_entry = dual_value(inst, node, root_state(inst).beta)
         unpruned = maximize(inst, node, root_state(inst), p0,
-                            SolverConfig(subroutine=subroutine, pruning=False))
+                            SolverConfig(subroutine=subroutine))
         threshold = 0.5 * (d_entry + unpruned.low)
 
         calls = [0]
@@ -308,11 +303,11 @@ class TestPruneAfterAscent:
         if subroutine == "pdal":
             # the prune test comes before the linesearch of its iteration,
             # so the pruned run makes the top-k prox calls of exactly
-            # iterations - 1 full iterations
+            # iterations - 1 full iterations; none of them prunes, so a
+            # run capped there at the same threshold takes the same steps
             assert res.iterations >= 2
             pruned_calls, calls[0] = calls[0], 0
-            cfg = SolverConfig(pruning=False,
-                               max_dual_iters=res.iterations - 1)
+            cfg = SolverConfig(max_dual_iters=res.iterations - 1)
             capped = maximize(inst, node, root_state(inst), threshold, cfg)
             assert capped.iterations == res.iterations - 1
             assert pruned_calls == calls[0] > 0
@@ -345,7 +340,7 @@ class TestPdalWarmStart:
         inst = random_instance(kind, d=8, k=3, n=12, seed=0, lam=1e-2)
         root = root_node(inst.d, inst.k)
         p0 = inst.objective(np.zeros(inst.d))
-        cfg = SolverConfig(pruning=False)
+        cfg = SolverConfig()
         parent = subtree_solve(inst, root, prune_threshold=p0, cfg=cfg)
         # a zero count keeps the children ascending instead of listing them
         handed = dataclasses.replace(parent.state, iterations=0)
@@ -361,26 +356,24 @@ class TestPdalWarmStart:
             assert (warm.low - parent.low
                     >= 0.9 * (cold.low - parent.low)), child.indices
 
-    @pytest.mark.parametrize("pruning", [False, True])
+    @pytest.mark.parametrize("at_optimum", [False, True])
     @pytest.mark.parametrize("kind", KINDS)
-    def test_listed_child_is_bounded_by_its_leaves(self, kind, pruning):
+    def test_listed_child_is_bounded_by_its_leaves(self, kind, at_optimum):
         # with the parent's real iteration count the children it lists
         # skip the ascent; pruning at the optimum prunes all but the
-        # optimum's own child
+        # optimum's own child, and at P(0), above every leaf, none
         inst = random_instance(kind, d=8, k=3, n=12, seed=0, lam=1e-2)
         root = root_node(inst.d, inst.k)
         p0 = inst.objective(np.zeros(inst.d))
-        parent = subtree_solve(inst, root, prune_threshold=p0,
-                               cfg=SolverConfig(pruning=False))
-        threshold = min(leaf_values(inst).values()) if pruning else p0
-        cfg = SolverConfig(pruning=pruning)
+        parent = subtree_solve(inst, root, prune_threshold=p0)
+        threshold = min(leaf_values(inst).values()) if at_optimum else p0
         statuses = set()
         for child in root.children():
             leaves = child.leaves(parent.state.iterations)
             if leaves is None:
                 continue
             res = subtree_solve(inst, child, warm=parent.state,
-                                prune_threshold=threshold, cfg=cfg)
+                                prune_threshold=threshold)
             best = min(solve_restricted(inst, row).value for row in leaves)
             statuses.add(res.status)
             assert res.iterations == 0
@@ -390,7 +383,7 @@ class TestPdalWarmStart:
             else:
                 assert res.status == PRUNED
                 assert res.low <= best + 1e-10 * abs(best)
-        assert PRUNED in statuses if pruning else statuses == {EXACT}
+        assert PRUNED in statuses if at_optimum else statuses == {EXACT}
 
 
 class TestSubtreeSolveDispatch:
@@ -425,10 +418,9 @@ class TestSubtreeSolveDispatch:
         inst = small_instance("huber", 22)
         node = root_node(inst.d, inst.k)
         p0 = inst.objective(np.zeros(inst.d))
-        cfg_on = SolverConfig(pruning=False)
-        first = subtree_solve(inst, node, prune_threshold=p0, cfg=cfg_on)
+        first = subtree_solve(inst, node, prune_threshold=p0)
         child = node.children()[0]
-        cfg_off = SolverConfig(warm_start=False, pruning=False)
+        cfg_off = SolverConfig(warm_start=False)
         cold = subtree_solve(inst, child, warm=first.state,
                              prune_threshold=p0, cfg=cfg_off)
         fresh = subtree_solve(inst, child, warm=None, prune_threshold=p0,
@@ -440,7 +432,7 @@ class TestSubtreeSolveDispatch:
     def test_dual_state_returned_for_children(self, subroutine):
         inst = small_instance("quadratic", 23)
         node = root_node(inst.d, inst.k)
-        cfg = SolverConfig(subroutine=subroutine, pruning=False)
+        cfg = SolverConfig(subroutine=subroutine)   # P(0) < 1
         res = subtree_solve(inst, node, prune_threshold=1.0, cfg=cfg)
         assert res.status == DUAL_BOUND
         expected = DualState if subroutine == "pdal" else SgaState
@@ -482,7 +474,7 @@ class TestSubtreeSolveDispatch:
         inst = small_instance("huber", 24)
         with pytest.raises(ValueError, match="cfg"):
             maximize(inst, root_node(inst.d, inst.k), root_state(inst),
-                     np.inf, {"pruning": False})
+                     np.inf, {"warm_start": False})
 
 
 class TestSharedParentState:
@@ -493,7 +485,7 @@ class TestSharedParentState:
         inst = random_instance(kind, d=8, k=3, n=12, seed=3, lam=1e-2)
         root = root_node(inst.d, inst.k)
         p0 = inst.objective(np.zeros(inst.d))
-        cfg = SolverConfig(subroutine=subroutine, pruning=False)
+        cfg = SolverConfig(subroutine=subroutine)
         res = subtree_solve(inst, root, prune_threshold=p0, cfg=cfg)
         assert res.status == DUAL_BOUND
         return inst, root, res.state
@@ -594,8 +586,7 @@ class TestLastLevel:
         inst = random_instance(kind, d=8, k=2, n=12, seed=seed, lam=1e-2)
         root = root_node(inst.d, inst.k)
         p0 = inst.objective(np.zeros(inst.d))
-        parent = subtree_solve(inst, root, prune_threshold=p0,
-                               cfg=SolverConfig(pruning=False))
+        parent = subtree_solve(inst, root, prune_threshold=p0)
         assert parent.status == DUAL_BOUND
         node = Node((1,), inst.d, inst.k)
         minima = [solve_restricted(inst, leaf).value for leaf in node.leaves()]
@@ -609,7 +600,8 @@ class TestLastLevel:
     @pytest.mark.parametrize("kind", KINDS)
     def test_exact_at_the_least_leaf_minimum(self, kind):
         inst, node, state, minima = self.last_level_node(kind)
-        for cfg in (SolverConfig(), SolverConfig(pruning=False)):
+        # exact from the parent's state and from the cold start alike
+        for cfg in (SolverConfig(), SolverConfig(warm_start=False)):
             res = subtree_solve(inst, node, warm=state,
                                 prune_threshold=max(minima), cfg=cfg)
             assert res.status == EXACT
@@ -673,7 +665,7 @@ class TestChildEntryBounds:
 
     @staticmethod
     def states(inst, subroutine, rng):
-        cfg = SolverConfig(subroutine=subroutine, pruning=False)
+        cfg = SolverConfig(subroutine=subroutine)
         p0 = inst.objective(np.zeros(inst.d))
         ascended = subtree_solve(inst, root_node(inst.d, inst.k),
                                  prune_threshold=p0, cfg=cfg).state
@@ -725,10 +717,10 @@ class TestChildEntryBounds:
     @pytest.mark.parametrize("subroutine", ["pdal", "sga"])
     def test_no_screen_where_children_do_not_start_from_the_state(
             self, subroutine):
-        # an expansion whose children start cold, from a state without w or
-        # with pruning off gives D at the state they do start from, not a
-        # placeholder; _child_entry_bounds takes the hand-built state's
-        # start point as well
+        # an expansion whose children start cold or from a state without w
+        # gives D at the state they do start from, not a placeholder;
+        # _child_entry_bounds takes the hand-built state's start point as
+        # well
         inst = self.instances("huber")[0]
         state = self.states(inst, subroutine, np.random.default_rng(0))[0]
         other = "sga" if subroutine == "pdal" else "pdal"
@@ -737,7 +729,6 @@ class TestChildEntryBounds:
         cold = np.zeros(inst.n)
         cases = [(None, {}, cold), (state, {"warm_start": False}, cold),
                  (state, {"subroutine": other}, cold),
-                 (state, {"pruning": False}, state.beta),
                  (hand_built, {}, state.beta)]
         node = Node((1,), inst.d, inst.k)
         direct = l0bfs.subtree._child_entry_bounds(

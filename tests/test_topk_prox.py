@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -239,6 +241,58 @@ class TestScale:
             assert np.all(np.isfinite(prox_topk_sq(mu, k, v))), (mu, k, v)
 
 
+def fraction_prox_topk_sq(mu, k, v):
+    """The prox in exact arithmetic: the block (js, je) whose xi meets the
+    optimality conditions, tried in every placement, on Fractions."""
+    mu, d = Fraction(mu), len(v)
+    k = min(k, d)
+    order = sorted(range(d), key=lambda i: -abs(v[i]))
+    u = [abs(Fraction(v[i])) for i in order]
+    U = [None] + u + [Fraction(0)]          # 1-based, U[d+1] = 0
+    Ubar = [None] + [x / (1 + mu) for x in u[:k]]
+    if Ubar[k] >= U[k + 1]:
+        x_sorted = Ubar[1:] + u[k:]
+    else:
+        x_sorted = next(
+            Ubar[1:js] + [xi] * (je - js + 1) + u[je:]
+            for js in range(1, k + 1) for je in range(k, d + 1)
+            for xi in [sum(u[js - 1:je]) / (mu * (k - js + 1) + je - js + 1)]
+            if U[je + 1] <= xi <= U[je] and Ubar[js] <= xi
+            and (js == 1 or xi <= Ubar[js - 1]))
+    out = [Fraction(0)] * d
+    for i, x in zip(order, x_sorted):
+        out[i] = x if v[i] >= 0 else -x
+    return out
+
+
+class TestOverflowingWeight:
+    """mu * k overflows: the prox matches the exact one, with v's sums
+    overflowing too or not."""
+
+    @pytest.mark.parametrize("mu,k,v", [
+        (1e308, 3, [1.7e308, -1.7e308, 1.53e308, 8.5e307, 1.7e307]),
+        (1.7976931348623157e308, 2, [3e300, -1e300, 2e300, 5e299]),
+        (5e307, 4, [1e10, 7e9, -6e9, 6e9, 1e9, -2e8]),
+        (1e308, 5, [4.0, 1.0, -1.0, 2.0, -2.0, 3.0, -4.0]),
+    ])
+    def test_matches_the_exact_prox(self, mu, k, v):
+        assert mu * k == np.inf
+        want = [float(x) for x in fraction_prox_topk_sq(mu, k, v)]
+        np.testing.assert_allclose(prox_topk_sq(mu, k, v), want,
+                                   rtol=1e-12, atol=0.0)
+
+    def test_reference_agrees_below_the_overflow(self):
+        rng = np.random.default_rng(6)
+        for _ in range(100):
+            d = int(rng.integers(1, 12))
+            k = int(rng.integers(1, d + 1))
+            mu = float(10.0 ** rng.uniform(-3.0, 3.0))
+            v = rng.standard_normal(d).tolist()
+            want = [float(x) for x in fraction_prox_topk_sq(mu, k, v)]
+            np.testing.assert_allclose(prox_topk_sq(mu, k, v), want,
+                                       rtol=1e-12, atol=1e-300)
+
+
 class TestStructure:
     @pytest.mark.parametrize("seed", range(15))
     def test_sign_equivariance(self, seed):
@@ -306,6 +360,13 @@ class TestConjugateProx:
             prox_topk_sq_conjugate(0.0, 1, np.array([1.0]), 1.0)
         with pytest.raises(ValueError):
             prox_topk_sq_conjugate(1.0, 1, np.array([1.0]), 0.0)
+
+    @pytest.mark.parametrize("alpha,lam", [(1e-310, 1.0), (1e-200, 1e-200)])
+    def test_rejects_an_overflowing_shrinkage_weight(self, alpha, lam):
+        # 1/(lam * alpha) overflows (lam * alpha underflows to 0 in the
+        # second case)
+        with pytest.raises(ValueError, match=r"lam \* alpha"):
+            prox_topk_sq_conjugate(alpha, 1, np.array([1.0, 2.0, 0.5]), lam)
 
     @pytest.mark.parametrize("alpha,lam", [(np.nan, 0.5), (1.0, np.nan),
                                            (np.inf, 0.5), (1.0, np.inf)])

@@ -9,11 +9,11 @@ digests of its searches; the last line is one
 SHA-256 over all 102.  Before that last line, one line does the same for
 exhaustive_solve on the 13 seed-0 enum instances: their calls and one
 SHA-256 over each objective, x and calls.  One more line covers the
-ablations, which the default searches never run: the seed-0 hard and
-logistic searches with pdal and sga, each under warm_start=False and under
-pruning=False, with their calls and one SHA-256 over each objective, x and
-bound_log entry.  A third line calls subtree_solve directly, as no search
-does, on the seed-0 hard and logistic instances with pdal and sga: on the
+ablation, which the default searches never run: the seed-0 hard and
+logistic searches with pdal and sga under warm_start=False, with their
+calls and one SHA-256 over each objective, x and bound_log entry.  A third
+line calls subtree_solve directly, as no search does, on the seed-0 hard
+and logistic instances with pdal and sga: on the
 root, cold, then on every child of each node it bounds by an ascent, warm
 from that node's result, all against P(0).  It gives the calls and one
 SHA-256 over each call's indices, low, status, value and iterations.  A
@@ -59,14 +59,13 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 import numpy as np  # noqa: E402
 
 import l0bfs.search  # noqa: E402
-from l0bfs import (DUAL_BOUND, PRUNED, SolverConfig, bfs_solve,  # noqa: E402
-                   exhaustive_solve, root_node, subtree_solve)
+from l0bfs import (DUAL_BOUND, PRUNED, Node, SolverConfig,  # noqa: E402
+                   bfs_solve, exhaustive_solve, root_node, subtree_solve)
 from workloads import build_cases  # noqa: E402
 
 WORKLOADS = ("planted", "hard", "logistic")
 SUBROUTINES = ("pdal", "sga")
 ABLATION_WORKLOADS = ("hard", "logistic")
-ABLATIONS = ({"warm_start": False}, {"pruning": False})
 DELTAS = (1e-3, 1e-2)
 
 
@@ -121,10 +120,10 @@ def _searches_line(name, runs):
 
 
 def _ablation_line():
-    """The seed-0 ablation searches: pdal and sga under each ablation."""
+    """The seed-0 ablation searches: pdal and sga without warm start."""
     return _searches_line("ablation", [
-        (SolverConfig(subroutine=subroutine, **ablation), 0.0)
-        for subroutine in SUBROUTINES for ablation in ABLATIONS])
+        (SolverConfig(subroutine=subroutine, warm_start=False), 0.0)
+        for subroutine in SUBROUTINES])
 
 
 def _delta_line():
@@ -152,8 +151,10 @@ def _subtree_line():
                                   f"{res.status}|{float(res.value).hex()}|"
                                   f"{res.iterations}".encode())
                     if res.status == DUAL_BOUND:
-                        pending.extend((child, res.state)
-                                       for child in reversed(node.children()))
+                        pending.extend(
+                            (Node(node.indices + (j,), inst.d, inst.k),
+                             res.state)
+                            for j in reversed(node.child_range()))
     return f"subtree  dir  calls {calls:5d}  sha256 {digest.hexdigest()}"
 
 
