@@ -33,7 +33,7 @@ OUT_ENV = "L0BFS_OUT"
 
 COLUMNS = ["instance_id", "method", "delta", "objective", "objective_error",
            "solver_calls", "pruned", "wall_ms", "support", "status",
-           "subroutine", "warm_start", "seed", "ref_support"]
+           "subroutine", "seed", "ref_support"]
 
 METHODS = ("bfs", "omp", "iht", "htp", "oracle")
 
@@ -70,8 +70,7 @@ def read_rows(path):
 
 def _run_method(inst, method, args):
     if method == "bfs":
-        cfg = SolverConfig(epsilon=args.epsilon, subroutine=args.subroutine,
-                           warm_start=not args.no_warm_start)
+        cfg = SolverConfig(epsilon=args.epsilon, subroutine=args.subroutine)
         return bfs_solve(inst, delta=args.delta, cfg=cfg)
     if method == "oracle":
         return exhaustive_solve(inst)
@@ -86,25 +85,24 @@ def _record(inst, iid, method, args, seed, ref, oracle_objective, report=None):
     row against its own objective.
     """
     row = dict.fromkeys(COLUMNS, "")
+    # only bfs takes delta; the other methods record 0.0
     row.update(instance_id=iid, method=method,
+               delta=_fmt(args.delta if method == "bfs" else 0.0),
                seed="" if seed is None else str(seed))
     if report is None:
         try:
             report = _run_method(inst, method, args)
         except Exception as exc:  # record the failure, then go on
             print(f"error: {method} failed on {iid}: {exc}", file=sys.stderr)
-            # only bfs takes delta; the other methods report 0.0 on success
-            row.update(delta=_fmt(args.delta if method == "bfs" else 0.0),
-                       status="error")
+            row["status"] = "error"
             return row
     if method == "oracle":
         oracle_objective = report.objective
     if oracle_objective is not None:
         row["objective_error"] = _fmt(report.objective - oracle_objective)
     if method == "bfs":
-        row.update(subroutine=args.subroutine,
-                   warm_start=str(not args.no_warm_start).lower())
-    row.update(delta=_fmt(report.delta), objective=_fmt(report.objective),
+        row["subroutine"] = args.subroutine
+    row.update(objective=_fmt(report.objective),
                solver_calls=str(report.solver_calls), pruned=str(report.pruned),
                wall_ms=_fmt(report.wall_time * 1000.0),
                support=_join(report.support), status="ok",
@@ -297,7 +295,6 @@ def _add_solver_flags(p):
                    default=SolverConfig.subroutine)
     p.add_argument("--epsilon", type=_positive, default=SolverConfig.epsilon,
                    help="relative convergence tolerance of the bound subroutine")
-    p.add_argument("--no-warm-start", action="store_true")
 
 
 def build_parser():

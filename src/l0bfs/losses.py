@@ -77,6 +77,8 @@ class Loss:
             raise ValueError("tau must be nonnegative")
         if tau == 0 or 1.0 / float(tau) == math.inf:
             return v.copy()
+        if float(np.abs(v).max()) / float(tau) == math.inf:
+            raise ValueError(f"v / tau overflows at tau = {tau!r}")
         return v - tau * self.prox_conjugate(1.0 / tau, v / tau)
 
     def prox_conjugate(self, tau, v):

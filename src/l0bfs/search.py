@@ -48,9 +48,8 @@ class SolveReport:
     objective: float
     solver_calls: int      # subtree bound computations (1 for inexact methods)
     wall_time: float       # seconds around the solve only
-    pruned: int = 0        # search counters and delta: 0 for other methods
+    pruned: int = 0        # search counters: 0 for other methods
     heap_peak: int = 0
-    delta: float = 0.0
     converged: bool = True
     bound_log: Optional[list] = None  # (indices, low, status, value) per bound
 
@@ -108,8 +107,7 @@ def bfs_solve(inst, delta=0.0, cfg=None, record_bounds=False):
         expansion = _Siblings(inst, node, state, cfg)
     return SolveReport(x=x_inc, objective=p_min, solver_calls=calls,
                        pruned=pruned_count, heap_peak=heap_peak,
-                       wall_time=time.perf_counter() - t0, delta=delta,
-                       bound_log=log)
+                       wall_time=time.perf_counter() - t0, bound_log=log)
 
 
 def exhaustive_solve(inst):

@@ -50,8 +50,8 @@ step closure that makes one iteration:
   * sga_maximize: projected supergradient ascent with step backtracking.
 
 Pruning stops the ascent as soon as some D value exceeds the incumbent
-objective, which certifies the subtree cannot win.  Warm starting hands a
-child its parent's final state: for pdal the dual and primal iterates
+objective, which certifies the subtree cannot win.  Every child starts
+from its parent's final state: for pdal the dual and primal iterates
 (beta, y), with the step schedule restarted at every call, because the
 parent's spent schedule barely moves the child and would stop its ascent
 at a loose bound; for sga beta and the parent's first accepted step.
@@ -105,7 +105,6 @@ class SolverConfig:
     epsilon: float = 1e-5
     subroutine: str = "pdal"  # or "sga"
     max_dual_iters: int = 50_000
-    warm_start: bool = True
 
     def __post_init__(self):
         if not _real("epsilon", self.epsilon) > 0:
@@ -114,8 +113,6 @@ class SolverConfig:
             raise ValueError("subroutine must be 'pdal' or 'sga'")
         if _integer("max_dual_iters", self.max_dual_iters) < 1:
             raise ValueError("max_dual_iters must be at least 1")
-        if not isinstance(self.warm_start, (bool, np.bool_)):
-            raise ValueError(f"warm_start must be a bool, got {self.warm_start!r}")
 
 
 def _solver_config(cfg):
@@ -191,10 +188,10 @@ def _check_node(inst, node):
 
 
 def _start_state(inst, warm, cfg):
-    """The state a node starts from: warm when warm starting is on and warm
-    is cfg's state type, else the root state of cfg's maximizer."""
+    """The state a node starts from: warm when it is cfg's maximizer's state
+    type, else that maximizer's root state."""
     pdal = cfg.subroutine == "pdal"
-    if cfg.warm_start and isinstance(warm, DualState if pdal else SgaState):
+    if isinstance(warm, DualState if pdal else SgaState):
         return warm
     return (pdal_root_state if pdal else sga_root_state)(inst)
 
@@ -562,9 +559,9 @@ def sga_maximize(inst, node, init, prune_threshold, cfg):
 def subtree_solve(inst, node, warm=None, prune_threshold=np.inf, cfg=None):
     """Lower bound + feasible candidate for the subtree below node.
 
-    warm is the parent's final DualState/SgaState, the start state if
-    _start_state takes it.  Its dual iteration count sets which nodes
-    Node.leaves lists whether or not warm starting is on.  A listed node
+    warm is the parent's final DualState/SgaState, the start state when it
+    is cfg.subroutine's type (_start_state).  Its dual iteration count sets
+    which nodes Node.leaves lists either way.  A listed node
     is bounded as an expansion of itself alone (_Siblings.lone), from D at
     the start state; bfs_solve bounds it the same way in its parent's
     expansion.  Any other node is bounded by cfg.subroutine's maximizer.

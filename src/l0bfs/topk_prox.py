@@ -137,7 +137,8 @@ def prox_topk_sq_conjugate(alpha, k, v, lam):
 
     Moreau: prox_{alpha h*}(v) = v - alpha * prox_{h / alpha}(v / alpha),
     and h/alpha has shrinkage weight mu = 1/(lam * alpha).  The identity is
-    applied on Python floats, with the same operations numpy would make.
+    applied on Python floats, with the same operations numpy would make;
+    where v / alpha overflows, as v - prox_{h / alpha}(v) by homogeneity.
     Raises ValueError when mu overflows.
     """
     if (not alpha > 0 or not lam > 0
@@ -153,5 +154,9 @@ def prox_topk_sq_conjugate(alpha, k, v, lam):
     mu = 1.0 / (lam * alpha) if lam * alpha > 0 else inf
     if mu == inf:
         raise ValueError(f"1/(lam * alpha) overflows: lam * alpha = {lam * alpha!r}")
-    p, _ = _prox_list(mu, int(k), [x / alpha for x in vals])
+    scaled = [x / alpha for x in vals]
+    # the sum screens cheaply for an entry of v / alpha that overflowed
+    if not isfinite(sum(scaled)) and inf in map(abs, scaled):
+        alpha, scaled = 1.0, vals
+    p, _ = _prox_list(mu, int(k), scaled)
     return np.array([x - alpha * q for x, q in zip(vals, p)])

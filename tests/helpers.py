@@ -3,7 +3,8 @@
 Everything here recomputes quantities through routes independent of the
 library implementation: numeric 1-D optimization for conjugates and proxes,
 finite differences for gradients, and explicit leaf enumeration for subtree
-minima.
+minima.  The one fake, cold_start, gives the search a cold start, which the
+library has no setting for.
 """
 
 import itertools
@@ -11,8 +12,18 @@ import itertools
 import numpy as np
 from scipy.optimize import minimize_scalar
 
+import l0bfs.subtree
 from l0bfs import (EXACT, PRUNED, BoundResult, Instance, Node, dual_value,
-                   make_loss, solve_restricted)
+                   make_loss, pdal_root_state, sga_root_state,
+                   solve_restricted)
+
+
+def cold_start(monkeypatch):
+    """Start every node from its maximizer's root state instead of its
+    parent's final state: the reference warm-start comparisons run
+    against."""
+    monkeypatch.setattr(l0bfs.subtree, "_start_state", lambda inst, warm, cfg: (
+        pdal_root_state if cfg.subroutine == "pdal" else sga_root_state)(inst))
 
 
 def random_instance(kind, d, k, n, seed, lam=1e-2, delta=1.0):

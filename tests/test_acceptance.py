@@ -15,8 +15,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from helpers import (domain_point, fd_grad, leaf_values, random_instance,
-                     random_interior_node, subtree_min)
+from helpers import (cold_start, domain_point, fd_grad, leaf_values,
+                     random_instance, random_interior_node, subtree_min)
 from l0bfs import (PRUNED, GenSpec, Node, SolverConfig, bfs_solve, dual_value,
                    exhaustive_solve, generate, htp, iht, make_loss, omp,
                    prox_topk_sq, prox_topk_sq_conjugate, solve_restricted,
@@ -250,14 +250,18 @@ def test_07_bound_monotone_along_tree_edges():
     assert ok
 
 
-def test_08_warm_start_and_pruning_reduce_calls():
-    # the search always prunes; the default config warm starts as well
+def test_08_warm_start_and_pruning_reduce_calls(monkeypatch):
+    # the search always prunes and warm starts; the reference starts every
+    # node cold
     insts = [generate(GenSpec(family="huber", d=30, k=3, seed=s)).instance
              for s in range(30)]
-    mean_on, mean_off = (
-        float(np.mean([bfs_solve(inst, cfg=cfg).solver_calls
-                       for inst in insts]))
-        for cfg in (SolverConfig(), SolverConfig(warm_start=False)))
+
+    def mean_calls():
+        return float(np.mean([bfs_solve(inst).solver_calls for inst in insts]))
+
+    mean_on = mean_calls()
+    cold_start(monkeypatch)
+    mean_off = mean_calls()
     ok = mean_on <= mean_off
     record("08 warm-start-call-reduction", ok,
            f"30 instances (huber, d=30, k=3): mean solver calls {mean_on:.2f} "

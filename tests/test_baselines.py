@@ -45,7 +45,6 @@ class TestCommonContract:
         assert rep.solver_calls == 1
         assert rep.pruned == 0
         assert rep.heap_peak == 0
-        assert rep.delta == 0.0
 
     @pytest.mark.parametrize("method", METHODS)
     def test_deterministic(self, method):

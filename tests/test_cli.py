@@ -46,8 +46,18 @@ class TestParsing:
         assert rc == 2
         assert not os.path.exists(tmp_path / "r.csv")
 
+    def test_search_always_warm_starts(self, tmp_path, capsys):
+        # no flag starts the children cold, and no column records it
+        assert "warm_start" not in COLUMNS
+        inst = gen_dir(tmp_path)
+        rc = main(["solve", "--instance", inst, "--method", "bfs",
+                   "--no-warm-start", "--out", str(tmp_path / "r.csv")])
+        capsys.readouterr()
+        assert rc == 2
+        assert not os.path.exists(tmp_path / "r.csv")
+
     def test_oracle_rejects_search_flags(self, tmp_path, capsys):
-        # the exhaustive solve has no subroutine, delta or warm start
+        # the exhaustive solve has no subroutine or delta
         inst = gen_dir(tmp_path)
         rc = main(["oracle", "--instance", inst, "--subroutine", "sga",
                    "--out", str(tmp_path / "r.csv")])
@@ -232,7 +242,6 @@ class TestSolve:
         assert row["method"] == "bfs"
         assert row["status"] == "ok"
         assert row["subroutine"] == "pdal"
-        assert row["warm_start"] == "true"
         assert row["seed"] == "0"
         assert row["ref_support"]  # generated instances carry their truth
         # a parsed row re-emits byte-identically
@@ -277,18 +286,15 @@ class TestSolve:
         for row in read_rows(out):
             assert row["solver_calls"] == "1"
             assert row["subroutine"] == ""
-            assert row["warm_start"] == ""
 
     def test_ablation_flags_recorded(self, tmp_path, capsys):
         inst = gen_dir(tmp_path)
         out = str(tmp_path / "r.csv")
         assert main(["solve", "--instance", inst, "--method", "bfs",
-                     "--subroutine", "sga", "--no-warm-start",
-                     "--out", out]) == 0
+                     "--subroutine", "sga", "--out", out]) == 0
         capsys.readouterr()
         row = read_rows(out)[0]
         assert row["subroutine"] == "sga"
-        assert row["warm_start"] == "false"
 
     def test_default_flags_build_default_config(self, tmp_path, monkeypatch,
                                                 capsys):

@@ -1,8 +1,8 @@
 """bfs_solve against enumeration on degenerate inputs.
 
 Every case runs with each loss and each dual subroutine, and with pdal
-under warm_start=False, and the certified objective must equal
-exhaustive_solve's to 1e-10 relative.  The cases are
+started cold at every node (helpers.cold_start), and the certified
+objective must equal exhaustive_solve's to 1e-10 relative.  The cases are
 the ones where a bound, a screen or a restricted solve is most likely to
 slip: duplicate and collinear columns (tied or singular leaves), a ridge
 weight of 1e-10 (nearly singular Hessians and a steep dual penalty),
@@ -16,17 +16,16 @@ leaf are bounded by their listed leaves, up to 36 of them.
 import numpy as np
 import pytest
 
-from helpers import random_instance
+from helpers import cold_start, random_instance
 from l0bfs import (GenSpec, Instance, SolverConfig, bfs_solve,
                    exhaustive_solve, generate, make_loss)
 
 KINDS = ["quadratic", "huber", "logistic"]
 CASES = ["duplicate", "collinear", "tiny_lam", "separable", "k_one", "k_equals_d",
          "zero_design", "low_sample"]
-# each dual subroutine warm, and pdal cold, where its siblings' ascent
-# points are all that prune a child at entry
-CFGS = [SolverConfig(), SolverConfig(subroutine="sga"),
-        SolverConfig(warm_start=False)]
+# (subroutine, cold): each dual subroutine warm, and pdal cold, where its
+# siblings' ascent points are all that prune a child at entry
+CFGS = [("pdal", False), ("sga", False), ("pdal", True)]
 
 
 def case_instance(case, kind):
@@ -60,10 +59,13 @@ def case_instance(case, kind):
 @pytest.mark.parametrize("cfg", CFGS, ids=["pdal", "sga", "pdal-cold"])
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("case", CASES)
-def test_bfs_matches_enumeration(case, kind, cfg):
+def test_bfs_matches_enumeration(case, kind, cfg, monkeypatch):
+    subroutine, cold = cfg
+    if cold:
+        cold_start(monkeypatch)
     inst = case_instance(case, kind)
     oracle = exhaustive_solve(inst)
-    rep = bfs_solve(inst, cfg=cfg)
+    rep = bfs_solve(inst, cfg=SolverConfig(subroutine=subroutine))
     assert rep.objective == pytest.approx(oracle.objective, rel=1e-10, abs=0.0)
     assert np.flatnonzero(rep.x).size <= inst.k
     assert rep.objective == inst.objective(rep.x)

@@ -243,6 +243,14 @@ class TestProx:
         np.testing.assert_array_equal(out, v)
         assert out is not v
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_overflowing_v_over_tau_raises(self, kind):
+        # 1/tau is finite but v / tau overflows: the Moreau route has no
+        # finite point to take the conjugate prox at, and v is not the prox
+        loss = make_loss(kind, [1.0, -1.0])
+        with pytest.raises(ValueError, match="v / tau"):
+            loss.prox(1e-300, [1e10, 0.5])
+
     def test_quadratic_prox_at_b_is_b(self):
         b = np.array([1.0, -2.0])
         loss = QuadraticLoss(b)

@@ -8,8 +8,8 @@ import pytest
 import l0bfs.restricted
 import l0bfs.search
 import l0bfs.subtree
-from helpers import (leaf_values, listed_node_bound, random_instance,
-                     subtree_min)
+from helpers import (cold_start, leaf_values, listed_node_bound,
+                     random_instance, subtree_min)
 from l0bfs import (DUAL_BOUND, EXACT, PRUNED, BoundResult, ConvergenceError,
                    Node, SolverConfig, bfs_solve, dual_value, exhaustive_solve,
                    solve_restricted, subtree_solve)
@@ -17,6 +17,15 @@ from l0bfs.subtree import ZERO_TOL
 
 KINDS = ["quadratic", "huber", "logistic"]
 DELTAS = [1e-4, 1e-3, 1e-2, 1e-1]
+
+
+def configure(monkeypatch, subroutine, overrides):
+    """SolverConfig(subroutine, **overrides), where {"cold": True} instead
+    starts every node cold (helpers.cold_start)."""
+    overrides = dict(overrides)
+    if overrides.pop("cold", False):
+        cold_start(monkeypatch)
+    return SolverConfig(subroutine=subroutine, **overrides)
 
 
 def assert_matches_oracle(report, oracle, rel=1e-8):
@@ -38,9 +47,9 @@ class Points(l0bfs.search._Siblings):
         super().rescreen(i, state)
 
     def start_beta(self):
-        """The children's start point: the parent's beta when warm."""
-        warm = self.warm if self.cfg.warm_start else None
-        return np.zeros(self.inst.n) if warm is None else warm.beta
+        """The children's start point: the parent's beta, or zero where
+        they start cold."""
+        return l0bfs.subtree._start_state(self.inst, self.warm, self.cfg).beta
 
     def screen(self, i):
         """max D(beta; child i) over the start point and the points of the
@@ -81,13 +90,14 @@ class TestBfsExact:
 
     @pytest.mark.parametrize("warm", [True, False])
     @pytest.mark.parametrize("capped", [True, False])
-    def test_ablations_stay_exact(self, warm, capped):
+    def test_ablations_stay_exact(self, warm, capped, monkeypatch):
         # capped: every ascent stops at its second iteration, at a loose
         # bound
+        if not warm:
+            cold_start(monkeypatch)
         inst = random_instance("huber", d=7, k=3, n=10, seed=12, lam=1e-2)
         oracle = exhaustive_solve(inst)
-        cfg = SolverConfig(warm_start=warm,
-                           max_dual_iters=2 if capped else 50_000)
+        cfg = SolverConfig(max_dual_iters=2 if capped else 50_000)
         rep = bfs_solve(inst, cfg=cfg)
         assert_matches_oracle(rep, oracle)
 
@@ -149,7 +159,6 @@ class TestDelta:
             for delta in DELTAS:
                 rep = bfs_solve(inst, delta=delta)
                 assert rep.objective <= p_star + delta + 1e-8
-                assert rep.delta == delta
                 # relaxing the stopping test never expands more nodes
                 assert rep.solver_calls <= base_calls
 
@@ -175,7 +184,7 @@ class TestChildScreen:
 
     # the last one: longer ascents, whose iteration counts list children
     # with more leaves
-    CFGS = [{}, {"warm_start": False}, {"epsilon": 1e-8}]
+    CFGS = [{}, {"cold": True}, {"epsilon": 1e-8}]
 
     @staticmethod
     def run(inst, cfg, monkeypatch, screen):
@@ -216,7 +225,7 @@ class TestChildScreen:
     @pytest.mark.parametrize("overrides", CFGS)
     def test_same_search_as_without_the_screen(self, kind, subroutine,
                                                overrides, monkeypatch):
-        cfg = SolverConfig(subroutine=subroutine, **overrides)
+        cfg = configure(monkeypatch, subroutine, overrides)
         screened = at_start = 0
         for seed, (d, k) in enumerate([(8, 3), (10, 3), (10, 4)]):
             inst = random_instance(kind, d=d, k=k, n=12, seed=80 + seed,
@@ -245,7 +254,7 @@ class TestChildScreen:
         # a cold child's D at beta = 0 never exceeds the incumbent, so only
         # a sibling's ascent point prunes it at entry
         assert screened > 0
-        assert (at_start > 0) == cfg.warm_start
+        assert (at_start > 0) == ("cold" not in overrides)
 
 
 class TestRescreen:
@@ -254,7 +263,7 @@ class TestRescreen:
     point that ascent stopped at."""
 
     SHAPES = [(10, 4), (12, 3)]
-    CFGS = [{}, {"warm_start": False}]
+    CFGS = [{}, {"cold": True}]
 
     @staticmethod
     def instances(kind):
@@ -292,7 +301,7 @@ class TestRescreen:
     @pytest.mark.parametrize("overrides", CFGS)
     def test_exact_with_admissible_lows(self, kind, subroutine, overrides,
                                         monkeypatch):
-        cfg = SolverConfig(subroutine=subroutine, **overrides)
+        cfg = configure(monkeypatch, subroutine, overrides)
         rescreened = 0
 
         class Spy(Points):
@@ -515,7 +524,7 @@ class TestSiblingBatches:
 
     # the last one: longer ascents, whose iteration counts list children
     # with more leaves
-    CFGS = [{}, {"warm_start": False}, {"epsilon": 1e-8}]
+    CFGS = [{}, {"cold": True}, {"epsilon": 1e-8}]
     SHAPES = [(8, 3), (10, 3), (10, 4)]
 
     @staticmethod
@@ -552,7 +561,7 @@ class TestSiblingBatches:
     @pytest.mark.parametrize("overrides", CFGS)
     def test_each_child_as_bounded_alone(self, kind, subroutine, overrides,
                                          monkeypatch):
-        cfg = SolverConfig(subroutine=subroutine, **overrides)
+        cfg = configure(monkeypatch, subroutine, overrides)
         statuses = []
 
         def check(siblings, i, p_min, got):
@@ -603,7 +612,7 @@ class TestSiblingBatches:
     @pytest.mark.parametrize("overrides", CFGS)
     def test_small_batches_give_the_same_search(self, kind, subroutine,
                                                 overrides, monkeypatch):
-        cfg = SolverConfig(subroutine=subroutine, **overrides)
+        cfg = configure(monkeypatch, subroutine, overrides)
         several = 0
         for inst in self.instances(kind):
             with monkeypatch.context() as m:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import l0bfs.subtree
-from helpers import (domain_point, leaf_values, random_instance,
+from helpers import (cold_start, domain_point, leaf_values, random_instance,
                      random_interior_node, subtree_min)
 from l0bfs import (DUAL_BOUND, EXACT, PRUNED, DualState, Instance, Node,
                    SgaState, SolverConfig, dual_value, pdal_maximize,
@@ -32,8 +32,14 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(epsilon=float("nan"))
 
+    def test_no_warm_start_switch(self):
+        # every child starts from its parent's final state
+        assert [f.name for f in dataclasses.fields(SolverConfig)] == [
+            "epsilon", "subroutine", "max_dual_iters"]
+        with pytest.raises(TypeError):
+            SolverConfig(warm_start=False)
+
     @pytest.mark.parametrize("field,value", [
-        ("warm_start", "no"), ("warm_start", 0),
         ("epsilon", True), ("epsilon", "1e-5"), ("max_dual_iters", True),
         ("max_dual_iters", 2.5), ("max_dual_iters", "10")])
     def test_wrong_types_rejected(self, field, value):
@@ -42,9 +48,8 @@ class TestSolverConfig:
 
     def test_numpy_scalars_accepted(self):
         cfg = SolverConfig(epsilon=np.float64(1e-4),
-                           max_dual_iters=np.int64(10),
-                           warm_start=np.bool_(False))
-        assert cfg.max_dual_iters == 10 and not cfg.warm_start
+                           max_dual_iters=np.int64(10))
+        assert cfg.max_dual_iters == 10
 
 
 class TestDualValue:
@@ -414,20 +419,6 @@ class TestSubtreeSolveDispatch:
                             cfg=cfg)
         assert res.low == pytest.approx(ref.low, abs=1e-12)
 
-    def test_warm_start_disabled_ignores_state(self):
-        inst = small_instance("huber", 22)
-        node = root_node(inst.d, inst.k)
-        p0 = inst.objective(np.zeros(inst.d))
-        first = subtree_solve(inst, node, prune_threshold=p0)
-        child = node.children()[0]
-        cfg_off = SolverConfig(warm_start=False)
-        cold = subtree_solve(inst, child, warm=first.state,
-                             prune_threshold=p0, cfg=cfg_off)
-        fresh = subtree_solve(inst, child, warm=None, prune_threshold=p0,
-                              cfg=cfg_off)
-        assert cold.low == pytest.approx(fresh.low, abs=1e-12)
-        assert cold.iterations == fresh.iterations
-
     @pytest.mark.parametrize("subroutine", ["pdal", "sga"])
     def test_dual_state_returned_for_children(self, subroutine):
         inst = small_instance("quadratic", 23)
@@ -474,7 +465,7 @@ class TestSubtreeSolveDispatch:
         inst = small_instance("huber", 24)
         with pytest.raises(ValueError, match="cfg"):
             maximize(inst, root_node(inst.d, inst.k), root_state(inst),
-                     np.inf, {"warm_start": False})
+                     np.inf, {"epsilon": 1e-3})
 
 
 class TestSharedParentState:
@@ -598,12 +589,14 @@ class TestLastLevel:
                 for leaf in node.leaves()]
 
     @pytest.mark.parametrize("kind", KINDS)
-    def test_exact_at_the_least_leaf_minimum(self, kind):
+    def test_exact_at_the_least_leaf_minimum(self, kind, monkeypatch):
         inst, node, state, minima = self.last_level_node(kind)
         # exact from the parent's state and from the cold start alike
-        for cfg in (SolverConfig(), SolverConfig(warm_start=False)):
+        for cold in (False, True):
+            if cold:
+                cold_start(monkeypatch)
             res = subtree_solve(inst, node, warm=state,
-                                prune_threshold=max(minima), cfg=cfg)
+                                prune_threshold=max(minima))
             assert res.status == EXACT
             assert res.iterations == 0 and res.state is None
             assert res.low == res.value == inst.objective(res.x)
@@ -727,8 +720,7 @@ class TestChildEntryBounds:
         hand_built = (DualState(state.beta, np.zeros(inst.d))
                       if subroutine == "pdal" else SgaState(state.beta, 1.0))
         cold = np.zeros(inst.n)
-        cases = [(None, {}, cold), (state, {"warm_start": False}, cold),
-                 (state, {"subroutine": other}, cold),
+        cases = [(None, {}, cold), (state, {"subroutine": other}, cold),
                  (hand_built, {}, state.beta)]
         node = Node((1,), inst.d, inst.k)
         direct = l0bfs.subtree._child_entry_bounds(

@@ -368,6 +368,17 @@ class TestConjugateProx:
         with pytest.raises(ValueError, match=r"lam \* alpha"):
             prox_topk_sq_conjugate(alpha, 1, np.array([1.0, 2.0, 0.5]), lam)
 
+    @pytest.mark.parametrize("alpha,k,v,lam", [
+        (1e-300, 1, [1e10, 2.0], 1e10),
+        (0.5, 2, [1.7e308, -1e308, 3.0, 1e300], 1.0)])
+    def test_overflowing_v_over_alpha(self, alpha, k, v, lam):
+        # v / alpha overflows but 1/(lam * alpha) does not; the conjugate
+        # prox is positively homogeneous, and v / (s * alpha) is finite
+        s = 2.0 ** 64
+        want = s * prox_topk_sq_conjugate(alpha, k, np.array(v) / s, lam)
+        np.testing.assert_allclose(prox_topk_sq_conjugate(alpha, k, v, lam),
+                                   want, rtol=1e-12, atol=0.0)
+
     @pytest.mark.parametrize("alpha,lam", [(np.nan, 0.5), (1.0, np.nan),
                                            (np.inf, 0.5), (1.0, np.inf)])
     def test_rejects_nan_and_infinite_parameters(self, alpha, lam):

@@ -9,8 +9,9 @@ digests of its searches; the last line is one
 SHA-256 over all 102.  Before that last line, one line does the same for
 exhaustive_solve on the 13 seed-0 enum instances: their calls and one
 SHA-256 over each objective, x and calls.  One more line covers the
-ablation, which the default searches never run: the seed-0 hard and
-logistic searches with pdal and sga under warm_start=False, with their
+ablation, which the searches never run: the seed-0 hard and logistic
+searches with pdal and sga with every node started cold, from its
+maximizer's root state (a patch of subtree._start_state), with their
 calls and one SHA-256 over each objective, x and bound_log entry.  A third
 line calls subtree_solve directly, as no search does, on the seed-0 hard
 and logistic instances with pdal and sga: on the
@@ -59,8 +60,10 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 import numpy as np  # noqa: E402
 
 import l0bfs.search  # noqa: E402
+import l0bfs.subtree  # noqa: E402
 from l0bfs import (DUAL_BOUND, PRUNED, Node, SolverConfig,  # noqa: E402
-                   bfs_solve, exhaustive_solve, root_node, subtree_solve)
+                   bfs_solve, exhaustive_solve, pdal_root_state, root_node,
+                   sga_root_state, subtree_solve)
 from workloads import build_cases  # noqa: E402
 
 WORKLOADS = ("planted", "hard", "logistic")
@@ -120,10 +123,17 @@ def _searches_line(name, runs):
 
 
 def _ablation_line():
-    """The seed-0 ablation searches: pdal and sga without warm start."""
-    return _searches_line("ablation", [
-        (SolverConfig(subroutine=subroutine, warm_start=False), 0.0)
-        for subroutine in SUBROUTINES])
+    """The seed-0 ablation searches: pdal and sga with every node started
+    cold."""
+    start_state = l0bfs.subtree._start_state
+    l0bfs.subtree._start_state = lambda inst, warm, cfg: (
+        pdal_root_state if cfg.subroutine == "pdal" else sga_root_state)(inst)
+    try:
+        return _searches_line("ablation", [
+            (SolverConfig(subroutine=subroutine), 0.0)
+            for subroutine in SUBROUTINES])
+    finally:
+        l0bfs.subtree._start_state = start_state
 
 
 def _delta_line():
