@@ -59,8 +59,8 @@ class GenSpec:
             raise ValueError("need 0 < k <= d")
         if self.n is not None and _integer("n", self.n) < 1:
             raise ValueError("n must be positive")
-        if self.lam is not None and not _real("lam", self.lam) > 0:
-            raise ValueError("lam must be positive")
+        if self.lam is not None and not 0 < _real("lam", self.lam) < math.inf:
+            raise ValueError("lam must be positive and finite")
         if not _real("delta", self.delta) > 0:
             raise ValueError("delta must be positive")
 

@@ -72,8 +72,8 @@ class Instance:
             raise ValueError("loss dimension does not match rows of A")
         if not (1 <= _integer("k", self.k) <= A.shape[1]):
             raise ValueError("need 1 <= k <= d")
-        if not _real("lam", self.lam) > 0:
-            raise ValueError("lam must be positive")
+        if not 0 < _real("lam", self.lam) < math.inf:  # NaN fails too
+            raise ValueError("lam must be positive and finite")
         A.setflags(write=False)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "lam", float(self.lam))
@@ -130,7 +130,7 @@ def solve_restricted(inst, support):
     gradient are not constrained to vanish); raises ConvergenceError, with
     the last Newton iterate as .best, when that norm does not reach _TOL.
     """
-    support = sorted(int(i) for i in support)
+    support = sorted(int(_integer("support index", i)) for i in support)
     if support and (support[0] < 0 or support[-1] >= inst.d):
         raise ValueError("support indices out of range")
     if len(set(support)) != len(support):
@@ -149,6 +149,9 @@ def solve_restricted_batch(inst, supports):
     norm.  Every row must certify to _TOL; the first that does not raises
     ConvergenceError with that row's last Newton iterate as .best.
     """
+    supports = np.asarray(supports)
+    if supports.size and supports.dtype.kind not in "iu":  # bools fail too
+        raise ValueError(f"support indices must be integers, got {supports.dtype}")
     supports = np.sort(np.asarray(supports, dtype=int), axis=-1)
     if supports.ndim != 2:
         raise ValueError("supports must be a 2-D array of index sets")

@@ -17,6 +17,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .restricted import _integer
+
 __all__ = ["Node", "is_node", "root_node"]
 
 
@@ -38,9 +40,9 @@ class Node:
     k: int
 
     def __post_init__(self):
-        idx = tuple(int(i) for i in self.indices)
+        idx = tuple(int(_integer("index", i)) for i in self.indices)
         object.__setattr__(self, "indices", idx)
-        if not (1 <= self.k <= self.d):
+        if not (1 <= _integer("k", self.k) <= _integer("d", self.d)):
             raise ValueError("need 1 <= k <= d")
         if any(i < 0 or i >= self.d for i in idx):
             raise ValueError("indices out of range")
@@ -62,11 +64,6 @@ class Node:
     def support_array(self):
         """S as an int array (cached)."""
         return np.array(self.indices, dtype=int)
-
-    @cached_property
-    def tail_array(self):
-        """Open indices {cut, ..., d-1} as an int array (cached)."""
-        return np.arange(self.cut, self.d)
 
     @property
     def tail_size(self):
@@ -97,24 +94,18 @@ class Node:
 
     def leaves(self, limit=0):
         """The size-k supports below the node, one per row in lexicographic
-        order, when lists_leaves(limit); None otherwise.  A leaf lists
-        itself, also with an empty tail.  Limit 0 lists the last level
-        (k - |S| = 1) and the nodes that must take all their open indices or
-        all but one.
+        order (itertools.combinations over the open tail), as an int array,
+        when lists_leaves(limit); None otherwise.  A leaf lists itself, also
+        with an empty tail.  Limit 0 lists the last level (k - |S| = 1) and
+        the nodes that must take all their open indices or all but one.
         """
         if not self.lists_leaves(limit):
             return None
-        s, need, tail = self.support_array, self.k - self.size, self.tail_array
-        count = math.comb(tail.size, need)
-        if need == 1:
-            rest = tail[:, None]
-        elif need == 2:
-            i, j = np.triu_indices(tail.size, 1)
-            rest = np.column_stack((tail[i], tail[j]))
-        else:
-            rest = np.fromiter(itertools.chain.from_iterable(
-                itertools.combinations(tail.tolist(), need)),
-                dtype=int, count=count * need).reshape(count, need)
+        s, need = self.support_array, self.k - self.size
+        count = math.comb(self.tail_size, need)
+        rest = np.fromiter(itertools.chain.from_iterable(
+            itertools.combinations(range(self.cut, self.d), need)),
+            dtype=int, count=count * need).reshape(count, need)
         return np.column_stack((np.broadcast_to(s, (count, s.size)), rest))
 
     def covers_support(self, target):

@@ -10,18 +10,19 @@ Every bound rests on the concave dual lower bound
 which under-estimates the subtree minimum for every beta (Fenchel-Young
 applied to L, then minimizing the linearized objective over supports
 reachable below S).  Each node first takes one entry test: D at the state
-it starts from (_start_state), from that state's w = A^T beta and
-conj = L*(beta).  All children of a node share that state (its arrays are
-read-only).  The expansion of a node (_Siblings) resolves their start
-point once, lists them by Node.child_range and computes their entry bounds
-in one pass (_child_entry_bounds); the root and a direct subtree_solve
-call's listed node are expansions of one node, which take that node's
-own.  Every ascent hands back the dual point it stopped at, in the state
-of its result, pruned or not, and the expansion re-tests the children
-after it there (_Siblings.rescreen): each entry bound becomes the max of
-D over the start point and those points, so a child takes its entry test
-against the best bound the expansion has seen for it by its turn.  D
-never exceeds the subtree minimum, so no winner is pruned.
+it starts from (_start_state), from the w = A^T beta and conj = L*(beta)
+that every state holds, the root states too.  All children of a node
+share that state (its arrays are read-only).  The expansion of a node
+(_Siblings) resolves their start state once, lists them by
+Node.child_range and computes their entry bounds in one pass
+(_child_entry_bounds); the root and a direct subtree_solve call's listed
+node are expansions of one node, which take that node's own.  Every
+ascent hands back the dual point it stopped at, in the state of its
+result, pruned or not, and the expansion re-tests the children after it
+there (_Siblings.rescreen): each entry bound becomes the max of D over the
+start point and those points, so a child takes its entry test against the
+best bound the expansion has seen for it by its turn.  D never exceeds the
+subtree minimum, so no winner is pruned.
 
 A node with at most max(|tail|, t) leaves, where t is the number of dual
 iterations its parent's ascent took (0 at the root), is bounded exactly:
@@ -134,11 +135,11 @@ class _Shared:
 class DualState(_Shared):
     """PDAL iterate carried between parent and child nodes."""
 
-    beta: np.ndarray                 # dual point, length n
-    y: np.ndarray                    # primal point, length d
-    w: Optional[np.ndarray] = None   # A^T beta, length d
-    conj: Optional[float] = None     # L*(beta)
-    iterations: int = 0              # dual iterations of its ascent
+    beta: np.ndarray      # dual point, length n
+    y: np.ndarray         # primal point, length d
+    w: np.ndarray         # A^T beta, length d
+    conj: float           # L*(beta)
+    iterations: int = 0   # dual iterations of its ascent
 
 
 @dataclass(frozen=True)
@@ -147,8 +148,8 @@ class SgaState(_Shared):
 
     beta: np.ndarray
     eta: float
-    w: Optional[np.ndarray] = None
-    conj: Optional[float] = None
+    w: np.ndarray
+    conj: float
     iterations: int = 0
 
 
@@ -163,21 +164,22 @@ class BoundResult(NamedTuple):
 
 def pdal_root_state(inst):
     """Cold start at the tree root: zero dual and primal iterates."""
-    return DualState(beta=np.zeros(inst.n), y=np.zeros(inst.d))
+    beta = np.zeros(inst.n)
+    return DualState(beta=beta, y=np.zeros(inst.d), w=inst.AT @ beta,
+                     conj=inst.loss.conjugate(beta))
 
 
 def sga_root_state(inst):
-    return SgaState(beta=np.zeros(inst.n), eta=1.0)
+    beta = np.zeros(inst.n)
+    return SgaState(beta=beta, eta=1.0, w=inst.AT @ beta,
+                    conj=inst.loss.conjugate(beta))
 
 
 def _penalty(w, node):
     """||w_S||^2 + ||w_tail||_{k-s,2}^2 for w = A^T beta; the open tail is
     the slice w[cut:]."""
-    tail = top_norm(node.k - node.size, w[node.cut:]) ** 2
-    if not node.indices:
-        return tail
     ws = w[node.support_array]
-    return float(ws @ ws) + tail
+    return float(ws @ ws) + top_norm(node.k - node.size, w[node.cut:]) ** 2
 
 
 def _check_node(inst, node):
@@ -188,20 +190,17 @@ def _check_node(inst, node):
 
 
 def _start_state(inst, warm, cfg):
-    """The state a node starts from: warm when it is cfg's maximizer's state
-    type, else that maximizer's root state."""
+    """The state a node starts from: warm, its parent's final state, or
+    cfg's maximizer's root state for None.  ValueError for any other warm,
+    such as a state of the other maximizer."""
     pdal = cfg.subroutine == "pdal"
-    if isinstance(warm, DualState if pdal else SgaState):
-        return warm
-    return (pdal_root_state if pdal else sga_root_state)(inst)
-
-
-def _start_point(inst, state):
-    """(w, conj) = (A^T beta, L*(beta)) at state's beta, from the state when
-    it holds them (the root and hand-built states do not)."""
-    if state.w is None:
-        return inst.AT @ state.beta, inst.loss.conjugate(state.beta)
-    return state.w, state.conj
+    if warm is None:
+        return (pdal_root_state if pdal else sga_root_state)(inst)
+    state_type = DualState if pdal else SgaState
+    if not isinstance(warm, state_type):
+        raise ValueError(f"warm must be a {state_type.__name__} for "
+                         f"{cfg.subroutine}, got {type(warm).__name__}")
+    return warm
 
 
 def _entry_bound(inst, node, w, conj):
@@ -321,11 +320,12 @@ class _Siblings:
         return self
 
     def _start(self, inst, warm, cfg):
-        """Resolve the children's start state from warm, and its (w, conj),
-        once for all of them."""
+        """Resolve the children's start state from warm once for all of
+        them."""
         self.inst, self.warm = inst, warm
         self.limit = 0 if warm is None else warm.iterations
-        self.w, self.conj = _start_point(inst, _start_state(inst, warm, cfg))
+        start = _start_state(inst, warm, cfg)
+        self.w, self.conj = start.w, start.conj
         self.nodes, self.solved = {}, {}
 
     def node(self, i):
@@ -400,14 +400,13 @@ def _converged(improve, incumbent, epsilon):
 def _ascend(inst, node, init, prune_threshold, cfg, step, first_stop):
     """Bound node from init: one entry test, then an ascent.
 
-    The entry test is D(init.beta; node), from init.w and init.conj when the
-    parent handed them down.  A node that passes it maximizes D(.; node)
-    by calls of step(beta, w, d, stop_above), which makes one iteration
-    from beta (w = A^T beta, d its D value) and returns (beta, w, D,
-    finish); finish(t) gives the primal point to polish and the state for
-    the children, which records the t iterations taken.  The step may
-    return early once D > stop_above, since that iteration ends in a
-    prune.  The returned bound is the running max D_max.  Converged, from
+    The entry test is D(init.beta; node), from init.w and init.conj.  A
+    node that passes it maximizes D(.; node) by calls of step(beta, w, d,
+    stop_above), which makes one iteration from beta (w = A^T beta, d its
+    D value) and returns (beta, w, D, finish); finish(t) gives the primal
+    point to polish and the state for the children, which records the t
+    iterations taken.  The step may return early once D > stop_above,
+    since that iteration ends in a prune.  The returned bound is the running max D_max.  Converged, from
     iteration first_stop on, when the D improvement is epsilon-small
     relative to the incumbent and the current D is D_max.  A node pruned
     after t >= 1 iterations returns as its state init with the beta, w and
@@ -416,8 +415,8 @@ def _ascend(inst, node, init, prune_threshold, cfg, step, first_stop):
     """
     cfg = _solver_config(cfg)
     _check_node(inst, node)
-    beta, (w, conj) = init.beta, _start_point(inst, init)
-    d_max = d_prev = _entry_bound(inst, node, w, conj)
+    beta, w = init.beta, init.w
+    d_max = d_prev = _entry_bound(inst, node, w, init.conj)
     stop_above = prune_threshold + ZERO_TOL
     if d_prev > stop_above:
         return BoundResult(low=d_max, x=None, value=np.inf,
@@ -511,11 +510,8 @@ def pdal_maximize(inst, node, init, prune_threshold, cfg):
 def _sga_primal(inst, node, w):
     """x~(beta; node) used for the supergradient: blockwise -w/lam, truncated on the tail."""
     x = np.zeros(inst.d)
-    if node.indices:
-        x[node.support_array] = w[node.support_array]
-    cut = node.cut
-    if cut < inst.d:
-        x[cut:] = truncate_top(node.k - node.size, w[cut:])
+    x[node.support_array] = w[node.support_array]
+    x[node.cut:] = truncate_top(node.k - node.size, w[node.cut:])
     return x / (-inst.lam)
 
 
@@ -559,14 +555,15 @@ def sga_maximize(inst, node, init, prune_threshold, cfg):
 def subtree_solve(inst, node, warm=None, prune_threshold=np.inf, cfg=None):
     """Lower bound + feasible candidate for the subtree below node.
 
-    warm is the parent's final DualState/SgaState, the start state when it
-    is cfg.subroutine's type (_start_state).  Its dual iteration count sets
-    which nodes Node.leaves lists either way.  A listed node
-    is bounded as an expansion of itself alone (_Siblings.lone), from D at
-    the start state; bfs_solve bounds it the same way in its parent's
-    expansion.  Any other node is bounded by cfg.subroutine's maximizer.
-    prune_threshold is the incumbent objective; it also scales the dual
-    convergence test.  Raises ValueError for a node of another tree than
+    warm is the start state: the parent's final state, a DualState for
+    pdal and an SgaState for sga, or None for cfg.subroutine's root state
+    (_start_state).  Its dual iteration count sets which nodes Node.leaves
+    lists.  A listed node is bounded as an expansion of itself alone
+    (_Siblings.lone), from D at the start state; bfs_solve bounds it the
+    same way in its parent's expansion.  Any other node is bounded by
+    cfg.subroutine's maximizer.  prune_threshold is the incumbent
+    objective; it also scales the dual convergence test.  Raises
+    ValueError for a warm of another type, or a node of another tree than
     inst's (other d or k).
     """
     cfg = _solver_config(cfg)

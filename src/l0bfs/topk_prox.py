@@ -49,7 +49,8 @@ def prox_topk_sq(mu, k, v, with_count=False):
     mu : positive, finite shrinkage weight.
     k : number of entries the norm covers; k <= 0 returns v unchanged,
         k > v.size is treated as v.size.
-    v : 1-D array.
+    v : 1-D array.  A NaN in v raises ValueError where the block scan
+        runs; where the top k entries only shrink, it comes back as NaN.
     with_count : also return the number of candidate blocks examined
         (always <= v.size; the basis of the linear-time bound).
     """
@@ -109,9 +110,12 @@ def _prox_list(mu, k, vals):
     else:
         # accumulate adds in np.cumsum's order
         cum_u = list(accumulate(u, initial=0.0))
-        if cum_u[d] == inf and u[0] < inf:  # finite v whose sums overflow
-            out, count = _prox_list(mu, k, [ldexp(x, -_RESCALE) for x in vals])
-            return [ldexp(x, _RESCALE) for x in out], count
+        if not cum_u[d] < inf:  # the sums of |v| hold a NaN or overflow
+            if cum_u[d] != cum_u[d]:
+                raise ValueError("v holds a NaN")
+            if u[0] < inf:  # finite v whose sums overflow
+                out, count = _prox_list(mu, k, [ldexp(x, -_RESCALE) for x in vals])
+                return [ldexp(x, _RESCALE) for x in out], count
         if mu * k == inf:  # xi's denominators overflow; mu is not read below
             mu, cum_u = ldexp(mu, -_RESCALE), [ldexp(x, -_RESCALE) for x in cum_u]
         for count, (js, je, xi) in enumerate(
@@ -139,7 +143,7 @@ def prox_topk_sq_conjugate(alpha, k, v, lam):
     and h/alpha has shrinkage weight mu = 1/(lam * alpha).  The identity is
     applied on Python floats, with the same operations numpy would make;
     where v / alpha overflows, as v - prox_{h / alpha}(v) by homogeneity.
-    Raises ValueError when mu overflows.
+    Raises ValueError when mu overflows or v holds a NaN.
     """
     if (not alpha > 0 or not lam > 0
             or not isfinite(alpha) or not isfinite(lam)):
@@ -155,8 +159,12 @@ def prox_topk_sq_conjugate(alpha, k, v, lam):
     if mu == inf:
         raise ValueError(f"1/(lam * alpha) overflows: lam * alpha = {lam * alpha!r}")
     scaled = [x / alpha for x in vals]
-    # the sum screens cheaply for an entry of v / alpha that overflowed
-    if not isfinite(sum(scaled)) and inf in map(abs, scaled):
-        alpha, scaled = 1.0, vals
+    # the sum screens cheaply for a NaN in v and an entry of v / alpha
+    # that overflowed
+    if not isfinite(sum(scaled)):
+        if any(x != x for x in vals):
+            raise ValueError("v holds a NaN")
+        if inf in map(abs, scaled):
+            alpha, scaled = 1.0, vals
     p, _ = _prox_list(mu, int(k), scaled)
     return np.array([x - alpha * q for x, q in zip(vals, p)])

@@ -216,6 +216,15 @@ class TestGenerate:
         assert inst.A.shape == (25, 6)
         assert meta["seed"] == 4
 
+    @pytest.mark.parametrize("lam", ["inf", "1e999"])
+    def test_infinite_lam_rejected(self, tmp_path, capsys, lam):
+        out = str(tmp_path / "inst")
+        assert main(["generate", "--family", "huber", "--d", "6", "--k", "2",
+                     "--seed", "0", "--n", "25", "--lam", lam,
+                     "--out", out]) == 1
+        assert "lam must be positive and finite" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_regeneration_is_byte_identical(self, tmp_path, capsys):
         a = gen_dir(tmp_path, seed=9, name="a")
         b = gen_dir(tmp_path, seed=9, name="b")

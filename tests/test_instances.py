@@ -30,6 +30,11 @@ class TestGenSpec:
         with pytest.raises(ValueError):
             spec(delta=0.0)
 
+    @pytest.mark.parametrize("lam", [math.inf, -math.inf])
+    def test_infinite_lam_rejected(self, lam):
+        with pytest.raises(ValueError, match="lam must be positive and finite"):
+            spec(lam=lam)
+
     def test_nan_lam_and_delta_rejected(self):
         with pytest.raises(ValueError):
             spec(lam=float("nan"))

@@ -47,6 +47,12 @@ class TestInstance:
         with pytest.raises(ValueError, match="k must be an integer"):
             Instance(A=np.eye(2), loss=loss, lam=1.0, k=k)
 
+    @pytest.mark.parametrize("lam", [np.inf, -np.inf, np.nan, 0.0, -1.0])
+    def test_infinite_nan_and_nonpositive_lam_rejected(self, lam):
+        loss = make_loss("quadratic", np.array([1.0, 2.0]))
+        with pytest.raises(ValueError, match="lam must be positive and finite"):
+            Instance(A=np.eye(2), loss=loss, lam=lam, k=1)
+
     @pytest.mark.parametrize("lam", ["0.1", None, True])
     def test_non_real_lam_rejected(self, lam):
         loss = make_loss("quadratic", np.array([1.0, 2.0]))
@@ -180,6 +186,22 @@ class TestSolveRestricted:
         assert np.flatnonzero(sol.x).size <= 6
         small = solve_restricted(inst, [0, 1])
         assert sol.value <= small.value + 1e-10
+
+    @pytest.mark.parametrize("support", [
+        [1.5, 3], [1.0, 3], [True, 3], [np.bool_(True)], np.array([1.0, 3.0]),
+        ["1"]])
+    def test_rejects_non_integer_indices(self, support):
+        # a float index was truncated: [1.5, 3] solved on (1, 3)
+        inst = random_instance("quadratic", d=4, k=2, n=6, seed=10)
+        with pytest.raises(ValueError, match="must be an integer"):
+            solve_restricted(inst, support)
+
+    def test_numpy_integer_indices_accepted(self):
+        inst = random_instance("quadratic", d=4, k=2, n=6, seed=10)
+        want = solve_restricted(inst, [1, 3])
+        for support in (np.array([1, 3]), np.array([3, 1], dtype=np.uint8),
+                        (np.int32(1), np.int64(3))):
+            assert solve_restricted(inst, support).x.tobytes() == want.x.tobytes()
 
     def test_rejects_bad_supports(self):
         inst = random_instance("quadratic", d=4, k=2, n=6, seed=10)
@@ -337,6 +359,23 @@ class TestBatch:
         x, values, certs = solve_restricted_batch(inst, np.zeros((2, 0), int))
         np.testing.assert_array_equal(x, 0.0)
         assert values == pytest.approx([inst.objective(np.zeros(5))] * 2)
+
+    @pytest.mark.parametrize("supports", [
+        [[1.5, 3]], [[1.0, 3.0]], [[True, False]], np.array([[1.0, 3.0]])])
+    def test_rejects_non_integer_indices(self, supports):
+        # a float index was truncated: [[1.5, 3]] solved on (1, 3)
+        inst = random_instance("quadratic", d=4, k=2, n=6, seed=64)
+        with pytest.raises(ValueError, match="must be integers"):
+            solve_restricted_batch(inst, supports)
+
+    def test_empty_supports_of_any_dtype_solve(self):
+        # an empty support holds no index to be a non-integer
+        inst = random_instance("huber", d=5, k=2, n=8, seed=63)
+        for supports in ([[]], np.zeros((2, 0))):
+            x, values, _ = solve_restricted_batch(inst, supports)
+            np.testing.assert_array_equal(x, 0.0)
+            assert values == pytest.approx(
+                [inst.objective(np.zeros(5))] * len(supports))
 
     def test_rejects_bad_supports(self):
         inst = random_instance("quadratic", d=4, k=2, n=6, seed=64)

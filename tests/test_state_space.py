@@ -58,6 +58,13 @@ class TestNodeConstruction:
         with pytest.raises(ValueError):
             Node((), d=3, k=0)
 
+    @pytest.mark.parametrize("indices,d,k", [
+        ((1.5,), 6, 2), ((True,), 6, 2), ((np.bool_(True),), 6, 2),
+        ((1.0,), 6, 2), ((), 6.0, 2), ((), 6, 2.0), ((), 6, True)])
+    def test_non_integer_indices_and_sizes_rejected(self, indices, d, k):
+        with pytest.raises(ValueError, match="must be an integer"):
+            Node(indices, d=d, k=k)
+
     def test_numpy_ints_normalized(self):
         node = Node(tuple(np.array([1, 3])), d=5, k=2)
         assert node.indices == (1, 3)
@@ -69,13 +76,13 @@ class TestNodeConstruction:
         assert node.cut == 3
         assert node.tail_size == 2
         np.testing.assert_array_equal(node.support_array, [1, 2])
-        np.testing.assert_array_equal(node.tail_array, [3, 4])
+        np.testing.assert_array_equal(np.arange(node.cut, node.d), [3, 4])
         assert str(node) == "{1,2}"
 
     def test_root_derived_quantities(self):
         root = root_node(4, 3)
         assert root.size == 0 and root.cut == 0 and root.tail_size == 4
-        np.testing.assert_array_equal(root.tail_array, [0, 1, 2, 3])
+        np.testing.assert_array_equal(np.arange(root.cut, root.d), [0, 1, 2, 3])
 
 
 class TestChildren:
@@ -182,10 +189,10 @@ class TestValueSemantics:
 
     def test_replace_recomputes_cached_arrays(self):
         node = Node((1,), d=5, k=3)
-        _ = node.support_array, node.tail_array  # fill the caches
+        _ = node.support_array  # fill the cache
         moved = dataclasses.replace(node, indices=(2,))
         np.testing.assert_array_equal(moved.support_array, [2])
-        np.testing.assert_array_equal(moved.tail_array, [3, 4])
+        np.testing.assert_array_equal(np.arange(moved.cut, moved.d), [3, 4])
 
     def test_frozen(self):
         node = Node((1,), d=4, k=2)
@@ -212,6 +219,8 @@ class TestLeaves:
             below = [list(node.indices + extra) for extra in
                      itertools.combinations(range(node.cut, d), need)]
             assert leaves.tolist() == below
+            assert leaves.dtype == np.dtype(int)
+            assert leaves.shape == (len(below), k)
         assert listed > 0
         if limit == 10**4 and k >= 3:
             assert deep > 0

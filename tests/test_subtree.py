@@ -19,6 +19,14 @@ def small_instance(kind, seed, d=6, k=2, n=9):
     return random_instance(kind, d=d, k=k, n=n, seed=seed, lam=1e-2)
 
 
+def hand_built(inst, subroutine, beta):
+    """A start state at beta for subroutine, with its w and conj."""
+    w, conj = inst.AT @ beta, inst.loss.conjugate(beta)
+    if subroutine == "pdal":
+        return DualState(beta, np.zeros(inst.d), w, conj)
+    return SgaState(beta, 1.0, w, conj)
+
+
 class TestSolverConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -258,7 +266,7 @@ class TestSga:
         node = root_node(inst.d, inst.k)
         for _ in range(10):
             beta0 = inst.loss.project_domain(0.05 * rng.standard_normal(inst.n))
-            init = SgaState(beta=beta0, eta=1.0)
+            init = hand_built(inst, "sga", beta0)
             d0 = dual_value(inst, node, beta0)
             res = sga_maximize(inst, node, init, 1.0, cfg)
             assert res.low >= d0 - 1e-12
@@ -408,16 +416,34 @@ class TestSubtreeSolveDispatch:
         with pytest.raises(ValueError, match="k=3"):
             subtree_solve(inst, other_k)
 
-    def test_warm_state_type_mismatch_falls_back_to_cold(self):
+    @pytest.mark.parametrize("indices", [(), (0,)])
+    def test_warm_state_type_mismatch_raises(self, indices):
+        # the root ascends, the last-level (0,) is listed: both paths
+        # reject a state of the other maximizer instead of starting cold
         inst = small_instance("quadratic", 21)
-        node = root_node(inst.d, inst.k)
-        cfg = SolverConfig(subroutine="pdal")
-        wrong = SgaState(beta=np.zeros(inst.n), eta=1.0)
-        res = subtree_solve(inst, node, warm=wrong, prune_threshold=1.0,
-                            cfg=cfg)
-        ref = subtree_solve(inst, node, warm=None, prune_threshold=1.0,
-                            cfg=cfg)
-        assert res.low == pytest.approx(ref.low, abs=1e-12)
+        node = Node(indices, inst.d, inst.k)
+        assert node.lists_leaves() == bool(indices)
+        for subroutine, wrong in (("pdal", sga_root_state(inst)),
+                                  ("sga", pdal_root_state(inst))):
+            cfg = SolverConfig(subroutine=subroutine)
+            with pytest.raises(ValueError, match="warm must be a"):
+                subtree_solve(inst, node, warm=wrong, prune_threshold=1.0,
+                              cfg=cfg)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_root_states_hold_their_start_point(self, kind):
+        # w = A^T 0 and conj = L*(0), bit for bit, in both root states
+        inst = small_instance(kind, 22)
+        zero = np.zeros(inst.n)
+        for state in (pdal_root_state(inst), sga_root_state(inst)):
+            assert not state.beta.any() and state.iterations == 0
+            assert state.w.tobytes() == (inst.AT @ zero).tobytes()
+            assert (float(state.conj).hex()
+                    == float(inst.loss.conjugate(zero)).hex())
+        with pytest.raises(TypeError):
+            DualState(beta=zero, y=np.zeros(inst.d))
+        with pytest.raises(TypeError):
+            SgaState(beta=zero, eta=1.0)
 
     @pytest.mark.parametrize("subroutine", ["pdal", "sga"])
     def test_dual_state_returned_for_children(self, subroutine):
@@ -497,8 +523,8 @@ class TestSharedParentState:
             calls[0] += 1
             return original(*args, **kwargs)
 
-        minima = [solve_restricted(inst, c.indices + tuple(c.tail_array)).value
-                  for c in exact]
+        minima = [solve_restricted(inst, c.indices + tuple(range(c.cut, c.d)))
+                  .value for c in exact]
         monkeypatch.setattr(l0bfs.subtree, "solve_restricted", counted)
         for child, minimum in zip(exact, minima):
             d = dual_value(inst, child, state.beta)
@@ -664,9 +690,7 @@ class TestChildEntryBounds:
                                  prune_threshold=p0, cfg=cfg).state
         out = [ascended]
         for beta in (np.zeros(inst.n), domain_point(inst.loss, rng, 0.3)):
-            w, conj = inst.AT @ beta, inst.loss.conjugate(beta)
-            out.append(DualState(beta, np.zeros(inst.d), w, conj)
-                       if subroutine == "pdal" else SgaState(beta, 1.0, w, conj))
+            out.append(hand_built(inst, subroutine, beta))
         assert not out[1].w.any()   # w = 0
         return out
 
@@ -689,7 +713,7 @@ class TestChildEntryBounds:
             for state in self.states(inst, subroutine, rng):
                 for node in self.interior_nodes(inst.d, inst.k):
                     got = l0bfs.subtree._child_entry_bounds(
-                        inst, node, *l0bfs.subtree._start_point(inst, state))
+                        inst, node, state.w, state.conj)
                     children = node.children()
                     assert len(got) == len(children)
                     for bound, child in zip(got, children):
@@ -710,28 +734,29 @@ class TestChildEntryBounds:
     @pytest.mark.parametrize("subroutine", ["pdal", "sga"])
     def test_no_screen_where_children_do_not_start_from_the_state(
             self, subroutine):
-        # an expansion whose children start cold or from a state without w
+        # an expansion whose children start cold or from a hand-built state
         # gives D at the state they do start from, not a placeholder;
         # _child_entry_bounds takes the hand-built state's start point as
-        # well
+        # well.  A state of the other maximizer is no start state.
         inst = self.instances("huber")[0]
         state = self.states(inst, subroutine, np.random.default_rng(0))[0]
         other = "sga" if subroutine == "pdal" else "pdal"
-        hand_built = (DualState(state.beta, np.zeros(inst.d))
-                      if subroutine == "pdal" else SgaState(state.beta, 1.0))
+        built = hand_built(inst, subroutine, state.beta)
         cold = np.zeros(inst.n)
-        cases = [(None, {}, cold), (state, {"subroutine": other}, cold),
-                 (hand_built, {}, state.beta)]
+        cases = [(None, cold), (built, state.beta)]
         node = Node((1,), inst.d, inst.k)
-        direct = l0bfs.subtree._child_entry_bounds(
-            inst, node, *l0bfs.subtree._start_point(inst, hand_built))
-        for warm, overrides, beta in cases:
-            cfg = SolverConfig(**{"subroutine": subroutine, **overrides})
+        direct = l0bfs.subtree._child_entry_bounds(inst, node, built.w,
+                                                   built.conj)
+        with pytest.raises(ValueError, match="warm must be a"):
+            l0bfs.subtree._Siblings(inst, node, state,
+                                    SolverConfig(subroutine=other))
+        for warm, beta in cases:
+            cfg = SolverConfig(subroutine=subroutine)
             got = l0bfs.subtree._Siblings(inst, node, warm, cfg).entry
             want = [dual_value(inst, child, beta) for child in node.children()]
             conj = inst.loss.conjugate(beta)
             scale = max(abs(conj), *(abs(conj + d) for d in want))
-            for bounds in [got] + [direct] * (warm is hand_built):
+            for bounds in [got] + [direct] * (warm is built):
                 assert np.isfinite(bounds).all()
                 np.testing.assert_allclose(bounds, want, rtol=0.0,
                                            atol=1e-15 * scale)

@@ -84,6 +84,15 @@ class TestHandCases:
         with pytest.raises(ValueError):
             prox_topk_sq(0.0, 1, [1.0])
 
+    @pytest.mark.parametrize("k,v", [
+        (1, [1.0, np.nan, 3.0]), (1, [np.nan, 1.0]), (2, [1.0, np.nan]),
+        (2, [1.0, 3.0, np.nan, 2.0])])
+    def test_rejects_nan_in_v(self, k, v):
+        # it gave [inf, nan, 3] for the first v and "min() arg is an empty
+        # sequence" for the second
+        with pytest.raises(ValueError, match="NaN"):
+            prox_topk_sq(1.0, k, v)
+
     @pytest.mark.parametrize("mu", [np.nan, np.inf])
     def test_rejects_nan_and_infinite_mu(self, mu):
         with pytest.raises(ValueError):
@@ -378,6 +387,15 @@ class TestConjugateProx:
         want = s * prox_topk_sq_conjugate(alpha, k, np.array(v) / s, lam)
         np.testing.assert_allclose(prox_topk_sq_conjugate(alpha, k, v, lam),
                                    want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("alpha,k,v", [
+        (1.0, 1, [np.nan, 1.0]), (1.0, 2, [np.nan, 1.0]),
+        (1.0, 1, [3.0, 2.0, 1.0, np.nan]), (1e-300, 1, [1e10, np.nan]),
+        (1.0, 1, [np.inf, np.nan])])
+    def test_rejects_nan_in_v(self, alpha, k, v):
+        # the first v raised "min() arg is an empty sequence"
+        with pytest.raises(ValueError, match="NaN"):
+            prox_topk_sq_conjugate(alpha, k, v, 1.0)
 
     @pytest.mark.parametrize("alpha,lam", [(np.nan, 0.5), (1.0, np.nan),
                                            (np.inf, 0.5), (1.0, np.inf)])
