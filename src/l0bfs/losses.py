@@ -235,7 +235,7 @@ class LogisticLoss(Loss):
     def conjugate(self, beta):
         beta = self._check_dim(beta)
         s = self._s(beta)
-        if np.min(s) < 0.0 or np.max(s) > 1.0:
+        if s.min() < 0.0 or s.max() > 1.0:
             return np.inf
         # xlogy(0, 0) = 0 handles both endpoints exactly
         return float(np.sum(xlogy(s, s) + xlogy(1.0 - s, 1.0 - s))) / self.n
@@ -266,7 +266,7 @@ class LogisticLoss(Loss):
         for _ in range(_PROX_MAX_STEPS):
             s = expit(t)
             r = a * t + s - u
-            if np.all(np.abs(r) <= tol):
+            if (np.abs(r) <= tol).all():
                 return -self.b * expit(np.where(flip, -t, t)) / self.n
             t = t - r / (a + s * (1.0 - s))
         raise ConvergenceError(f"logistic conjugate prox: residual {np.max(np.abs(r)):.3e}"

@@ -16,29 +16,37 @@ the block conditions of the squared k-support-norm prox, whose norm is the
 dual of this one (Argyriou, Foygel & Srebro, NeurIPS 2012).  The scan stops
 at the first candidate that meets them.  It forms no squares, so the prox
 of s*v is, up to rounding, s times the prox of v down to the subnormal
-range; should the prefix sums of a finite v overflow, the scan runs on v
-scaled down by a power of two, and should mu * k overflow, xi comes from
+range; should the prefix sums of a finite v near overflow, the scan runs on
+u scaled down by a power of two, and should mu * k overflow, xi comes from
 sums and mu scaled down alike (the block lengths it adds lie below an ulp
 of mu).  When rounding leaves no candidate consistent (exact ties at some
-scales), a second pass takes the candidate of least violation, with its
-xi clamped to its neighbours.  The vectors are short (the open tail of a
-search node), so per-call numpy overhead would outweigh the arithmetic.
+scales), the candidate of least violation is taken, with its xi clamped to
+its neighbours.
+
+Only the sorted head, ranks 1 to je (1 to k when the top k only shrink),
+changes; every entry after it keeps its value.  So the scan reads its
+magnitudes from one numpy pass, extends the prefix sums only as far as the
+walk reads, and the output is one numpy expression for the entries the prox
+leaves alone with only the head written back.
 
 prox_topk_sq_conjugate gives the prox of alpha * h* for h = (1/(2 lam)) *
 ||.||_{k,2}^2, the form needed by the dual solver's primal update, via
 Moreau's identity.
 """
 
-from itertools import accumulate
+from itertools import accumulate, islice, repeat
 from math import inf, isfinite, ldexp
 
 import numpy as np
 
 __all__ = ["prox_topk_sq", "prox_topk_sq_conjugate"]
 
-# binary exponent by which an input whose prefix sums overflow is scaled
-# down: a sum of fewer than 2**63 terms then stays finite
+# binary exponent by which the magnitudes are scaled down when their sum
+# reaches _SUM_LIMIT: a sum of fewer than 2**63 terms then stays finite
 _RESCALE = 64
+# a sum of the magnitudes below it stays finite added in any other order,
+# as the walk adds them (sorted)
+_SUM_LIMIT = 2.0 ** 1023
 
 
 def prox_topk_sq(mu, k, v, with_count=False):
@@ -49,8 +57,7 @@ def prox_topk_sq(mu, k, v, with_count=False):
     mu : positive, finite shrinkage weight.
     k : number of entries the norm covers; k <= 0 returns v unchanged,
         k > v.size is treated as v.size.
-    v : 1-D array.  A NaN in v raises ValueError where the block scan
-        runs; where the top k entries only shrink, it comes back as NaN.
+    v : 1-D array.  A NaN in v raises ValueError (for k >= 1).
     with_count : also return the number of candidate blocks examined
         (always <= v.size; the basis of the linear-time bound).
     """
@@ -60,90 +67,18 @@ def prox_topk_sq(mu, k, v, with_count=False):
     if k <= 0:
         out = v.copy()
         return (out, 0) if with_count else out
-    out, count = _prox_list(float(mu), int(k), v.tolist())
-    return (np.array(out), count) if with_count else np.array(out)
-
-
-def _candidates(mu, k, d, U, Ubar, cum_u):
-    """The candidate blocks (js, je, xi) in scan order, xi unclamped."""
-    j_hat = k
-    e = k - 1  # last index known to satisfy u_j > current threshold
-    for js in range(1, k + 1):
-        thresh = Ubar[js]
-        # endpoints: {j : u_j > ubar_js and j >= j_hat}; u non-increasing, so
-        # the threshold set is a prefix whose end e only moves right as js grows
-        while e + 1 <= d and U[e + 1] > thresh:
-            e += 1
-        if e < j_hat:
-            continue
-        m1 = k - js + 1
-        for je in range(j_hat, e + 1):
-            yield js, je, (cum_u[je] - cum_u[js - 1]) / (mu * m1 + je - js + 1)
-        j_hat = e
-
-
-def _violation(U, Ubar, js, je, xi):
-    """How far xi falls outside the optimality conditions of block [js, je]."""
-    return max(U[je + 1] - xi, xi - Ubar[js - 1], Ubar[js] - xi, xi - U[je])
-
-
-def _prox_list(mu, k, vals):
-    """(prox, candidates examined) on Python floats, for k >= 1."""
-    d = len(vals)
-    k = min(k, d)
-    shrink = 1.0 + mu
-    mags = [abs(x) for x in vals]
-    # stable: ties keep original index order, as argsort(-|v|, kind="stable")
-    order = sorted(range(d), key=mags.__getitem__, reverse=True)
-    u = [mags[i] for i in order]  # non-increasing
-    ub = [x / shrink for x in u[:k]]
-
-    # 1-based views with sentinels: U[i] = u_i (U[d+1] = 0), Ubar[i] = u_i/(1+mu)
-    # for i in [k], Ubar[0] = +inf
-    U = [inf] + u + [0.0]
-    Ubar = [inf] + ub
-
-    count = 0
-    if Ubar[k] >= U[k + 1]:
-        # shrink-top branch: blocks don't interact
-        x_sorted = ub + u[k:]
-    else:
-        # accumulate adds in np.cumsum's order
-        cum_u = list(accumulate(u, initial=0.0))
-        if not cum_u[d] < inf:  # the sums of |v| hold a NaN or overflow
-            if cum_u[d] != cum_u[d]:
-                raise ValueError("v holds a NaN")
-            if u[0] < inf:  # finite v whose sums overflow
-                out, count = _prox_list(mu, k, [ldexp(x, -_RESCALE) for x in vals])
-                return [ldexp(x, _RESCALE) for x in out], count
-        if mu * k == inf:  # xi's denominators overflow; mu is not read below
-            mu, cum_u = ldexp(mu, -_RESCALE), [ldexp(x, -_RESCALE) for x in cum_u]
-        for count, (js, je, xi) in enumerate(
-                _candidates(mu, k, d, U, Ubar, cum_u), 1):
-            if U[je + 1] <= xi <= Ubar[js - 1] and Ubar[js] <= xi <= U[je]:
-                break  # the block of the minimizer
-        else:  # rounding left no block consistent
-            js, je, xi = min(_candidates(mu, k, d, U, Ubar, cum_u),
-                             key=lambda c: _violation(U, Ubar, *c))
-            xi = min(Ubar[js - 1], max(U[je + 1], xi))
-        assert count <= d, "candidate scan exceeded the linear bound"
-        x_sorted = ub[:js - 1] + [xi] * (je - js + 1) + u[je:]
-
-    # the sign of v, with v >= 0 (so -0.0 too) taken as positive
-    out = [0.0] * d
-    for i, x in zip(order, x_sorted):
-        out[i] = x if vals[i] >= 0 else -x
-    return out, count
+    out, count = _prox(float(mu), int(k), v)
+    return (out, count) if with_count else out
 
 
 def prox_topk_sq_conjugate(alpha, k, v, lam):
     """Prox of alpha * h* at v, where h = (1/(2 lam)) ||.||_{k,2}^2.
 
     Moreau: prox_{alpha h*}(v) = v - alpha * prox_{h / alpha}(v / alpha),
-    and h/alpha has shrinkage weight mu = 1/(lam * alpha).  The identity is
-    applied on Python floats, with the same operations numpy would make;
-    where v / alpha overflows, as v - prox_{h / alpha}(v) by homogeneity.
-    Raises ValueError when mu overflows or v holds a NaN.
+    and h/alpha has shrinkage weight mu = 1/(lam * alpha); where v / alpha
+    overflows (numpy warns of it), it is v - prox_{h / alpha}(v) by
+    homogeneity.  Raises
+    ValueError when mu overflows or v holds a NaN.
     """
     if (not alpha > 0 or not lam > 0
             or not isfinite(alpha) or not isfinite(lam)):
@@ -154,17 +89,92 @@ def prox_topk_sq_conjugate(alpha, k, v, lam):
         # Moreau agrees, as prox_{h/alpha} is the identity.  The dual solver
         # never takes this branch: it calls with k - s >= 1.
         return np.zeros_like(v)
-    alpha, vals = float(alpha), v.tolist()
+    alpha = float(alpha)
     mu = 1.0 / (lam * alpha) if lam * alpha > 0 else inf
     if mu == inf:
         raise ValueError(f"1/(lam * alpha) overflows: lam * alpha = {lam * alpha!r}")
-    scaled = [x / alpha for x in vals]
-    # the sum screens cheaply for a NaN in v and an entry of v / alpha
-    # that overflowed
-    if not isfinite(sum(scaled)):
-        if any(x != x for x in vals):
+    return _prox(mu, int(k), v, alpha)[0]
+
+
+def _violation(U, Ubar, js, je, xi):
+    """How far xi falls outside the optimality conditions of block [js, je]."""
+    return max(U[je + 1] - xi, xi - Ubar[js - 1], Ubar[js] - xi, xi - U[je])
+
+
+def _prox(mu, k, v, alpha=None):
+    """(out, candidates examined) for k >= 1: out is prox_topk_sq(mu, k, v)
+    when alpha is None, else v - alpha * prox_topk_sq(mu, k, v / alpha)."""
+    s = v if alpha is None else v / alpha
+    mags = np.abs(s).tolist()
+    total = sum(mags)  # screens for a NaN in v and for sums near overflow
+    if not total < _SUM_LIMIT:
+        if total != total:
             raise ValueError("v holds a NaN")
-        if inf in map(abs, scaled):
-            alpha, scaled = 1.0, vals
-    p, _ = _prox_list(mu, int(k), scaled)
-    return np.array([x - alpha * q for x, q in zip(vals, p)])
+        if alpha is not None and inf in mags:  # v / alpha overflowed
+            alpha, s = 1.0, v
+            mags = np.abs(v).tolist()
+            total = sum(mags)
+    d = len(mags)
+    k = min(k, d)
+    shrink = 1.0 + mu
+    # stable: ties keep original index order, as argsort(-|v|, kind="stable")
+    order = sorted(range(d), key=mags.__getitem__, reverse=True)
+    # 1-based views with sentinels: U[i] = u_i for u the sorted magnitudes
+    # (non-increasing), U[d+1] = 0; Ubar[i] = u_i/(1+mu) for i in [k],
+    # Ubar[0] = +inf
+    U = [inf, *map(mags.__getitem__, order), 0.0]
+    Ubar = [inf] + [x / shrink for x in U[1:k + 1]]
+
+    count = 0
+    if Ubar[k] >= U[k + 1]:
+        # shrink-top branch: blocks don't interact
+        head = Ubar[1:]
+    else:
+        scaled = not total < _SUM_LIMIT and U[1] < inf  # finite v, large sums
+        if scaled:
+            U = [ldexp(x, -_RESCALE) for x in U]
+            Ubar = [inf] + [x / shrink for x in U[1:k + 1]]
+        # prefix sums of u in np.cumsum's order, cum[j] = u_1 + ... + u_j
+        sums = accumulate(islice(U, 1, d + 1), initial=0.0)
+        if mu * k == inf:  # xi's denominators overflow; Ubar is set already
+            mu, sums = ldexp(mu, -_RESCALE), map(ldexp, sums, repeat(-_RESCALE))
+        cum, spans, j_hat, e = [], [], k, k - 1
+        for js in range(1, k + 1):
+            thresh = Ubar[js]
+            # endpoints: {j : u_j > ubar_js and j >= j_hat}; u non-increasing, so
+            # the threshold set is a prefix whose end e only moves right as js grows
+            while e < d and U[e + 1] > thresh:
+                e += 1
+            if e < j_hat:
+                continue
+            if len(cum) <= e:
+                cum += islice(sums, e + 1 - len(cum))
+            low, weight = cum[js - 1], mu * (k - js + 1)
+            for je in range(j_hat, e + 1):
+                xi = (cum[je] - low) / (weight + je - js + 1)
+                if U[je + 1] <= xi <= Ubar[js - 1] and Ubar[js] <= xi <= U[je]:
+                    break  # the block of the minimizer
+            else:
+                spans.append((js, j_hat, e))
+                count += e - j_hat + 1
+                j_hat = e
+                continue
+            count += je - j_hat + 1
+            break
+        else:  # rounding left no block consistent
+            js, je, xi = min(
+                ((js, je, (cum[je] - cum[js - 1]) / (mu * (k - js + 1) + je - js + 1))
+                 for js, first, last in spans for je in range(first, last + 1)),
+                key=lambda c: _violation(U, Ubar, *c))
+            xi = min(Ubar[js - 1], max(U[je + 1], xi))
+        assert count <= d, "candidate scan exceeded the linear bound"
+        head = Ubar[1:js] + [xi] * (je - js + 1)
+        if scaled:
+            head = [ldexp(x, _RESCALE) for x in head]
+
+    # q = prox at s: the head ranks take their new magnitudes and every later
+    # entry keeps |s|, each with the sign of s, s >= 0 (so -0.0 too) positive
+    q = s + 0.0
+    for i, x in zip(order, head):
+        q[i] = x if q.item(i) >= 0 else -x
+    return (q if alpha is None else v - alpha * q), count

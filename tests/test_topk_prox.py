@@ -86,10 +86,11 @@ class TestHandCases:
 
     @pytest.mark.parametrize("k,v", [
         (1, [1.0, np.nan, 3.0]), (1, [np.nan, 1.0]), (2, [1.0, np.nan]),
-        (2, [1.0, 3.0, np.nan, 2.0])])
+        (2, [1.0, 3.0, np.nan, 2.0]), (1, [1.0, 3.0, np.nan, 2.0])])
     def test_rejects_nan_in_v(self, k, v):
-        # it gave [inf, nan, 3] for the first v and "min() arg is an empty
-        # sequence" for the second
+        # it gave [inf, nan, 3] for the first v, "min() arg is an empty
+        # sequence" for the second and [1, 1.5, nan, 2] for the last, where
+        # the top k only shrink
         with pytest.raises(ValueError, match="NaN"):
             prox_topk_sq(1.0, k, v)
 
@@ -149,19 +150,23 @@ def draw_vector(family, rng, d):
     return np.round(rng.standard_normal(d), 1)  # near and exact ties
 
 
+FAMILIES = ["gaussian", "integer", "signed_zeros", "repeated", "rounded"]
+
+
 class TestAgainstNumpyReference:
     """Bit-level agreement with the frozen numpy scan in tests/helpers.py,
     which keeps the candidate of least objective: the scan stops at that
     candidate, the first whose block meets the optimality conditions."""
 
-    @pytest.mark.parametrize("seed,family", enumerate(
-        ["gaussian", "integer", "signed_zeros", "repeated", "rounded"]))
-    def test_output_bytes_and_candidate_count(self, seed, family):
-        rng = np.random.default_rng(500 + seed)
+    @staticmethod
+    def check(family, rng, draws, dims, small_k=0.0):
+        """Compare draws vectors of family with sizes in range(*dims); with
+        probability small_k, k is drawn from 1..8 as on planted tails."""
         seen = {"d=1": 0, "k=d": 0, "k>d": 0, "scan": 0}
-        for _ in range(4000):
-            d = int(rng.integers(1, 31))
-            k = int(rng.integers(1, d + 3))
+        for _ in range(draws):
+            d = int(rng.integers(*dims))
+            k = int(rng.integers(1, 9) if small_k and rng.random() < small_k
+                    else rng.integers(1, d + 3))
             mu = float(10.0 ** rng.uniform(-4.0, 4.0))
             v = draw_vector(family, rng, d)
             out, count = prox_topk_sq(mu, k, v, with_count=True)
@@ -172,7 +177,38 @@ class TestAgainstNumpyReference:
             seen["k=d"] += k == d
             seen["k>d"] += k > d
             seen["scan"] += count > 0
+        return seen
+
+    @pytest.mark.parametrize("seed,family", enumerate(FAMILIES))
+    def test_output_bytes_and_candidate_count(self, seed, family):
+        seen = self.check(family, np.random.default_rng(500 + seed), 4000,
+                          (1, 31))
         assert min(seen.values()) > 0, seen
+
+    @pytest.mark.parametrize("seed,family", enumerate(FAMILIES))
+    def test_output_bytes_at_planted_sizes(self, seed, family):
+        # planted tails reach d = 100, and the head the prox changes ends
+        # well before the last rank there
+        seen = self.check(family, np.random.default_rng(600 + seed), 300,
+                          (31, 121), small_k=0.5)
+        del seen["d=1"]
+        assert min(seen.values()) > 0, seen
+
+    @pytest.mark.parametrize("seed,family", enumerate(FAMILIES))
+    def test_conjugate_output_bytes(self, seed, family):
+        # Moreau's identity on the reference, entry by entry on floats
+        rng = np.random.default_rng(700 + seed)
+        for _ in range(600):
+            d = int(rng.integers(1, 121))
+            k = int(rng.integers(1, 9) if rng.random() < 0.5
+                    else rng.integers(1, d + 3))
+            alpha = float(10.0 ** rng.uniform(-3.0, 3.0))
+            lam = float(10.0 ** rng.uniform(-3.0, 3.0))
+            v = draw_vector(family, rng, d)
+            p = numpy_prox_topk_sq(1.0 / (lam * alpha), k, v / alpha)[0]
+            want = np.array([x - alpha * q for x, q in zip(v, p)])
+            out = prox_topk_sq_conjugate(alpha, k, v, lam)
+            assert out.tobytes() == want.tobytes(), (alpha, k, lam, v.tolist())
 
 
 class TestOptimality:
