@@ -20,9 +20,8 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy.special import expit
 
-from .losses import make_loss
+from .losses import _expit, make_loss
 from .restricted import Instance, _integer, _real
 
 __all__ = [
@@ -182,7 +181,7 @@ def _gen_logistic(spec):
     if other.size:
         A[:, other] = _correlated_rows(rng, n, other.size, 0.2)
     A = _normalize_columns(A)
-    b = np.where(rng.random(n) < expit(A @ x_true), 1.0, -1.0)
+    b = np.where(rng.random(n) < _expit(A @ x_true), 1.0, -1.0)
     return _finish(spec, support, A, b, x_true,
                    confusers=tuple(int(i) for i in hat))
 

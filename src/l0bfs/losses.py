@@ -20,7 +20,6 @@ last axis only.
 import math
 
 import numpy as np
-from scipy.special import expit, logit, xlogy
 
 from .restricted import ConvergenceError, _real
 
@@ -31,6 +30,19 @@ __all__ = ["QuadraticLoss", "HuberLoss", "LogisticLoss", "make_loss"]
 # than the step cap
 _PROX_TOL = 1e-14
 _PROX_MAX_STEPS = 100
+
+# smallest normal double: s log(max(s, _TINY)) is 0 at s = 0, as s log s tends to
+_TINY = np.finfo(float).tiny
+
+
+def _expit(t):
+    """1 / (1 + exp(-t)) as exp(min(t, 0)) / (1 + exp(-|t|)): no overflow."""
+    return np.exp(np.minimum(t, 0.0)) / (1.0 + np.exp(-np.abs(t)))
+
+
+def _logit(x):
+    """log(x / (1 - x)) for x in (0, 1)."""
+    return np.log(x / (1.0 - x))
 
 
 class Loss:
@@ -222,12 +234,13 @@ class LogisticLoss(Loss):
 
     def grad(self, z):
         z = self._check_dim(z, stack=True)
-        return -self.b * expit(-self.b * z) / self.n
+        return -self.b * _expit(-self.b * z) / self.n
 
     def curvature(self, z):
-        # sigma(1 - sigma) as expit(z) * expit(-z): no cancellation in 1 - sigma
+        # sigma(1 - sigma) = e / (1 + e)^2, e = exp(-|z|): no overflow or cancellation
         z = self._check_dim(z, stack=True)
-        return expit(z) * expit(-z) / self.n
+        e = np.exp(-np.abs(z))
+        return e / (1.0 + e) ** 2 / self.n
 
     def _s(self, beta):
         return -self.n * self.b * beta
@@ -237,8 +250,10 @@ class LogisticLoss(Loss):
         s = self._s(beta)
         if s.min() < 0.0 or s.max() > 1.0:
             return np.inf
-        # xlogy(0, 0) = 0 handles both endpoints exactly
-        return float(np.sum(xlogy(s, s) + xlogy(1.0 - s, 1.0 - s))) / self.n
+        # s log s with 0 log 0 = 0 at both endpoints
+        r = 1.0 - s
+        return float(s @ np.log(np.maximum(s, _TINY))
+                     + r @ np.log(np.maximum(r, _TINY))) / self.n
 
     def conjugate_grad(self, beta):
         # dL*/dbeta_i = b_i log((1-s_i)/s_i); clamp s away from {0,1} so the
@@ -255,20 +270,24 @@ class LogisticLoss(Loss):
         Per component, a logit(s) + s = u with a = tau n, u = -n b v.  After
         s -> 1 - s, u -> 1 - u where u < 1/2, t = logit(s) >= 0 is the root
         of f(t) = a t + expit(t) - u, increasing and concave, so Newton rises
-        monotonically from any start with f <= 0 (_prox_start).
+        monotonically from any start with f <= 0 (_prox_start).  It runs in
+        m = -t <= 0, where e = exp(m) <= 1, s = 1/(1 + e), 1 - s = e s and
+        f'(t) = a + e s s.
         """
         a = tau * self.n
         u = -self.n * self.b * v
         flip = u < 0.5
         u = np.where(flip, 1.0 - u, u)
-        t = _prox_start(a, u)
+        m = -_prox_start(a, u)
         tol = _PROX_TOL * np.maximum(1.0, u)
         for _ in range(_PROX_MAX_STEPS):
-            s = expit(t)
-            r = a * t + s - u
-            if (np.abs(r) <= tol).all():
-                return -self.b * expit(np.where(flip, -t, t)) / self.n
-            t = t - r / (a + s * (1.0 - s))
+            e = np.exp(m)
+            s = 1.0 / (1.0 + e)
+            r = s - u - a * m
+            # count_nonzero costs a third of .all() at these sizes
+            if np.count_nonzero(np.abs(r) <= tol) == r.size:
+                return -self.b * np.where(flip, e * s, s) / self.n
+            m = m + r / (a + e * s * s)
         raise ConvergenceError(f"logistic conjugate prox: residual {np.max(np.abs(r)):.3e}"
                                f" after {_PROX_MAX_STEPS} Newton steps")
 
@@ -284,12 +303,14 @@ def _prox_start(a, u):
     of 0, (u - 1)/a, logit(u - a logit(u)) where defined and, for u >= 1, the
     asymptote L - ln L <= W(1/(2a)) of a t = exp(-t)/2, L = ln(1/(2a)) >= 2
     (Hoorfar & Hassani 2008), where a t0 <= exp(-t0)/2 <= expit(-t0)."""
-    # logit returns nan where its argument leaves [0, 1]; fmax skips it
-    t = np.maximum(0.0, (u - 1.0) / a)
+    # the logit term counts only for u < 1 and where it is positive; both
+    # logits take 1/2 elsewhere, giving 0, so _logit stays inside (0, 1)
+    v = np.where(u < 1.0, u, 0.5)
+    t = np.maximum((u - 1.0) / a, _logit(np.maximum(v - a * _logit(v), 0.5)))
     big = math.log(0.5 / a) if a < 0.5 else 0.0
     if big >= 2.0:
         t = np.maximum(t, np.where(u >= 1.0, big - math.log(big), 0.0))
-    return np.fmax(t, logit(u - a * logit(u)))
+    return t
 
 
 def make_loss(kind, b, delta=1.0):

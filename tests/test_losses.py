@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.special import expit, logit
+from scipy.special import expit, logit, xlogy
 
 import l0bfs.losses
 from helpers import domain_point, fd_grad, numeric_conjugate, numeric_prox
@@ -512,6 +512,7 @@ class TestStackedInputs:
             loss.prox_conjugate(1.0, np.zeros((2, 4)))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestLogisticProxStart:
     """The Newton start of the logistic conjugate prox."""
 
@@ -535,3 +536,63 @@ class TestLogisticProxStart:
         s = logistic_prox_s(a, u)
         ref = [bisect_s(a, ui) for ui in u]
         np.testing.assert_allclose(s, ref, rtol=0, atol=1e-12)
+
+
+# extreme inputs of the logistic loss's numpy forms: signed zeros, the
+# smallest subnormal, where exp(-|t|) leaves the normal range (709),
+# becomes subnormal (745) and underflows to 0 (800), and infinities
+EXTREMES = [sign * t for t in (0.0, 5e-324, 36.0, 709.0, 745.0, 800.0, np.inf)
+            for sign in (1.0, -1.0)]
+
+# perfbench/tracer.py's PROX_REL_TOL: a LogisticLoss.prox(tau, v) return y
+# is converged when each |y - v - c b expit(-b y)|, c = tau / n, is within
+# this share of max(1, |v_i|, c)
+PROX_REL_TOL = 1e-9
+
+
+def within_ulps(x, ref, ulps):
+    return np.all(np.abs(x - ref) <= ulps * np.spacing(np.abs(ref)))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestLogisticAgainstScipy:
+    """The logistic loss's numpy forms against scipy.special, with every
+    numpy RuntimeWarning (overflow, division by zero, invalid) an error."""
+
+    @pytest.mark.parametrize("t", EXTREMES)
+    def test_expit_grad_and_curvature(self, t):
+        assert within_ulps(l0bfs.losses._expit(np.array([t])), expit(t), 2)
+        b = np.array([1.0, -1.0])
+        loss = LogisticLoss(b)
+        z = np.full(2, t)
+        assert within_ulps(loss.grad(z), -b * expit(-b * z) / 2, 2)
+        assert within_ulps(loss.curvature(z), expit(z) * expit(-z) / 2, 2)
+
+    @pytest.mark.parametrize("label", [1.0, -1.0])
+    @pytest.mark.parametrize("s", [0.0, 5e-324, 0.5, 1.0 - 2.0**-53, 1.0])
+    def test_conjugate_matches_xlogy(self, s, label):
+        loss = LogisticLoss(np.array([label]))
+        ref = xlogy(s, s) + xlogy(1.0 - s, 1.0 - s)
+        assert abs(loss.conjugate(np.array([-label * s])) - ref) <= 1e-15
+
+    @pytest.mark.parametrize("a", [1e-300, 1e-10, 1.0, 1e10])
+    def test_prox_meets_the_tracer_residual(self, a):
+        # The tracer's residual of prox(n / a, -b u / a), which calls
+        # prox_conjugate(a / n, -b u / n), reads |s - expit((u - s) / a)|
+        # <= PROX_REL_TOL max(1, |u|, a) in s = -n b beta.  Its root must lie
+        # between the floats either side of s: at a = 1e-300 a correctly
+        # rounded s = 1 still leaves a residual of 1/2.  u and 1 - u run
+        # both sides of the flip at u = 1/2.
+        u = np.array([0.5, 1.0, 1.0 + 2.0**-52, 2.0, 1e6])
+        u = np.concatenate([u, 1.0 - u])
+        b = np.where(np.arange(u.size) % 2 == 0, 1.0, -1.0)
+        loss = LogisticLoss(b)
+        s = -loss.n * b * loss.prox_conjugate(a / loss.n, -b * u / loss.n)
+        assert np.all((s >= 0.0) & (s <= 1.0))
+        tol = PROX_REL_TOL * np.maximum(np.maximum(np.abs(u), a), 1.0)
+
+        def residual(s):
+            return s - expit((u - s) / a)
+
+        assert np.all(residual(np.nextafter(s, 0.0)) <= tol)
+        assert np.all(residual(np.nextafter(s, 1.0)) >= -tol)
