@@ -23,7 +23,8 @@ import sys
 import numpy as np
 
 from .baselines import htp, iht, omp
-from .instances import GenSpec, generate, load_instance, pssr, save_instance
+from .instances import (FAMILIES, GenSpec, generate, load_instance, pssr,
+                        save_instance)
 from .search import bfs_solve, exhaustive_solve
 from .subtree import SolverConfig
 
@@ -70,8 +71,8 @@ def read_rows(path):
 
 def _run_method(inst, method, args):
     if method == "bfs":
-        cfg = SolverConfig(epsilon=args.epsilon, subroutine=args.subroutine)
-        return bfs_solve(inst, delta=args.delta, cfg=cfg)
+        return bfs_solve(inst, delta=args.delta,
+                         cfg=SolverConfig(subroutine=args.subroutine))
     if method == "oracle":
         return exhaustive_solve(inst)
     return {"omp": omp, "iht": iht, "htp": htp}[method](inst)
@@ -276,8 +277,7 @@ def _positive(text):
 
 
 def _add_gen_flags(p, with_seed):
-    p.add_argument("--family", required=True,
-                   choices=["huber", "logistic", "quadratic"])
+    p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, default=None,
@@ -293,8 +293,6 @@ def _add_gen_flags(p, with_seed):
 def _add_solver_flags(p):
     p.add_argument("--subroutine", choices=["pdal", "sga"],
                    default=SolverConfig.subroutine)
-    p.add_argument("--epsilon", type=_positive, default=SolverConfig.epsilon,
-                   help="relative convergence tolerance of the bound subroutine")
 
 
 def build_parser():

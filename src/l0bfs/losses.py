@@ -31,6 +31,10 @@ __all__ = ["QuadraticLoss", "HuberLoss", "LogisticLoss", "make_loss"]
 _PROX_TOL = 1e-14
 _PROX_MAX_STEPS = 100
 
+# prox of tau*L: the Moreau step's point y must satisfy the stationarity
+# |y - v + tau grad L(y)| <= _MOREAU_TOL max(1, |v|, tau / n) per component
+_MOREAU_TOL = 1e-9
+
 # smallest normal double: s log(max(s, _TINY)) is 0 at s = 0, as s log s tends to
 _TINY = np.finfo(float).tiny
 
@@ -83,7 +87,9 @@ class Loss:
         raise NotImplementedError
 
     def prox(self, tau, v):
-        """prox of tau*L at v via Moreau's identity; v where 1/tau overflows."""
+        """prox of tau*L at v via Moreau's identity; v where 1/tau overflows.
+        Raises ConvergenceError when the Moreau step's cancellation leaves
+        a point that is not stationary (_MOREAU_TOL)."""
         v = self._check_dim(v)
         if tau < 0:
             raise ValueError("tau must be nonnegative")
@@ -91,7 +97,13 @@ class Loss:
             return v.copy()
         if float(np.abs(v).max()) / float(tau) == math.inf:
             raise ValueError(f"v / tau overflows at tau = {tau!r}")
-        return v - tau * self.prox_conjugate(1.0 / tau, v / tau)
+        y = v - tau * self.prox_conjugate(1.0 / tau, v / tau)
+        residual = np.abs(y - v + tau * self.grad(y))
+        scale = np.maximum(np.maximum(np.abs(v), tau / self.n), 1.0)
+        if not np.all(residual <= _MOREAU_TOL * scale):  # NaN fails too
+            raise ConvergenceError(
+                f"prox of tau*L is not stationary at tau = {tau!r}")
+        return y
 
     def prox_conjugate(self, tau, v):
         """argmin_beta tau L*(beta) + ||beta - v||^2 / 2, exact per component."""

@@ -79,7 +79,7 @@ def bfs_solve(inst, delta=0.0, cfg=None, record_bounds=False):
 
     # the first expansion: the root alone, cold
     expansion = _Siblings.lone(inst, root_node(inst.d, inst.k), None, cfg)
-    heap, calls, seq, heap_peak, pruned_count = [], 0, 0, 0, 0
+    heap, calls, heap_peak, pruned_count = [], 0, 0, 0
     while True:
         for i, indices in enumerate(expansion.children):
             calls += 1
@@ -96,9 +96,9 @@ def bfs_solve(inst, delta=0.0, cfg=None, record_bounds=False):
             if res.value < p_min:
                 x_inc, p_min = res.x, res.value
             if res.status == DUAL_BOUND:   # an EXACT child is done
-                heapq.heappush(heap, (res.low, seq, expansion.node(i),
+                # calls grows at every push, so it breaks ties in low
+                heapq.heappush(heap, (res.low, calls, expansion.node(i),
                                       res.state))
-                seq += 1
                 heap_peak = max(heap_peak, len(heap))
         # empty: every subtree was bounded above the incumbent
         if not heap or p_min <= heap[0][0] + delta + ZERO_TOL:

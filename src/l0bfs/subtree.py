@@ -34,17 +34,20 @@ listed.  Every listed node is bounded by an expansion: the search's of its
 parent, or subtree_solve's of the node alone.  A listed node that passes
 its entry test screens each leaf T by D with the top-k term exact on T,
 and its surviving leaves are solved in batches of at most
-_BATCH_ROWS * d rows, shared with its siblings'.  It is EXACT, with its
-best leaf as candidate and bound, when that leaf does not exceed the
-incumbent: the search takes the leaf as a candidate and never expands the
-node, so it never creates a leaf.  Otherwise it is PRUNED, bounded by the
-least of its solved minima and screened leaf bounds (_leaf_bound).
+_BATCH_ROWS * d rows, shared with its siblings'.  A child with more
+survivors than one batch holds keeps all their solutions at once: at most
+max(|tail|, t) rows of d floats.  It is EXACT, with its best leaf as
+candidate and bound, when that leaf does not exceed the incumbent: the
+search takes the leaf as a candidate and never expands the node, so it
+never creates a leaf.  Otherwise it is PRUNED, bounded by the least of its
+solved minima and screened leaf bounds (_leaf_bound).
 
 Every other node ascends.  Both dual maximizers run one loop (_ascend),
 which owns the entry test, the prune test after each iteration, the
-running max D_max, the convergence test, the polish restricted solve and
-the iteration cap.  Each maximizer holds only its method's state and a
-step closure that makes one iteration:
+running max D_max, the convergence test (an improvement of at most
+_EPSILON times the incumbent), the polish restricted solve and the
+iteration cap.  Each maximizer holds only its method's state and a step
+closure that makes one iteration:
 
   * pdal_maximize: a primal-dual iteration with linesearch, whose step
     returns before its linesearch when the new D already prunes;
@@ -66,7 +69,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .linalg import l2_norm, top_norm, truncate_top
-from .restricted import (ConvergenceError, _integer, _real, solve_restricted,
+from .restricted import (ConvergenceError, _integer, solve_restricted,
                          solve_restricted_batch)
 from .state_space import Node
 from .topk_prox import prox_topk_sq_conjugate
@@ -89,6 +92,9 @@ ZERO_TOL = 1e-12
 # Newton loop's fixed numpy cost once, and its peak size grows with d only
 _BATCH_ROWS = 16
 
+# the relative dual-improvement tolerance of an ascent (_converged)
+_EPSILON = 1e-5
+
 
 def _batch_size(inst):
     """Rows per solve_restricted_batch call: _BATCH_ROWS * d."""
@@ -97,19 +103,14 @@ def _batch_size(inst):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs for subtree_solve and the search driver.
+    """Knobs for subtree_solve and the search driver: the dual maximizer
+    and its iteration cap.  The ascent's convergence tolerance is the
+    constant _EPSILON."""
 
-    epsilon is the relative dual-improvement tolerance (measured against the
-    incumbent objective).
-    """
-
-    epsilon: float = 1e-5
     subroutine: str = "pdal"  # or "sga"
     max_dual_iters: int = 50_000
 
     def __post_init__(self):
-        if not _real("epsilon", self.epsilon) > 0:
-            raise ValueError("epsilon must be positive")
         if self.subroutine not in ("pdal", "sga"):
             raise ValueError("subroutine must be 'pdal' or 'sga'")
         if _integer("max_dual_iters", self.max_dual_iters) < 1:
@@ -245,34 +246,23 @@ def _screen_leaves(inst, leaves, w, conj, stop_above):
     return leaves[solve], bounds[solve], bounds[~solve].min(initial=np.inf)
 
 
-def _solved(inst, rows, bounds):
-    """(bounds, values, x) of rows, solved in batches of _batch_size rows."""
-    size = _batch_size(inst)
-    for start in range(0, len(rows), size):
-        x, values, _ = solve_restricted_batch(inst, rows[start:start + size])
-        yield bounds[start:start + size], values, x
-
-
-def _leaf_bound(inst, pieces, rest, stop_above):
+def _leaf_bound(inst, bounds, values, xs, rest, stop_above):
     """Bound a listed node that passed its entry test by its leaves (see the
-    module docstring): pieces gives (bounds, values, x) of its solved
-    leaves, one tuple per batch in leaf order, and rest is the least bound
-    of the others.  A solved leaf whose bound exceeds stop_above counts as
-    screened, so leaves solved at a higher incumbent give the same bound."""
-    best, x, low = np.inf, None, rest
-    for bounds, values, xs in pieces:
-        keep = bounds <= stop_above
-        values = np.where(keep, values, np.inf)
-        i = np.argmin(values)
-        if values[i] < best:
-            best, x = values[i], xs[i]
-        low = min(low, bounds[~keep].min(initial=np.inf))
-    low = min(best, low)
-    if x is None or low > stop_above:
+    module docstring): bounds, values and xs give D_T, the minimum and the
+    minimizer of its solved leaves T in leaf order, and rest is the least
+    bound of the others.  A solved leaf whose bound exceeds stop_above
+    counts as screened, so leaves solved at a higher incumbent give the
+    same bound."""
+    keep = bounds <= stop_above
+    values = np.where(keep, values, np.inf)
+    low = min(values.min(initial=np.inf), rest,
+              bounds[~keep].min(initial=np.inf))
+    if low > stop_above:
         return BoundResult(low=low, x=None, value=np.inf, status=PRUNED,
                            state=None, iterations=0)
     # the screened leaves lie above stop_above, so the best solved one is
     # the subtree minimum
+    x = xs[np.argmin(values)]
     value = inst.objective(x)
     return BoundResult(low=value, x=x, value=value, status=EXACT,
                        state=None, iterations=0)
@@ -293,12 +283,13 @@ class _Siblings:
     built.  It returns None for a child that passes and that Node.leaves
     does not list: that child ascends in subtree_solve.  A listed child it
     bounds by its leaves, solved in shared batches.  The first listed child
-    whose leaves are not solved yet solves, in one batch, its surviving
-    leaves and those of the following siblings (all listed) that pass their
-    entry tests at p_min, while they fit in _batch_size rows; a child with more
-    survivors is solved alone in batches of that size.  Each sibling is
-    still decided at its own turn by _leaf_bound: the incumbent only falls,
-    so every leaf that survives its screen then was solved.
+    whose leaves are not solved yet solves its surviving leaves and those
+    of the following siblings (all listed) that pass their entry tests at
+    p_min, while they fit in _batch_size rows with its own, in batches of
+    _batch_size rows: one batch, unless the child alone has more survivors,
+    whose solutions are then all held at once.  Each sibling is still
+    decided at its own turn by _leaf_bound: the incumbent only falls, so
+    every leaf that survives its screen then was solved.
     """
 
     def __init__(self, inst, node, state, cfg):
@@ -352,49 +343,45 @@ class _Siblings:
             return None
         if i not in self.solved:
             self._solve(i, stop_above)
-        pieces, rest = self.solved.pop(i)
-        return _leaf_bound(self.inst, pieces, rest, stop_above)
-
-    def _screen(self, i, stop_above):
-        leaves = self.node(i).leaves(self.limit)
-        return _screen_leaves(self.inst, leaves, self.w, self.conj, stop_above)
+        return _leaf_bound(self.inst, *self.solved.pop(i), stop_above)
 
     def _solve(self, i, stop_above):
-        """Solve the leaves of child i, and of the siblings after it that
-        fit, in one batch; at most one child's leaves and one batch of
-        rows are held at a time."""
-        rows, bounds, rest = self._screen(i, stop_above)
+        """Screen the leaves of child i, and of the siblings after it that
+        pass their entry tests, while they fit in _batch_size rows with
+        child i's, and solve the survivors in batches of _batch_size rows.
+        Stores (bounds, values, x, rest) for each child taken."""
         size = _batch_size(self.inst)
-        if len(rows) > size:
-            self.solved[i] = _solved(self.inst, rows, bounds), rest
-            return
-        taken, total = [(i, rows, bounds, rest)], len(rows)
-        for j in range(i + 1, len(self.children)):
+        taken, total = [], 0
+        for j in range(i, len(self.children)):
             # the entry test bound(j) would take at this incumbent
             if self.entry[j] > stop_above:
                 continue
-            rows, bounds, rest = self._screen(j, stop_above)
-            if total + len(rows) > size:
+            rows, bounds, rest = _screen_leaves(
+                self.inst, self.node(j).leaves(self.limit), self.w, self.conj,
+                stop_above)
+            if taken and total + len(rows) > size:
                 break
             taken.append((j, rows, bounds, rest))
             total += len(rows)
-        if total:
-            xs, values, _ = solve_restricted_batch(
-                self.inst, np.concatenate([t[1] for t in taken]))
+        rows = np.concatenate([t[1] for t in taken])
+        xs, values = np.empty((0, self.inst.d)), np.empty(0)
+        for start in range(0, total, size):
+            x, v, _ = solve_restricted_batch(self.inst,
+                                             rows[start:start + size])
+            xs, values = np.concatenate((xs, x)), np.concatenate((values, v))
         start = 0
         for j, rows, bounds, rest in taken:
             end = start + len(rows)
-            pieces = [(bounds, values[start:end], xs[start:end])] if len(rows) else []
-            self.solved[j] = pieces, rest
+            self.solved[j] = bounds, values[start:end], xs[start:end], rest
             start = end
 
 
-def _converged(improve, incumbent, epsilon):
+def _converged(improve, incumbent):
     # relative improvement against the incumbent objective; absolute when the
     # incumbent is not a usable positive scale
     if np.isfinite(incumbent) and incumbent > 0:
-        return improve <= epsilon * incumbent
-    return improve <= epsilon
+        return improve <= _EPSILON * incumbent
+    return improve <= _EPSILON
 
 
 def _ascend(inst, node, init, prune_threshold, cfg, step, first_stop):
@@ -406,11 +393,12 @@ def _ascend(inst, node, init, prune_threshold, cfg, step, first_stop):
     D value) and returns (beta, w, D, finish); finish(t) gives the primal
     point to polish and the state for the children, which records the t
     iterations taken.  The step may return early once D > stop_above,
-    since that iteration ends in a prune.  The returned bound is the running max D_max.  Converged, from
-    iteration first_stop on, when the D improvement is epsilon-small
-    relative to the incumbent and the current D is D_max.  A node pruned
-    after t >= 1 iterations returns as its state init with the beta, w and
-    conj of the point it stopped at and t, for its siblings' re-screen.
+    since that iteration ends in a prune.  The returned bound is the
+    running max D_max.  Converged, from iteration first_stop on, when the D
+    improvement is _EPSILON-small relative to the incumbent and the current
+    D is D_max.  A node pruned after t >= 1 iterations returns as its state
+    init with the beta, w and conj of the point it stopped at and t, for
+    its siblings' re-screen.
     cfg is a SolverConfig, or None for the default one.
     """
     cfg = _solver_config(cfg)
@@ -432,7 +420,7 @@ def _ascend(inst, node, init, prune_threshold, cfg, step, first_stop):
             return BoundResult(low=d_max, x=None, value=np.inf,
                                status=PRUNED, state=state, iterations=t)
         if (t >= first_stop and d_cur >= d_max
-                and _converged(d_cur - d_prev, prune_threshold, cfg.epsilon)):
+                and _converged(d_cur - d_prev, prune_threshold)):
             break
         d_prev = d_cur
 

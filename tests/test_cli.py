@@ -79,7 +79,7 @@ class TestParsing:
         capsys.readouterr()
         assert rc == 2
 
-    @pytest.mark.parametrize("flag", ["--delta", "--epsilon"])
+    @pytest.mark.parametrize("flag", ["--delta"])
     def test_nan_setting_rejected(self, tmp_path, capsys, flag):
         inst = gen_dir(tmp_path)
         rc = main(["solve", "--instance", inst, "--method", "bfs",
@@ -87,6 +87,17 @@ class TestParsing:
         capsys.readouterr()
         assert rc == 2
         assert not os.path.exists(tmp_path / "r.csv")
+
+    @pytest.mark.parametrize("verb", ["solve", "bench"])
+    def test_epsilon_flag_is_usage_error(self, tmp_path, capsys, verb):
+        # the ascent tolerance is a constant, not a setting
+        out = tmp_path / "out"
+        target = (["--instance", gen_dir(tmp_path), "--method", "bfs"]
+                  if verb == "solve" else [*GEN, "--seeds", "0"])
+        rc = main([verb, *target, "--epsilon", "1e-4", "--out", str(out)])
+        assert rc == 2
+        assert "--epsilon" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
     @pytest.mark.parametrize("flags", [
         ["--methods", ","], ["--methods", "bfs", "--deltas", ","],

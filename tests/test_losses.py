@@ -251,6 +251,15 @@ class TestProx:
         with pytest.raises(ValueError, match="v / tau"):
             loss.prox(1e-300, [1e10, 0.5])
 
+    def test_cancelling_moreau_step_raises(self):
+        # v - tau * prox_conjugate cancels two terms of about 1e300: it gave
+        # y[:3] = (7.4e283, 0, -1e300), where the prox has y_0 = 0 and
+        # y_1 near 684
+        b = np.tile([1.0, -1.0], 5)
+        u = np.array([0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0])
+        with pytest.raises(ConvergenceError, match="tau = 1e[+]301"):
+            LogisticLoss(b).prox(1e301, -b * u / 1e-300)
+
     def test_quadratic_prox_at_b_is_b(self):
         b = np.array([1.0, -2.0])
         loss = QuadraticLoss(b)

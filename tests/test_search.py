@@ -20,12 +20,14 @@ DELTAS = [1e-4, 1e-3, 1e-2, 1e-1]
 
 
 def configure(monkeypatch, subroutine, overrides):
-    """SolverConfig(subroutine, **overrides), where {"cold": True} instead
-    starts every node cold (helpers.cold_start)."""
-    overrides = dict(overrides)
-    if overrides.pop("cold", False):
+    """SolverConfig(subroutine), where {"cold": True} also starts every
+    node cold (helpers.cold_start) and {"epsilon": e} sets the ascent
+    tolerance subtree._EPSILON to e."""
+    if overrides.get("cold"):
         cold_start(monkeypatch)
-    return SolverConfig(subroutine=subroutine, **overrides)
+    if "epsilon" in overrides:
+        monkeypatch.setattr(l0bfs.subtree, "_EPSILON", overrides["epsilon"])
+    return SolverConfig(subroutine=subroutine)
 
 
 def assert_matches_oracle(report, oracle, rel=1e-8):

@@ -30,34 +30,44 @@ def hand_built(inst, subroutine, beta):
 class TestSolverConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
-            SolverConfig(epsilon=0.0)
-        with pytest.raises(ValueError):
             SolverConfig(subroutine="newton")
         with pytest.raises(ValueError):
             SolverConfig(max_dual_iters=0)
 
-    def test_nan_epsilon_rejected(self):
-        with pytest.raises(ValueError):
-            SolverConfig(epsilon=float("nan"))
+    def test_epsilon_is_not_a_field(self):
+        # the ascent tolerance is the constant subtree._EPSILON
+        with pytest.raises(TypeError):
+            SolverConfig(epsilon=1e-4)
 
     def test_no_warm_start_switch(self):
         # every child starts from its parent's final state
         assert [f.name for f in dataclasses.fields(SolverConfig)] == [
-            "epsilon", "subroutine", "max_dual_iters"]
+            "subroutine", "max_dual_iters"]
         with pytest.raises(TypeError):
             SolverConfig(warm_start=False)
 
     @pytest.mark.parametrize("field,value", [
-        ("epsilon", True), ("epsilon", "1e-5"), ("max_dual_iters", True),
-        ("max_dual_iters", 2.5), ("max_dual_iters", "10")])
+        ("max_dual_iters", True), ("max_dual_iters", 2.5),
+        ("max_dual_iters", "10")])
     def test_wrong_types_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             SolverConfig(**{field: value})
 
     def test_numpy_scalars_accepted(self):
-        cfg = SolverConfig(epsilon=np.float64(1e-4),
-                           max_dual_iters=np.int64(10))
-        assert cfg.max_dual_iters == 10
+        assert SolverConfig(max_dual_iters=np.int64(10)).max_dual_iters == 10
+
+    def test_looser_tolerance_ends_a_root_ascent_sooner(self, monkeypatch):
+        inst = small_instance("huber", 12)
+        node = root_node(inst.d, inst.k)
+        p0 = inst.objective(np.zeros(inst.d))
+
+        def iterations():
+            return pdal_maximize(inst, node, pdal_root_state(inst), p0,
+                                 SolverConfig()).iterations
+
+        default = iterations()
+        monkeypatch.setattr(l0bfs.subtree, "_EPSILON", 1e-3)
+        assert iterations() < default
 
 
 class TestDualValue:
@@ -161,7 +171,7 @@ class TestPdal:
                     assert res.value == pytest.approx(
                         inst.objective(res.x), abs=1e-12)
 
-    def test_bound_tightens_to_relaxation_optimum(self):
+    def test_bound_tightens_to_relaxation_optimum(self, monkeypatch):
         # at the root the dual optimum equals the minimum of the convex
         # relaxation min_x L(Ax) + h(x), where h is the conjugate of
         # u -> (1/(2*lam)) * top_norm(k, u)^2.  Both the proximal step
@@ -187,32 +197,36 @@ class TestPdal:
         p_relax = inst.loss.value(inst.A @ x) + h_value(x)
 
         # the root's subtree minimum: no D exceeds it, so nothing prunes
-        cfg = SolverConfig(epsilon=1e-10)
+        monkeypatch.setattr(l0bfs.subtree, "_EPSILON", 1e-10)
         res = pdal_maximize(inst, node, pdal_root_state(inst),
-                            subtree_min(inst, node), cfg)
+                            subtree_min(inst, node), SolverConfig())
         assert res.low <= p_relax + 1e-9
         assert res.low == pytest.approx(p_relax, rel=1e-4, abs=1e-8)
 
     @pytest.mark.parametrize("kind", KINDS)
-    def test_full_support_node_closes_gap_to_restricted_solve(self, kind):
+    def test_full_support_node_closes_gap_to_restricted_solve(
+            self, kind, monkeypatch):
         # with |S| = k the tail carries no weight and the dual optimum
         # is the restricted minimum on S itself
         inst = small_instance(kind, 24)
         node = Node((0, 3), inst.d, inst.k)
         ref = solve_restricted(inst, node.indices)
-        cfg = SolverConfig(epsilon=1e-10)   # ref.value is the subtree minimum
-        res = pdal_maximize(inst, node, pdal_root_state(inst), ref.value, cfg)
+        # ref.value is the subtree minimum
+        monkeypatch.setattr(l0bfs.subtree, "_EPSILON", 1e-10)
+        res = pdal_maximize(inst, node, pdal_root_state(inst), ref.value,
+                            SolverConfig())
         assert res.low <= ref.value + 1e-9
         assert res.low == pytest.approx(ref.value, rel=1e-5, abs=1e-8)
 
-    def test_unconstrained_root_closes_gap_to_ridge_solve(self):
+    def test_unconstrained_root_closes_gap_to_ridge_solve(self, monkeypatch):
         # k = d makes the relaxation exact, so the bound should meet
         # the unconstrained minimum
         inst = random_instance("huber", d=5, k=5, n=8, seed=25, lam=1e-2)
         ref = solve_restricted(inst, range(5))
-        cfg = SolverConfig(epsilon=1e-10)   # ref.value is the subtree minimum
+        # ref.value is the subtree minimum
+        monkeypatch.setattr(l0bfs.subtree, "_EPSILON", 1e-10)
         res = pdal_maximize(inst, root_node(5, 5), pdal_root_state(inst),
-                            ref.value, cfg)
+                            ref.value, SolverConfig())
         assert res.low <= ref.value + 1e-9
         assert res.low == pytest.approx(ref.value, rel=1e-5, abs=1e-8)
 
@@ -223,7 +237,8 @@ class TestPdal:
         cfg = SolverConfig()
         first = pdal_maximize(inst, node, pdal_root_state(inst), p0, cfg)
         again = pdal_maximize(inst, node, first.state, p0, cfg)
-        assert again.low >= first.low - cfg.epsilon * max(first.value, 1.0)
+        assert again.low >= (first.low - l0bfs.subtree._EPSILON
+                             * max(first.value, 1.0))
 
     def test_iteration_cap_still_returns_valid_bound(self):
         inst = small_instance("logistic", 13)
@@ -491,7 +506,7 @@ class TestSubtreeSolveDispatch:
         inst = small_instance("huber", 24)
         with pytest.raises(ValueError, match="cfg"):
             maximize(inst, root_node(inst.d, inst.k), root_state(inst),
-                     np.inf, {"epsilon": 1e-3})
+                     np.inf, {"subroutine": "pdal"})
 
 
 class TestSharedParentState:
