@@ -14,9 +14,8 @@ from .restricted import (ConvergenceError, Instance, RestrictedSolution,
 from .search import SolveReport, bfs_solve, exhaustive_solve
 from .state_space import Node, is_node, root_node
 from .subtree import (DUAL_BOUND, EXACT, PRUNED, BoundResult, DualState,
-                      SgaState, SolverConfig, dual_value, pdal_maximize,
-                      pdal_root_state, sga_maximize, sga_root_state,
-                      subtree_solve)
+                      SolverConfig, dual_value, pdal_maximize, pdal_root_state,
+                      sga_maximize, sga_root_state, subtree_solve)
 from .topk_prox import prox_topk_sq, prox_topk_sq_conjugate
 
 __version__ = "0.1.0"
@@ -25,8 +24,8 @@ __all__ = [
     "DUAL_BOUND", "EXACT", "PRUNED",
     "BoundResult", "ConvergenceError", "DualState",
     "GenSpec", "GeneratedInstance", "HuberLoss", "Instance", "LogisticLoss",
-    "Loss", "Node", "QuadraticLoss", "RestrictedSolution", "SgaState",
-    "SolveReport", "SolverConfig", "bfs_solve", "default_n", "dual_value",
+    "Loss", "Node", "QuadraticLoss", "RestrictedSolution", "SolveReport",
+    "SolverConfig", "bfs_solve", "default_n", "dual_value",
     "exhaustive_solve", "generate", "htp", "iht", "is_node", "load_instance",
     "make_loss", "omp", "pdal_maximize", "pdal_root_state", "prox_topk_sq",
     "prox_topk_sq_conjugate", "pssr", "root_node", "save_instance",

@@ -26,7 +26,7 @@ from .baselines import htp, iht, omp
 from .instances import (FAMILIES, GenSpec, generate, load_instance, pssr,
                         save_instance)
 from .search import bfs_solve, exhaustive_solve
-from .subtree import SolverConfig
+from .subtree import SUBROUTINES, SolverConfig
 
 __all__ = ["main", "COLUMNS", "append_rows", "read_rows", "aggregate_from_rows"]
 
@@ -291,7 +291,7 @@ def _add_gen_flags(p, with_seed):
 
 
 def _add_solver_flags(p):
-    p.add_argument("--subroutine", choices=["pdal", "sga"],
+    p.add_argument("--subroutine", choices=SUBROUTINES,
                    default=SolverConfig.subroutine)
 
 

@@ -78,7 +78,7 @@ def bfs_solve(inst, delta=0.0, cfg=None, record_bounds=False):
     p_min = inst.objective(x_inc)
 
     # the first expansion: the root alone, cold
-    expansion = _Siblings.lone(inst, root_node(inst.d, inst.k), None, cfg)
+    expansion = _Siblings.lone(inst, root_node(inst.d, inst.k), None)
     heap, calls, heap_peak, pruned_count = [], 0, 0, 0
     while True:
         for i, indices in enumerate(expansion.children):
@@ -104,7 +104,7 @@ def bfs_solve(inst, delta=0.0, cfg=None, record_bounds=False):
         if not heap or p_min <= heap[0][0] + delta + ZERO_TOL:
             break
         _, _, node, state = heapq.heappop(heap)
-        expansion = _Siblings(inst, node, state, cfg)
+        expansion = _Siblings(inst, node, state)
     return SolveReport(x=x_inc, objective=p_min, solver_calls=calls,
                        pruned=pruned_count, heap_peak=heap_peak,
                        wall_time=time.perf_counter() - t0, bound_log=log)

@@ -55,10 +55,12 @@ closure that makes one iteration:
 
 Pruning stops the ascent as soon as some D value exceeds the incumbent
 objective, which certifies the subtree cannot win.  Every child starts
-from its parent's final state: for pdal the dual and primal iterates
-(beta, y), with the step schedule restarted at every call, because the
-parent's spent schedule barely moves the child and would stop its ascent
-at a loose bound; for sga beta and the parent's first accepted step.
+from its parent's final state, a DualState that either maximizer reads and
+writes: pdal starts from its dual and primal points (beta, y), sga from
+beta alone.  Both restart their step schedules at every call: a parent's
+spent pdal schedule barely moves the child and would stop its ascent at a
+loose bound, and a restarted sga schedule takes fewer dual iterations than
+an inherited step, with the same certified objectives.
 """
 
 import heapq
@@ -76,7 +78,7 @@ from .topk_prox import prox_topk_sq_conjugate
 
 __all__ = [
     "EXACT", "DUAL_BOUND", "PRUNED", "ZERO_TOL",
-    "SolverConfig", "DualState", "SgaState", "BoundResult",
+    "SUBROUTINES", "SolverConfig", "DualState", "BoundResult",
     "dual_value", "pdal_maximize", "sga_maximize", "subtree_solve",
     "pdal_root_state", "sga_root_state",
 ]
@@ -95,6 +97,9 @@ _BATCH_ROWS = 16
 # the relative dual-improvement tolerance of an ascent (_converged)
 _EPSILON = 1e-5
 
+# the dual maximizers SolverConfig.subroutine names
+SUBROUTINES = ("pdal", "sga")
+
 
 def _batch_size(inst):
     """Rows per solve_restricted_batch call: _BATCH_ROWS * d."""
@@ -107,11 +112,11 @@ class SolverConfig:
     and its iteration cap.  The ascent's convergence tolerance is the
     constant _EPSILON."""
 
-    subroutine: str = "pdal"  # or "sga"
+    subroutine: str = "pdal"  # one of SUBROUTINES
     max_dual_iters: int = 50_000
 
     def __post_init__(self):
-        if self.subroutine not in ("pdal", "sga"):
+        if self.subroutine not in SUBROUTINES:
             raise ValueError("subroutine must be 'pdal' or 'sga'")
         if _integer("max_dual_iters", self.max_dual_iters) < 1:
             raise ValueError("max_dual_iters must be at least 1")
@@ -134,24 +139,14 @@ class _Shared:
 
 @dataclass(frozen=True)
 class DualState(_Shared):
-    """PDAL iterate carried between parent and child nodes."""
+    """The point an ascent ends at, which the node's children start from;
+    both maximizers read and write it."""
 
     beta: np.ndarray      # dual point, length n
-    y: np.ndarray         # primal point, length d
+    y: np.ndarray         # primal point, length d (sga: its polish point)
     w: np.ndarray         # A^T beta, length d
     conj: float           # L*(beta)
     iterations: int = 0   # dual iterations of its ascent
-
-
-@dataclass(frozen=True)
-class SgaState(_Shared):
-    """Supergradient-ascent iterate: dual point and inherited step size."""
-
-    beta: np.ndarray
-    eta: float
-    w: np.ndarray
-    conj: float
-    iterations: int = 0
 
 
 class BoundResult(NamedTuple):
@@ -159,21 +154,19 @@ class BoundResult(NamedTuple):
     x: Optional[np.ndarray]    # feasible candidate (None when pruned early)
     value: float               # P(x), inf when pruned early
     status: str                # EXACT, DUAL_BOUND, or PRUNED
-    state: object              # DualState/SgaState the ascent ended at
+    state: Optional[DualState]  # the state the ascent ended at
     iterations: int
 
 
 def pdal_root_state(inst):
-    """Cold start at the tree root: zero dual and primal iterates."""
+    """Cold start at the tree root, for either maximizer: zero dual and
+    primal points."""
     beta = np.zeros(inst.n)
     return DualState(beta=beta, y=np.zeros(inst.d), w=inst.AT @ beta,
                      conj=inst.loss.conjugate(beta))
 
 
-def sga_root_state(inst):
-    beta = np.zeros(inst.n)
-    return SgaState(beta=beta, eta=1.0, w=inst.AT @ beta,
-                    conj=inst.loss.conjugate(beta))
+sga_root_state = pdal_root_state
 
 
 def _penalty(w, node):
@@ -190,18 +183,20 @@ def _check_node(inst, node):
                          f"instance for d={inst.d}, k={inst.k}")
 
 
-def _start_state(inst, warm, cfg):
-    """The state a node starts from: warm, its parent's final state, or
-    cfg's maximizer's root state for None.  ValueError for any other warm,
-    such as a state of the other maximizer."""
-    pdal = cfg.subroutine == "pdal"
+def _checked_state(name, state):
+    """state itself; ValueError unless it is a DualState."""
+    if not isinstance(state, DualState):
+        raise ValueError(f"{name} must be a DualState, "
+                         f"got {type(state).__name__}")
+    return state
+
+
+def _start_state(inst, warm):
+    """The state a node starts from: warm, its parent's final state, or the
+    root state for None.  ValueError for any other warm."""
     if warm is None:
-        return (pdal_root_state if pdal else sga_root_state)(inst)
-    state_type = DualState if pdal else SgaState
-    if not isinstance(warm, state_type):
-        raise ValueError(f"warm must be a {state_type.__name__} for "
-                         f"{cfg.subroutine}, got {type(warm).__name__}")
-    return warm
+        return pdal_root_state(inst)
+    return _checked_state("warm", warm)
 
 
 def _entry_bound(inst, node, w, conj):
@@ -292,30 +287,30 @@ class _Siblings:
     every leaf that survives its screen then was solved.
     """
 
-    def __init__(self, inst, node, state, cfg):
+    def __init__(self, inst, node, state):
         """The children of node, which ended its bound at state."""
-        self._start(inst, state, cfg)
+        self._start(inst, state)
         self.parent = node
         self.children = [node.indices + (j,) for j in node.child_range()]
         self.entry = _child_entry_bounds(inst, node, self.w, self.conj)
 
     @classmethod
-    def lone(cls, inst, node, warm, cfg):
+    def lone(cls, inst, node, warm):
         """node alone, from warm, its parent's final state (None at the
         root)."""
         self = cls.__new__(cls)
-        self._start(inst, warm, cfg)
+        self._start(inst, warm)
         self.children = [node.indices]
         self.nodes[0] = node
         self.entry = [_entry_bound(inst, node, self.w, self.conj)]
         return self
 
-    def _start(self, inst, warm, cfg):
+    def _start(self, inst, warm):
         """Resolve the children's start state from warm once for all of
         them."""
+        start = _start_state(inst, warm)
         self.inst, self.warm = inst, warm
         self.limit = 0 if warm is None else warm.iterations
-        start = _start_state(inst, warm, cfg)
         self.w, self.conj = start.w, start.conj
         self.nodes, self.solved = {}, {}
 
@@ -384,8 +379,8 @@ def _converged(improve, incumbent):
     return improve <= _EPSILON
 
 
-def _ascend(inst, node, init, prune_threshold, cfg, step, first_stop):
-    """Bound node from init: one entry test, then an ascent.
+def _ascend(inst, node, init, prune_threshold, cfg, step):
+    """Bound node from init, a DualState: one entry test, then an ascent.
 
     The entry test is D(init.beta; node), from init.w and init.conj.  A
     node that passes it maximizes D(.; node) by calls of step(beta, w, d,
@@ -394,16 +389,18 @@ def _ascend(inst, node, init, prune_threshold, cfg, step, first_stop):
     point to polish and the state for the children, which records the t
     iterations taken.  The step may return early once D > stop_above,
     since that iteration ends in a prune.  The returned bound is the
-    running max D_max.  Converged, from iteration first_stop on, when the D
+    running max D_max.  Converged, from the second iteration on, when the D
     improvement is _EPSILON-small relative to the incumbent and the current
-    D is D_max.  A node pruned after t >= 1 iterations returns as its state
-    init with the beta, w and conj of the point it stopped at and t, for
-    its siblings' re-screen.
-    cfg is a SolverConfig, or None for the default one.
+    D is D_max: a warm start at a near-fixed point shows no improvement on
+    its first step without having ascended.  A node pruned after t >= 1
+    iterations returns as its state init with the beta, w and conj of the
+    point it stopped at and t, for its siblings' re-screen.
+    cfg is a SolverConfig, or None for the default one.  ValueError for an
+    init that is not a DualState.
     """
     cfg = _solver_config(cfg)
     _check_node(inst, node)
-    beta, w = init.beta, init.w
+    beta, w = _checked_state("init", init).beta, init.w
     d_max = d_prev = _entry_bound(inst, node, w, init.conj)
     stop_above = prune_threshold + ZERO_TOL
     if d_prev > stop_above:
@@ -414,12 +411,12 @@ def _ascend(inst, node, init, prune_threshold, cfg, step, first_stop):
         beta, w, d_cur, finish = step(beta, w, d_prev, stop_above)
         d_max = max(d_max, d_cur)
         if d_cur > stop_above:
-            # no child starts from a pruned node: y or eta stay init's
+            # no child starts from a pruned node: y stays init's
             state = replace(init, beta=beta, w=w,
                             conj=inst.loss.conjugate(beta), iterations=t)
             return BoundResult(low=d_max, x=None, value=np.inf,
                                status=PRUNED, state=state, iterations=t)
-        if (t >= first_stop and d_cur >= d_max
+        if (t >= 2 and d_cur >= d_max
                 and _converged(d_cur - d_prev, prune_threshold)):
             break
         d_prev = d_cur
@@ -444,21 +441,21 @@ def pdal_maximize(inst, node, init, prune_threshold, cfg):
 
         sqrt(rho_t) * tau_t * ||A (y_t - y_{t-1})|| <= ||y_t - y_{t-1}||.
 
-    Convergence is accepted from the second iteration on: a warm start at a
-    near-fixed point shows no improvement on its first step without having
-    ascended.  The polish point is the top-k truncation of y.  It ascends
-    on any node, listed or not (subtree_solve lists the leaves instead).
+    The primal iterate starts at init.y.  The polish point is the top-k
+    truncation of y.  It ascends on any node, listed or not (subtree_solve
+    lists the leaves instead).
     """
     A, lam, loss = inst.A, inst.lam, inst.loss
     k, rem, cut = node.k, node.k - node.size, node.cut
     s_arr = node.support_array
-    y = init.y
-    # tau is set at the first step: a node pruned at entry needs no ||A||
-    tau, rho, theta = None, 1.0, 1.0
+    # y and tau are set at the first step, after _ascend has checked init:
+    # a node pruned at entry needs no ||A||
+    y, tau, rho, theta = None, None, 1.0, 1.0
 
     def step(beta, w, d, stop_above):
         nonlocal y, tau, rho, theta
         if tau is None:
+            y = init.y
             tau = 1.0 / inst.op_norm if inst.op_norm > 0 else 1.0
         beta_new = loss.prox_conjugate(tau, beta - tau * (A @ y))
         w_new = inst.AT @ beta_new
@@ -492,7 +489,7 @@ def pdal_maximize(inst, node, init, prune_threshold, cfg):
             truncate_top(k, y_new),
             DualState(beta_new, y_new, w_new, loss.conjugate(beta_new), t))
 
-    return _ascend(inst, node, init, prune_threshold, cfg, step, first_stop=2)
+    return _ascend(inst, node, init, prune_threshold, cfg, step)
 
 
 def _sga_primal(inst, node, w):
@@ -506,58 +503,57 @@ def _sga_primal(inst, node, w):
 def sga_maximize(inst, node, init, prune_threshold, cfg):
     """Maximize D(.; node) by projected supergradient ascent.
 
-    Each iteration doubles the previous step then halves it until the dual
-    value does not decrease, so the D trace is non-decreasing and low equals
-    the final (= maximal) D.  If no step improves (possible at a kink of the
-    nonsmooth D), the iterate is kept and the zero improvement triggers the
-    convergence test.  The state stores the step that produced the first
-    accepted iterate, which is what a warm-started child inherits.
+    Each iteration doubles the previous step (1 before the first) then
+    halves it until the dual value does not decrease, so the D trace is
+    non-decreasing and low equals the final (= maximal) D.  If no step
+    improves (possible at a kink of the nonsmooth D), the iterate is kept
+    and the zero improvement triggers the convergence test.  It reads beta
+    alone from init; the state it ends at holds its polish point as y.
     """
     loss = inst.loss
-    eta, eta_first = float(init.eta), None
+    step_size = 1.0   # restarted at every call
 
     def step(beta, w, d, stop_above):
-        nonlocal eta, eta_first
+        nonlocal step_size
         g = inst.A @ _sga_primal(inst, node, w) - loss.conjugate_grad(beta)
-        eta_in = eta
-        eta *= 2.0
+        step_before = step_size
+        step_size *= 2.0
         for _ in range(100):
-            cand = loss.project_domain(beta + eta * g)
+            cand = loss.project_domain(beta + step_size * g)
             w_cand = inst.AT @ cand
             d_cand = dual_value(inst, node, cand, w_cand)
             if d_cand >= d:
                 break
-            eta *= 0.5
+            step_size *= 0.5
         else:
             # supergradient stall: keep the iterate, improvement is zero
-            cand, w_cand, d_cand, eta = beta, w, d, eta_in
-        if eta_first is None:
-            eta_first = eta
-        return cand, w_cand, d_cand, lambda t: (
-            _sga_primal(inst, node, w_cand),
-            SgaState(cand, eta_first, w_cand, loss.conjugate(cand), t))
+            cand, w_cand, d_cand, step_size = beta, w, d, step_before
 
-    return _ascend(inst, node, init, prune_threshold, cfg, step, first_stop=1)
+        def finish(t):
+            x = _sga_primal(inst, node, w_cand)
+            return x, DualState(cand, x, w_cand, loss.conjugate(cand), t)
+        return cand, w_cand, d_cand, finish
+
+    return _ascend(inst, node, init, prune_threshold, cfg, step)
 
 
 def subtree_solve(inst, node, warm=None, prune_threshold=np.inf, cfg=None):
     """Lower bound + feasible candidate for the subtree below node.
 
-    warm is the start state: the parent's final state, a DualState for
-    pdal and an SgaState for sga, or None for cfg.subroutine's root state
-    (_start_state).  Its dual iteration count sets which nodes Node.leaves
-    lists.  A listed node is bounded as an expansion of itself alone
-    (_Siblings.lone), from D at the start state; bfs_solve bounds it the
-    same way in its parent's expansion.  Any other node is bounded by
-    cfg.subroutine's maximizer.  prune_threshold is the incumbent
-    objective; it also scales the dual convergence test.  Raises
-    ValueError for a warm of another type, or a node of another tree than
-    inst's (other d or k).
+    warm is the start state: the parent's final DualState, from either
+    maximizer, or None for the root state (_start_state).  Its dual
+    iteration count sets which nodes Node.leaves lists.  A listed node is
+    bounded as an expansion of itself alone (_Siblings.lone), from D at the
+    start state; bfs_solve bounds it the same way in its parent's
+    expansion.  Any other node is bounded by cfg.subroutine's maximizer.
+    prune_threshold is the incumbent objective; it also scales the dual
+    convergence test.  Raises ValueError for a warm that is not a
+    DualState, or a node of another tree than inst's (other d or k).
     """
     cfg = _solver_config(cfg)
     _check_node(inst, node)
+    start = _start_state(inst, warm)
     if node.lists_leaves(0 if warm is None else warm.iterations):
-        return _Siblings.lone(inst, node, warm, cfg).bound(0, prune_threshold)
+        return _Siblings.lone(inst, node, warm).bound(0, prune_threshold)
     maximize = pdal_maximize if cfg.subroutine == "pdal" else sga_maximize
-    return maximize(inst, node, _start_state(inst, warm, cfg),
-                    prune_threshold, cfg)
+    return maximize(inst, node, start, prune_threshold, cfg)

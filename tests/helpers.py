@@ -14,16 +14,14 @@ from scipy.optimize import minimize_scalar
 
 import l0bfs.subtree
 from l0bfs import (EXACT, PRUNED, BoundResult, Instance, Node, dual_value,
-                   make_loss, pdal_root_state, sga_root_state,
-                   solve_restricted)
+                   make_loss, pdal_root_state, solve_restricted)
 
 
 def cold_start(monkeypatch):
-    """Start every node from its maximizer's root state instead of its
-    parent's final state: the reference warm-start comparisons run
-    against."""
-    monkeypatch.setattr(l0bfs.subtree, "_start_state", lambda inst, warm, cfg: (
-        pdal_root_state if cfg.subroutine == "pdal" else sga_root_state)(inst))
+    """Start every node from the root state instead of its parent's final
+    state: the reference warm-start comparisons run against."""
+    monkeypatch.setattr(l0bfs.subtree, "_start_state",
+                        lambda inst, warm: pdal_root_state(inst))
 
 
 def random_instance(kind, d, k, n, seed, lam=1e-2, delta=1.0):

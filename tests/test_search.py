@@ -39,9 +39,9 @@ def assert_matches_oracle(report, oracle, rel=1e-8):
 class Points(l0bfs.search._Siblings):
     """An expansion that keeps the dual points its re-screens read."""
 
-    def _start(self, inst, warm, cfg):
-        super()._start(inst, warm, cfg)
-        self.cfg, self.points = cfg, []
+    def _start(self, inst, warm):
+        super()._start(inst, warm)
+        self.points = []
 
     def rescreen(self, i, state):
         if state is not None:
@@ -51,7 +51,7 @@ class Points(l0bfs.search._Siblings):
     def start_beta(self):
         """The children's start point: the parent's beta, or zero where
         they start cold."""
-        return l0bfs.subtree._start_state(self.inst, self.warm, self.cfg).beta
+        return l0bfs.subtree._start_state(self.inst, self.warm).beta
 
     def screen(self, i):
         """max D(beta; child i) over the start point and the points of the
@@ -702,7 +702,7 @@ class TestSiblingBatches:
                                   np.inf) for c in children]
         monkeypatch.setattr(l0bfs.subtree, "_BATCH_ROWS", rows)
         expansions = self.spied(monkeypatch)
-        siblings = l0bfs.search._Siblings(inst, root, warm, cfg)
+        siblings = l0bfs.search._Siblings(inst, root, warm)
         assert siblings.children == children
         got = [siblings.bound(i, p0) for i in range(len(children))]
         [sizes] = expansions

@@ -7,9 +7,9 @@ import l0bfs.subtree
 from helpers import (cold_start, domain_point, leaf_values, random_instance,
                      random_interior_node, subtree_min)
 from l0bfs import (DUAL_BOUND, EXACT, PRUNED, DualState, Instance, Node,
-                   SgaState, SolverConfig, dual_value, pdal_maximize,
-                   pdal_root_state, prox_topk_sq, root_node, sga_maximize,
-                   sga_root_state, solve_restricted, subtree_solve, top_norm)
+                   SolverConfig, dual_value, pdal_maximize, pdal_root_state,
+                   prox_topk_sq, root_node, sga_maximize, sga_root_state,
+                   solve_restricted, subtree_solve, top_norm)
 from l0bfs.subtree import ZERO_TOL
 
 KINDS = ["quadratic", "huber", "logistic"]
@@ -19,12 +19,25 @@ def small_instance(kind, seed, d=6, k=2, n=9):
     return random_instance(kind, d=d, k=k, n=n, seed=seed, lam=1e-2)
 
 
-def hand_built(inst, subroutine, beta):
-    """A start state at beta for subroutine, with its w and conj."""
+def hand_built(inst, beta):
+    """A start state at beta, with its w and conj and a zero y."""
     w, conj = inst.AT @ beta, inst.loss.conjugate(beta)
-    if subroutine == "pdal":
-        return DualState(beta, np.zeros(inst.d), w, conj)
-    return SgaState(beta, 1.0, w, conj)
+    return DualState(beta, np.zeros(inst.d), w, conj)
+
+
+def assert_rerun_is_stationary(maximize):
+    """A rerun from an ascent's final state loses no more than the
+    tolerance, and takes at least two iterations: convergence counts from
+    the second on."""
+    inst = small_instance("huber", 12)
+    node = root_node(inst.d, inst.k)
+    p0 = inst.objective(np.zeros(inst.d))
+    cfg = SolverConfig()
+    first = maximize(inst, node, pdal_root_state(inst), p0, cfg)
+    again = maximize(inst, node, first.state, p0, cfg)
+    assert again.low >= (first.low - l0bfs.subtree._EPSILON
+                         * max(first.value, 1.0))
+    assert again.status == DUAL_BOUND and again.iterations >= 2
 
 
 class TestSolverConfig:
@@ -231,14 +244,7 @@ class TestPdal:
         assert res.low == pytest.approx(ref.value, rel=1e-5, abs=1e-8)
 
     def test_rerun_from_final_state_is_stationary(self):
-        inst = small_instance("huber", 12)
-        node = root_node(inst.d, inst.k)
-        p0 = inst.objective(np.zeros(inst.d))
-        cfg = SolverConfig()
-        first = pdal_maximize(inst, node, pdal_root_state(inst), p0, cfg)
-        again = pdal_maximize(inst, node, first.state, p0, cfg)
-        assert again.low >= (first.low - l0bfs.subtree._EPSILON
-                             * max(first.value, 1.0))
+        assert_rerun_is_stationary(pdal_maximize)
 
     def test_iteration_cap_still_returns_valid_bound(self):
         inst = small_instance("logistic", 13)
@@ -281,7 +287,7 @@ class TestSga:
         node = root_node(inst.d, inst.k)
         for _ in range(10):
             beta0 = inst.loss.project_domain(0.05 * rng.standard_normal(inst.n))
-            init = hand_built(inst, "sga", beta0)
+            init = hand_built(inst, beta0)
             d0 = dual_value(inst, node, beta0)
             res = sga_maximize(inst, node, init, 1.0, cfg)
             assert res.low >= d0 - 1e-12
@@ -293,6 +299,25 @@ class TestSga:
         res = sga_maximize(inst, node, sga_root_state(inst), 1.0, cfg)
         assert res.status == DUAL_BOUND
         assert res.low <= subtree_min(inst, node) + 1e-9
+
+    def test_rerun_from_final_state_is_stationary(self):
+        assert_rerun_is_stationary(sga_maximize)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_reads_no_y(self, kind):
+        # sga starts from beta alone: two states that differ only in y give
+        # the same ascent
+        rng = np.random.default_rng(20)
+        inst = small_instance(kind, 20)
+        node = root_node(inst.d, inst.k)
+        p0 = inst.objective(np.zeros(inst.d))
+        start = hand_built(inst, domain_point(inst.loss, rng, 0.3))
+        moved = dataclasses.replace(start, y=rng.standard_normal(inst.d))
+        a, b = (sga_maximize(inst, node, init, p0, SolverConfig())
+                for init in (start, moved))
+        assert a.status == DUAL_BOUND and a.iterations >= 2
+        assert (a.low, a.value, a.status, a.iterations) == (
+            b.low, b.value, b.status, b.iterations)
 
 
 class TestPruneAfterAscent:
@@ -431,19 +456,60 @@ class TestSubtreeSolveDispatch:
         with pytest.raises(ValueError, match="k=3"):
             subtree_solve(inst, other_k)
 
+    @pytest.mark.parametrize("subroutine", ["pdal", "sga"])
     @pytest.mark.parametrize("indices", [(), (0,)])
-    def test_warm_state_type_mismatch_raises(self, indices):
-        # the root ascends, the last-level (0,) is listed: both paths
-        # reject a state of the other maximizer instead of starting cold
+    def test_a_wrong_warm_is_rejected_before_it_is_read(self, indices,
+                                                        subroutine):
+        # the root ascends, the last-level (0,) is listed: both paths, and
+        # an expansion, reject a warm that is not a DualState
         inst = small_instance("quadratic", 21)
         node = Node(indices, inst.d, inst.k)
         assert node.lists_leaves() == bool(indices)
-        for subroutine, wrong in (("pdal", sga_root_state(inst)),
-                                  ("sga", pdal_root_state(inst))):
-            cfg = SolverConfig(subroutine=subroutine)
-            with pytest.raises(ValueError, match="warm must be a"):
+        cfg = SolverConfig(subroutine=subroutine)
+        for wrong in ({"beta": np.zeros(inst.n)}, np.zeros(inst.n), 3):
+            with pytest.raises(ValueError, match="warm must be a DualState"):
                 subtree_solve(inst, node, warm=wrong, prune_threshold=1.0,
                               cfg=cfg)
+            with pytest.raises(ValueError, match="warm must be a DualState"):
+                l0bfs.subtree._Siblings(inst, root_node(inst.d, inst.k),
+                                        wrong)
+
+    @pytest.mark.parametrize("maximize", [pdal_maximize, sga_maximize])
+    def test_maximizers_reject_a_wrong_init(self, maximize):
+        inst = small_instance("quadratic", 21)
+        node = root_node(inst.d, inst.k)
+        for wrong in (None, {"beta": np.zeros(inst.n)}, np.zeros(inst.n), 3):
+            with pytest.raises(ValueError, match="init must be a DualState"):
+                maximize(inst, node, wrong, 1.0, SolverConfig())
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("subroutine", ["pdal", "sga"])
+    def test_either_maximizer_starts_from_the_others_state(self, subroutine,
+                                                           kind):
+        # the root ascends with one maximizer, its children with the other:
+        # listed (the root's own iteration count) and ascending (a count of
+        # 0), every child gets an admissible low
+        inst = random_instance(kind, d=8, k=3, n=12, seed=0, lam=1e-2)
+        leaves = leaf_values(inst)
+        root = root_node(inst.d, inst.k)
+        p0 = inst.objective(np.zeros(inst.d))
+        other = "sga" if subroutine == "pdal" else "pdal"
+        parent = subtree_solve(inst, root, prune_threshold=p0,
+                               cfg=SolverConfig(subroutine=other))
+        assert parent.status == DUAL_BOUND
+        cfg = SolverConfig(subroutine=subroutine)
+        listed = ascended = 0
+        for warm in (parent.state,
+                     dataclasses.replace(parent.state, iterations=0)):
+            for child in root.children():
+                res = subtree_solve(inst, child, warm=warm,
+                                    prune_threshold=p0, cfg=cfg)
+                assert res.low <= subtree_min(inst, child, leaves) + 1e-9
+                if child.lists_leaves(warm.iterations):
+                    listed += 1
+                else:
+                    ascended += res.iterations > 0
+        assert listed and ascended
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_root_states_hold_their_start_point(self, kind):
@@ -457,8 +523,6 @@ class TestSubtreeSolveDispatch:
                     == float(inst.loss.conjugate(zero)).hex())
         with pytest.raises(TypeError):
             DualState(beta=zero, y=np.zeros(inst.d))
-        with pytest.raises(TypeError):
-            SgaState(beta=zero, eta=1.0)
 
     @pytest.mark.parametrize("subroutine", ["pdal", "sga"])
     def test_dual_state_returned_for_children(self, subroutine):
@@ -467,8 +531,11 @@ class TestSubtreeSolveDispatch:
         cfg = SolverConfig(subroutine=subroutine)   # P(0) < 1
         res = subtree_solve(inst, node, prune_threshold=1.0, cfg=cfg)
         assert res.status == DUAL_BOUND
-        expected = DualState if subroutine == "pdal" else SgaState
-        assert isinstance(res.state, expected)
+        assert isinstance(res.state, DualState)
+        if subroutine == "sga":   # its y is its polish point
+            np.testing.assert_array_equal(
+                res.state.y,
+                l0bfs.subtree._sga_primal(inst, node, res.state.w))
 
     @pytest.mark.parametrize("cfg", [{}, {"subroutine": "sga"}, "pdal", 0])
     def test_wrong_type_cfg_rejected(self, cfg):
@@ -593,9 +660,7 @@ class TestSharedParentState:
     @pytest.mark.parametrize("subroutine", ["pdal", "sga"])
     def test_state_arrays_are_read_only(self, subroutine, kind):
         inst, _, state = self.parent_state(kind, subroutine)
-        root_state = (pdal_root_state if subroutine == "pdal"
-                      else sga_root_state)(inst)
-        for st in (state, root_state):
+        for st in (state, pdal_root_state(inst)):
             arrays = [v for v in vars(st).values()
                       if isinstance(v, np.ndarray)]
             assert arrays
@@ -705,7 +770,7 @@ class TestChildEntryBounds:
                                  prune_threshold=p0, cfg=cfg).state
         out = [ascended]
         for beta in (np.zeros(inst.n), domain_point(inst.loss, rng, 0.3)):
-            out.append(hand_built(inst, subroutine, beta))
+            out.append(hand_built(inst, beta))
         assert not out[1].w.any()   # w = 0
         return out
 
@@ -752,22 +817,17 @@ class TestChildEntryBounds:
         # an expansion whose children start cold or from a hand-built state
         # gives D at the state they do start from, not a placeholder;
         # _child_entry_bounds takes the hand-built state's start point as
-        # well.  A state of the other maximizer is no start state.
+        # well
         inst = self.instances("huber")[0]
         state = self.states(inst, subroutine, np.random.default_rng(0))[0]
-        other = "sga" if subroutine == "pdal" else "pdal"
-        built = hand_built(inst, subroutine, state.beta)
+        built = hand_built(inst, state.beta)
         cold = np.zeros(inst.n)
         cases = [(None, cold), (built, state.beta)]
         node = Node((1,), inst.d, inst.k)
         direct = l0bfs.subtree._child_entry_bounds(inst, node, built.w,
                                                    built.conj)
-        with pytest.raises(ValueError, match="warm must be a"):
-            l0bfs.subtree._Siblings(inst, node, state,
-                                    SolverConfig(subroutine=other))
         for warm, beta in cases:
-            cfg = SolverConfig(subroutine=subroutine)
-            got = l0bfs.subtree._Siblings(inst, node, warm, cfg).entry
+            got = l0bfs.subtree._Siblings(inst, node, warm).entry
             want = [dual_value(inst, child, beta) for child in node.children()]
             conj = inst.loss.conjugate(beta)
             scale = max(abs(conj), *(abs(conj + d) for d in want))
@@ -775,8 +835,7 @@ class TestChildEntryBounds:
                 assert np.isfinite(bounds).all()
                 np.testing.assert_allclose(bounds, want, rtol=0.0,
                                            atol=1e-15 * scale)
-        assert (l0bfs.subtree._Siblings(inst, node, None,
-                                        SolverConfig()).entry.tolist()
+        assert (l0bfs.subtree._Siblings(inst, node, None).entry.tolist()
                 == [-inst.loss.conjugate(cold)] * len(node.children()))
 
     def test_an_expansion_lists_the_children(self):
@@ -786,8 +845,7 @@ class TestChildEntryBounds:
                 inst = random_instance("huber", d=d, k=k, n=6, seed=d,
                                        lam=1e-2)
                 for node in self.interior_nodes(d, k):
-                    expansion = l0bfs.subtree._Siblings(inst, node, None,
-                                                        SolverConfig())
+                    expansion = l0bfs.subtree._Siblings(inst, node, None)
                     assert expansion.children == [
                         child.indices for child in node.children()]
                     assert len(expansion.entry) == len(expansion.children)

@@ -10,13 +10,13 @@ SHA-256 over all 102.  Before that last line, one line does the same for
 exhaustive_solve on the 13 seed-0 enum instances: their calls and one
 SHA-256 over each objective, x and calls.  One more line covers the
 ablation, which the searches never run: the seed-0 hard and logistic
-searches with pdal and sga with every node started cold, from its
-maximizer's root state (a patch of subtree._start_state), with their
-calls and one SHA-256 over each objective, x and bound_log entry.  A third
-line calls subtree_solve directly, as no search does, on the seed-0 hard
-and logistic instances with pdal and sga: on the
-root, cold, then on every child of each node it bounds by an ascent, warm
-from that node's result, all against P(0).  It gives the calls and one
+searches with pdal and sga with every node started cold, from the root
+state that both maximizers share (a patch of subtree._start_state), with
+their calls and one SHA-256 over each objective, x and bound_log entry.  A
+third line calls subtree_solve directly, as no search does, on the seed-0
+hard and logistic instances with pdal and sga: on the root, cold, then
+on every child of each node it bounds by an ascent, warm from that node's
+result, all against P(0).  It gives the calls and one
 SHA-256 over each call's indices, low, status, value and iterations.  A
 fourth line covers delta > 0, which the other lines never set: the seed-0
 hard and logistic searches with pdal at delta 1e-3 and 1e-2, with their
@@ -63,11 +63,11 @@ import l0bfs.search  # noqa: E402
 import l0bfs.subtree  # noqa: E402
 from l0bfs import (DUAL_BOUND, PRUNED, Node, SolverConfig,  # noqa: E402
                    bfs_solve, exhaustive_solve, pdal_root_state, root_node,
-                   sga_root_state, subtree_solve)
+                   subtree_solve)
+from l0bfs.subtree import SUBROUTINES  # noqa: E402
 from workloads import build_cases  # noqa: E402
 
 WORKLOADS = ("planted", "hard", "logistic")
-SUBROUTINES = ("pdal", "sga")
 ABLATION_WORKLOADS = ("hard", "logistic")
 DELTAS = (1e-3, 1e-2)
 
@@ -126,8 +126,7 @@ def _ablation_line():
     """The seed-0 ablation searches: pdal and sga with every node started
     cold."""
     start_state = l0bfs.subtree._start_state
-    l0bfs.subtree._start_state = lambda inst, warm, cfg: (
-        pdal_root_state if cfg.subroutine == "pdal" else sga_root_state)(inst)
+    l0bfs.subtree._start_state = lambda inst, warm: pdal_root_state(inst)
     try:
         return _searches_line("ablation", [
             (SolverConfig(subroutine=subroutine), 0.0)
