@@ -14,7 +14,9 @@ follows from it through Moreau's identity
 Every loss is (1/gamma)-smooth; gamma drives the dual solver's step-size
 schedule.  value, grad and curvature also take a stack of points, shape
 (..., n), as the batched restricted solves do; value then reduces over the
-last axis only.
+last axis only.  The restricted Newton's line search evaluates value on
+every stack it tries, so each value is one expression on one branch: no
+where() that computes both branches, and no scalar ufunc loop.
 """
 
 import math
@@ -180,9 +182,13 @@ class HuberLoss(Loss):
         return float(self.n)
 
     def value(self, z):
+        # l(r) = m (r - m/2) with m = min(|r|, delta): r r/2 up to delta, in
+        # the same bits (r - r/2 is r/2 exactly wherever r r/2 does not
+        # underflow), and delta (r - delta/2) beyond; one branch, and no r^2
+        # to overflow where l is finite
         r = np.abs(self._check_dim(z, stack=True) - self.b)
-        per = np.where(r <= self.delta, 0.5 * r * r, self.delta * (r - 0.5 * self.delta))
-        return np.add.reduce(per, axis=-1) / self.n
+        m = np.minimum(r, self.delta)
+        return np.add.reduce(m * (r - 0.5 * m), axis=-1) / self.n
 
     def grad(self, z):
         z = self._check_dim(z, stack=True)
@@ -240,9 +246,12 @@ class LogisticLoss(Loss):
         return 4.0 * self.n
 
     def value(self, z):
-        z = self._check_dim(z, stack=True)
-        # logaddexp(0, t) = log(1 + exp(t)), overflow-safe
-        return np.add.reduce(np.logaddexp(0.0, -self.b * z), axis=-1) / self.n
+        # log(1 + exp(t)) = max(t, 0) + log1p(exp(-|t|)), t = -b z: the form
+        # numpy's logaddexp(0, t) takes, without overflow, through the
+        # vectorized exp and log1p loops instead of logaddexp's scalar one
+        t = -self.b * self._check_dim(z, stack=True)
+        return np.add.reduce(np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t))),
+                             axis=-1) / self.n
 
     def grad(self, z):
         z = self._check_dim(z, stack=True)

@@ -1,11 +1,14 @@
+import itertools
+
 import numpy as np
 import pytest
-from scipy.special import expit, logit, xlogy
+from scipy.special import expit, log_expit, logit, xlogy
 
 import l0bfs.losses
-from helpers import domain_point, fd_grad, numeric_conjugate, numeric_prox
+from helpers import (domain_point, fd_grad, numeric_conjugate, numeric_prox,
+                     random_instance)
 from l0bfs.losses import HuberLoss, LogisticLoss, QuadraticLoss, make_loss
-from l0bfs.restricted import ConvergenceError
+from l0bfs.restricted import ConvergenceError, solve_restricted_batch
 
 KINDS = ["quadratic", "huber", "logistic"]
 
@@ -66,6 +69,13 @@ class TestConstruction:
             assert loss.gamma == factor * 5
 
 
+def huber_two_branch(loss, z):
+    """HuberLoss.value as a where over both branches: the reference form."""
+    r = np.abs(z - loss.b)
+    per = np.where(r <= loss.delta, 0.5 * r * r, loss.delta * (r - 0.5 * loss.delta))
+    return np.add.reduce(per, axis=-1) / loss.n
+
+
 class TestValue:
     def test_quadratic_exact_fit(self):
         loss = QuadraticLoss(np.array([1.0, 1.0]))
@@ -87,6 +97,37 @@ class TestValue:
         loss = LogisticLoss(np.array([1.0]))
         assert np.isfinite(loss.value(np.array([-2000.0])))
 
+    @pytest.mark.parametrize("delta", [0.3, 1.0, 2.5])
+    def test_huber_matches_the_two_branch_form_on_stacks(self, delta):
+        rng = np.random.default_rng(4)
+        loss = HuberLoss(rng.standard_normal(9), delta=delta)
+        z = 2.0 * delta * rng.standard_normal((40, 9)) + loss.b
+        assert np.array_equal(loss.value(z), huber_two_branch(loss, z))
+
+    @pytest.mark.parametrize("delta", [0.3, 1.0, 2.5])
+    def test_huber_matches_the_two_branch_form_at_the_edges(self, delta):
+        loss = HuberLoss(np.zeros(1), delta=delta)
+        edges = [0.0, 5e-324, delta, np.nextafter(delta, np.inf),
+                 np.nextafter(delta, -np.inf), 1e150]
+        for r in edges + [-r for r in edges]:
+            z = np.array([r])
+            assert np.array_equal(loss.value(z), huber_two_branch(loss, z)), r
+
+    @pytest.mark.filterwarnings("error")
+    def test_huber_huge_residuals_take_the_linear_branch(self):
+        # the two-branch form squared every residual, which overflows past
+        # about 1.9e154, where the value itself is finite
+        r = np.logspace(154, 308, 23)
+        loss = HuberLoss(np.zeros(1), delta=1.0)
+        for ri in r:
+            assert loss.value(np.array([ri])) == ri - 0.5
+            assert loss.value(np.array([-ri])) == ri - 0.5
+        loss = HuberLoss(np.array([1.0, -1.0]), delta=1.0)
+        z = np.stack([loss.b + [1.0, 0.0] * r[:, None],
+                      loss.b - [0.0, 1.0] * r[:, None]], axis=1)
+        linear = np.broadcast_to((r[:, None] - 0.5) / 2.0, (r.size, 2))
+        assert np.array_equal(loss.value(z), linear)
+
     @pytest.mark.parametrize("kind", KINDS)
     def test_nonnegative_and_convex_midpoint(self, kind):
         rng = np.random.default_rng(3)
@@ -98,6 +139,20 @@ class TestValue:
             assert v1 >= 0.0
             mid = loss.value(0.5 * (z1 + z2))
             assert mid <= 0.5 * (v1 + v2) + 1e-12
+
+
+class TestRestrictedBatchValues:
+    """The values the batched restricted Newton returns, through Loss.value
+    on its (t, n) stacks, against Instance.objective on each row."""
+
+    def test_logistic_enum_batch(self):
+        # the shape of an enum leaf batch: 240 of the d = 15, k = 3 supports
+        inst = random_instance("logistic", d=15, k=3, n=81, seed=6)
+        rows = np.array(list(itertools.islice(
+            itertools.combinations(range(15), 3), 240)))
+        x, values, _ = solve_restricted_batch(inst, rows)
+        ref = np.array([inst.objective(xi) for xi in x])
+        np.testing.assert_allclose(values, ref, rtol=1e-13, atol=0.0)
 
 
 class TestGradient:
@@ -576,6 +631,22 @@ class TestLogisticAgainstScipy:
         z = np.full(2, t)
         assert within_ulps(loss.grad(z), -b * expit(-b * z) / 2, 2)
         assert within_ulps(loss.curvature(z), expit(z) * expit(-z) / 2, 2)
+
+    @pytest.mark.parametrize("label", [1.0, -1.0])
+    @pytest.mark.parametrize("t", EXTREMES)
+    def test_value_matches_log_expit(self, t, label):
+        # L(z) = log(1 + exp(t)) = -log_expit(-t) at t = -b z
+        value = LogisticLoss(np.array([label])).value(np.array([-label * t]))
+        ref = -log_expit(-t)
+        assert value == ref if np.isinf(ref) else within_ulps(value, ref, 2)
+
+    def test_value_of_a_stack_matches_log_expit(self):
+        # the shape of an enum leaf batch: 16 d rows at d = 15, n = 81
+        rng = np.random.default_rng(5)
+        b = np.where(rng.random(81) < 0.5, 1.0, -1.0)
+        z = 3.0 * rng.standard_normal((240, 81))
+        ref = np.add.reduce(-log_expit(b * z), axis=-1) / b.size
+        assert within_ulps(LogisticLoss(b).value(z), ref, 2)
 
     @pytest.mark.parametrize("label", [1.0, -1.0])
     @pytest.mark.parametrize("s", [0.0, 5e-324, 0.5, 1.0 - 2.0**-53, 1.0])

@@ -5,24 +5,26 @@ planted, hard and logistic workloads (perfbench/workloads.py), 102 searches
 in all.  For each (workload, subroutine) pair it prints the calls, the
 prunes, the dual iterations (iters: the sum of BoundResult.iterations over
 the search's subtree_solve calls, outside every digest) and three SHA-256
-digests of its searches; the last line is one
-SHA-256 over all 102.  Before that last line, one line does the same for
-exhaustive_solve on the 13 seed-0 enum instances: their calls and one
-SHA-256 over each objective, x and calls.  One more line covers the
+digests of its searches; the last line is one SHA-256 over all 102.
+Before that last line, three lines do the same for exhaustive_solve on the
+13 seed-0 enum instances, one per loss family (quadratic, huber,
+logistic): the family's calls and one SHA-256 over each of its objectives,
+x and calls, so a change to one family's restricted solves can show that
+the other families' enumerations are unchanged.  One more line covers the
 ablation, which the searches never run: the seed-0 hard and logistic
 searches with pdal and sga with every node started cold, from the root
 state that both maximizers share (a patch of subtree._start_state), with
-their calls and one SHA-256 over each objective, x and bound_log entry.  A
-third line calls subtree_solve directly, as no search does, on the seed-0
+their calls and one SHA-256 over each objective, x and bound_log entry.
+Another line calls subtree_solve directly, as no search does, on the seed-0
 hard and logistic instances with pdal and sga: on the root, cold, then
 on every child of each node it bounds by an ascent, warm from that node's
 result, all against P(0).  It gives the calls and one
 SHA-256 over each call's indices, low, status, value and iterations.  A
-fourth line covers delta > 0, which the other lines never set: the seed-0
+last one covers delta > 0, which the other lines never set: the seed-0
 hard and logistic searches with pdal at delta 1e-3 and 1e-2, with their
-calls and one SHA-256 over each objective, x and bound_log entry.  These
-four lines stay out of the last line, which covers the default bfs
-searches alone.
+calls and one SHA-256 over each objective, x and bound_log entry.  The
+enum lines and these three stay out of the last line, which covers the
+default bfs searches alone.
 
   * sha256 hashes the objectives, x, calls, prunes, heap peaks and
     bound_log entries.  Two checkouts that print the same digest on a line
@@ -70,6 +72,7 @@ from workloads import build_cases  # noqa: E402
 WORKLOADS = ("planted", "hard", "logistic")
 ABLATION_WORKLOADS = ("hard", "logistic")
 DELTAS = (1e-3, 1e-2)
+ENUM_FAMILIES = ("quadratic", "huber", "logistic")
 
 
 def _update(digest, report, decisions=False):
@@ -90,17 +93,20 @@ def _update_shape(digest, report):
         digest.update(f"{indices}|{status}".encode())
 
 
-def _enum_line():
-    """Calls and one SHA-256 over the seed-0 enum pass of exhaustive_solve."""
+def _enum_line(family):
+    """Calls and one SHA-256 over the seed-0 enum pass of exhaustive_solve
+    on the instances of one loss family."""
     cases, _ = build_cases("enum", 0)
     calls, digest = 0, hashlib.sha256()
     for case in cases:
+        if case.loss.kind != family:
+            continue
         report = exhaustive_solve(case.instance())
         calls += report.solver_calls
         digest.update(float(report.objective).hex().encode())
         digest.update(report.x.tobytes())
         digest.update(f"{report.solver_calls}".encode())
-    return f"enum     exh  calls {calls:5d}  sha256 {digest.hexdigest()}"
+    return f"enum-{family:9s} calls {calls:5d}  sha256 {digest.hexdigest()}"
 
 
 def _searches_line(name, runs):
@@ -200,7 +206,8 @@ def main():
                   f"pruned {pruned:5d}  iters {iterations.total:5d}  "
                   f"sha256 {pair.hexdigest()}  "
                   f"decisions {decided.hexdigest()}  shape {shape.hexdigest()}")
-    print(_enum_line())
+    for family in ENUM_FAMILIES:
+        print(_enum_line(family))
     print(_ablation_line())
     print(_subtree_line())
     print(_delta_line())
