@@ -13,8 +13,15 @@ dense linear solve; the quadratic loss takes one full step, and Huber's
 piecewise-constant curvature is handled as in semismooth Newton.
 
 solve_restricted_batch runs the same loop on a stack of equal-size
-supports at once, for about the numpy calls of one solve.  Both certify
-to the gradient norm _TOL within _MAX_NEWTON_STEPS Newton steps or raise.
+supports at once, for about the numpy calls of one solve.  Every support
+starts at w = 0, where A_S w = 0, so the first Newton system of each of
+the t supports of size m is a block of one system over the union U of
+their columns: the gradient is gathered from A_U^T grad L(0), and, when
+|U|^2 <= t m^2, the Hessian from the Gram A_U^T diag(L''(0)) A_U + lam I.
+A wider union's Gram costs more than the t products it replaces, so those
+Hessians are taken support by support.  Later steps take each support's
+Hessian at its own A_S w.  Both certify to the gradient norm _TOL within
+_MAX_NEWTON_STEPS Newton steps or raise.
 """
 
 import math
@@ -173,7 +180,7 @@ def _solution(inst, support, w, cert):
 
 def _solve_certified(inst, supports):
     """_solve_newton on supports (..., m) of inst; raises for the first uncertified one."""
-    w, z, cert = _solve_newton(inst.AT[supports], inst.loss, inst.lam)
+    w, z, cert = _solve_newton(inst.AT, supports, inst.loss, inst.lam)
     if not all((cert <= _TOL).flat):
         i = np.unravel_index(np.argmin(cert <= _TOL), np.shape(cert))
         raise ConvergenceError(
@@ -183,31 +190,64 @@ def _solve_certified(inst, supports):
     return w, z, cert
 
 
-def _solve_newton(AtS, loss, lam):
+def _first_system(AT, supports, AtS, curvature, grad, ridge):
+    """The Newton systems (Hessians, gradients) of phi at w = 0 on each
+    support of supports (..., m), where A_S^T = AtS = AT[supports],
+    curvature = L''(0), grad = grad L(0) and ridge = lam I.
+
+    The gradients are gathered from A_U^T grad L(0) over the sorted union U
+    of the t rows' columns, and the Hessians from the Gram of A_U when
+    |U|^2 <= t m^2; a wider union's Gram costs more than the t products
+    A_S^T diag(L''(0)) A_S, so they are taken row by row.  A single support
+    takes its own Gram as its Hessian, with no gather.
+    """
+    if supports.ndim == 1:
+        return (AtS * curvature) @ AtS.T + ridge, AtS @ grad
+    mask = np.zeros(len(AT), dtype=bool)
+    mask[supports] = True
+    union = np.flatnonzero(mask)
+    inverse = np.empty(len(AT), dtype=np.intp)
+    inverse[union] = np.arange(union.size)
+    pos, AtU = inverse[supports], AT[union]
+    if union.size ** 2 <= pos.size * pos.shape[-1]:
+        hess = ((AtU * curvature) @ AtU.T)[pos[..., :, None], pos[..., None, :]]
+    else:
+        hess = (AtS * curvature) @ AtS.mT
+    return hess + ridge, (AtU @ grad)[pos]
+
+
+def _solve_newton(AT, supports, loss, lam):
     """Damped Newton on phi(w) = L(A_S w) + (lam/2)||w||^2 from w = 0, for
-    A_S^T = AtS of shape (..., m, n): one solve, or a stack of them at once.
+    A^T = AT of shape (d, n) and S a support of shape (m,), or each row of
+    a stack of them, shape (..., m), solved at once.
 
     Returns (w, z = A_S w, restricted gradient norm), one per leading index;
     a norm above _TOL means the cap or a failed line search stopped the loop.
-    A trial point that certifies is taken at once; any other must pass an
-    Armijo test on phi, with rounding slack, or its step is halved (rows
-    that passed repeat their trial bit for bit).  Certified rows keep
-    stepping until every row certifies: indexing them out of the stack
-    costs more numpy calls than it saves.  Squared norms are tested
-    against tol2 < _TOL**2, so a certified norm is at most _TOL once rounded;
-    all() over .flat is cheaper than a numpy reduction on so few rows.
+    Every row starts at w = 0, where z = 0, so the first Newton systems
+    are built once for the call over the union U of the t rows' columns
+    (_first_system): the gradients gathered from A_U^T grad L(0) and, when
+    |U|^2 <= t m^2, the Hessians from the Gram of A_U; later steps take
+    each row's Hessian at its own z.  A trial point that certifies is
+    taken at once; any other must pass an Armijo test on phi, with
+    rounding slack, or its step is halved (rows that passed repeat their
+    trial bit for bit).  Certified rows keep stepping until every row
+    certifies: indexing them out of the stack costs more numpy calls than
+    it saves.  Squared norms are tested against tol2 < _TOL**2, so a
+    certified norm is at most _TOL once rounded; all() over .flat is
+    cheaper than a numpy reduction on so few rows.
     """
+    AtS = AT[supports]
     At, tol2, ridge = AtS.mT, math.nextafter(_TOL * _TOL, 0.0), lam * np.eye(AtS.shape[-2])
-    # at w = 0: z = 0 and the gradient is A_S^T grad L(0), with no product
-    w, f = np.zeros(AtS.shape[:-1]), None
-    z = np.zeros(AtS.shape[:-2] + (loss.n,))
-    g = AtS @ loss.grad(np.zeros(loss.n))
+    z0 = np.zeros(loss.n)
+    hess, g = _first_system(AT, supports, AtS, loss.curvature(z0), loss.grad(z0), ridge)
+    w, z, f = np.zeros(AtS.shape[:-1]), None, None
     cert = np.vecdot(g, g)
     done = all((cert <= tol2).flat)
     for _ in range(_MAX_NEWTON_STEPS):
         if done:
             break
-        hess = (AtS * loss.curvature(z)[..., None, :]) @ At + ridge
+        if z is not None:  # past w = 0, each row at its own z
+            hess = (AtS * loss.curvature(z)[..., None, :]) @ At + ridge
         dw = np.linalg.solve(hess, g[..., None])[..., 0]
         for _ in range(_MAX_HALVINGS + 1):
             w_t = w - dw
@@ -219,7 +259,7 @@ def _solve_newton(AtS, loss, lam):
             if done:
                 break
             if f is None:  # only ever at w = 0, where phi is L(0) for every row
-                f = np.full(c_t.shape, loss.value(np.zeros(loss.n)))
+                f = np.full(c_t.shape, loss.value(z0))
             f_t = loss.value(z_t) + (0.5 * lam) * np.vecdot(w_t, w_t)
             ok |= f_t <= f - _ARMIJO * np.vecdot(g, dw) + _ROUNDING * np.abs(f)
             if all(ok.flat):
@@ -228,4 +268,6 @@ def _solve_newton(AtS, loss, lam):
         else:  # some row found no Armijo step within _MAX_HALVINGS halvings
             break
         w, z, g, cert, f = w_t, z_t, g_t, c_t, f_t
+    if z is None:  # no step taken: every row is still at w = 0
+        z = np.zeros(AtS.shape[:-2] + (loss.n,))
     return w, z, np.sqrt(cert)

@@ -382,3 +382,90 @@ class TestBatch:
         for bad in ([0, 1], [[0, 0]], [[0, 4]], [[-1, 2]]):
             with pytest.raises(ValueError):
                 solve_restricted_batch(inst, bad)
+
+
+def per_row_first_system(inst, supports):
+    """Each support's Newton system at w = 0 from its own columns: the
+    per-row products A_S^T diag(L''(0)) A_S + lam I and A_S^T grad L(0)."""
+    z0 = np.zeros(inst.n)
+    curvature, grad = inst.loss.curvature(z0), inst.loss.grad(z0)
+    hess, g = [], []
+    for support in supports:
+        A_S = inst.A[:, support]
+        hess.append(A_S.T @ (curvature[:, None] * A_S)
+                    + inst.lam * np.eye(len(support)))
+        g.append(A_S.T @ grad)
+    return np.array(hess), np.array(g)
+
+
+def listed_rows(prefix, tails):
+    """The leaves of a listed node: the shared prefix plus each tail index."""
+    return np.array([prefix + (j,) for j in tails], dtype=int)
+
+
+def collinear_instance(kind):
+    """The duplicate-column instance with column 5 also made collinear to
+    column 1: columns 1, 4 and 5 span one line."""
+    inst, _ = degenerate_instance("duplicate", kind)
+    A = inst.A.copy()
+    A[:, 5] = -3.0 * A[:, 1]
+    return Instance(A=A, loss=inst.loss, lam=inst.lam, k=inst.k)
+
+
+# (instance, rows, whether the rows' union Gram is gathered: |U|^2 <= t m^2)
+FIRST_SYSTEMS = {
+    # every leaf of d = 7, k = 3: the union is every column
+    "all-leaves": (lambda kind: random_instance(kind, d=7, k=3, n=11, seed=70,
+                                                delta=0.3),
+                   lambda: leaf_rows(7, 3), True),
+    # two listed siblings: the union is 7 of the 12 columns
+    "listed-siblings": (lambda kind: random_instance(kind, d=12, k=4, n=15,
+                                                     seed=71, delta=0.3),
+                        lambda: np.concatenate((
+                            listed_rows((2, 5, 7), range(8, 12)),
+                            listed_rows((2, 5, 8), range(9, 12)))), True),
+    # one listed node with a wide tail: 8 of the 12 columns, row by row
+    "wide-tail": (lambda kind: random_instance(kind, d=12, k=2, n=15, seed=72,
+                                               delta=0.3),
+                  lambda: listed_rows((1,), range(3, 10)), False),
+    "collinear-leaves": (collinear_instance, lambda: leaf_rows(6, 3), True),
+    "collinear-wide": (collinear_instance,
+                       lambda: np.array([[1, 4, 5], [0, 2, 3]]), False),
+}
+
+
+class TestFirstSystem:
+    """The Newton system at w = 0: gathered from one Gram of the call's
+    union, or taken row by row, it is each row's own system."""
+
+    @pytest.mark.parametrize("case", FIRST_SYSTEMS)
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_the_per_row_products(self, case, kind):
+        make_inst, make_rows, gathered = FIRST_SYSTEMS[case]
+        inst, rows = make_inst(kind), make_rows()
+        union = np.unique(rows)
+        assert (union.size ** 2 <= rows.size * rows.shape[1]) == gathered
+        z0 = np.zeros(inst.n)
+        hess, g = l0bfs.restricted._first_system(
+            inst.AT, rows, inst.AT[rows], inst.loss.curvature(z0),
+            inst.loss.grad(z0), inst.lam * np.eye(rows.shape[1]))
+        want_hess, want_g = per_row_first_system(inst, rows)
+        assert hess.shape == want_hess.shape and g.shape == want_g.shape
+        np.testing.assert_allclose(hess, want_hess, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(g, want_g, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_one_quadratic_support_keeps_the_one_step_bits(self, seed):
+        # solve_restricted, as every polish runs it, takes the one Newton
+        # step of the per-row formula from w = 0, bit for bit
+        inst = random_instance("quadratic", d=8, k=3, n=12, seed=seed)
+        z0 = np.zeros(inst.n)
+        for support in ([3], [0, 5], [1, 2, 6], [0, 3, 4, 7]):
+            AtS = inst.AT[support]
+            hess = ((AtS * inst.loss.curvature(z0)) @ AtS.T
+                    + inst.lam * np.eye(len(support)))
+            g = AtS @ inst.loss.grad(z0)
+            x = np.zeros(inst.d)
+            x[support] = (np.zeros(len(support))
+                          - np.linalg.solve(hess, g[:, None])[:, 0])
+            assert solve_restricted(inst, support).x.tobytes() == x.tobytes()

@@ -667,9 +667,9 @@ class TestSiblingBatches:
 
         newton, count = l0bfs.restricted._solve_newton, itertools.count()
 
-        def stubbed(AtS, loss, lam):
-            w, z, cert = newton(AtS, loss, lam)
-            if AtS.ndim == 3 and next(count) == call:
+        def stubbed(AT, supports, loss, lam):
+            w, z, cert = newton(AT, supports, loss, lam)
+            if supports.ndim == 2 and next(count) == call:
                 cert = cert.copy()
                 cert[row] = 1.0
             return w, z, cert
