@@ -412,39 +412,37 @@ def collinear_instance(kind):
     return Instance(A=A, loss=inst.loss, lam=inst.lam, k=inst.k)
 
 
-# (instance, rows, whether the rows' union Gram is gathered: |U|^2 <= t m^2)
+# (instance, rows) whose first systems are gathered from their union's Gram
 FIRST_SYSTEMS = {
     # every leaf of d = 7, k = 3: the union is every column
     "all-leaves": (lambda kind: random_instance(kind, d=7, k=3, n=11, seed=70,
                                                 delta=0.3),
-                   lambda: leaf_rows(7, 3), True),
+                   lambda: leaf_rows(7, 3)),
     # two listed siblings: the union is 7 of the 12 columns
     "listed-siblings": (lambda kind: random_instance(kind, d=12, k=4, n=15,
                                                      seed=71, delta=0.3),
                         lambda: np.concatenate((
                             listed_rows((2, 5, 7), range(8, 12)),
-                            listed_rows((2, 5, 8), range(9, 12)))), True),
-    # one listed node with a wide tail: 8 of the 12 columns, row by row
+                            listed_rows((2, 5, 8), range(9, 12))))),
+    # one listed node with a wide tail: 8 of the 12 columns
     "wide-tail": (lambda kind: random_instance(kind, d=12, k=2, n=15, seed=72,
                                                delta=0.3),
-                  lambda: listed_rows((1,), range(3, 10)), False),
-    "collinear-leaves": (collinear_instance, lambda: leaf_rows(6, 3), True),
+                  lambda: listed_rows((1,), range(3, 10))),
+    "collinear-leaves": (collinear_instance, lambda: leaf_rows(6, 3)),
     "collinear-wide": (collinear_instance,
-                       lambda: np.array([[1, 4, 5], [0, 2, 3]]), False),
+                       lambda: np.array([[1, 4, 5], [0, 2, 3]])),
 }
 
 
 class TestFirstSystem:
     """The Newton system at w = 0: gathered from one Gram of the call's
-    union, or taken row by row, it is each row's own system."""
+    union, it is each row's own system."""
 
     @pytest.mark.parametrize("case", FIRST_SYSTEMS)
     @pytest.mark.parametrize("kind", KINDS)
     def test_matches_the_per_row_products(self, case, kind):
-        make_inst, make_rows, gathered = FIRST_SYSTEMS[case]
+        make_inst, make_rows = FIRST_SYSTEMS[case]
         inst, rows = make_inst(kind), make_rows()
-        union = np.unique(rows)
-        assert (union.size ** 2 <= rows.size * rows.shape[1]) == gathered
         z0 = np.zeros(inst.n)
         hess, g = l0bfs.restricted._first_system(
             inst.AT, rows, inst.AT[rows], inst.loss.curvature(z0),
