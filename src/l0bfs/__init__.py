@@ -14,8 +14,9 @@ from .restricted import (ConvergenceError, Instance, RestrictedSolution,
 from .search import SolveReport, bfs_solve, exhaustive_solve
 from .state_space import Node, is_node, root_node
 from .subtree import (DUAL_BOUND, EXACT, PRUNED, BoundResult, DualState,
-                      SolverConfig, dual_value, pdal_maximize, pdal_root_state,
-                      sga_maximize, sga_root_state, subtree_solve)
+                      SolverConfig, dual_value, newton_maximize,
+                      pdal_maximize, pdal_root_state, sga_maximize,
+                      sga_root_state, subtree_solve)
 from .topk_prox import prox_topk_sq, prox_topk_sq_conjugate
 
 __version__ = "0.1.0"
@@ -27,9 +28,9 @@ __all__ = [
     "Loss", "Node", "QuadraticLoss", "RestrictedSolution", "SolveReport",
     "SolverConfig", "bfs_solve", "default_n", "dual_value",
     "exhaustive_solve", "generate", "htp", "iht", "is_node", "load_instance",
-    "make_loss", "omp", "pdal_maximize", "pdal_root_state", "prox_topk_sq",
-    "prox_topk_sq_conjugate", "pssr", "root_node", "save_instance",
-    "sga_maximize", "sga_root_state", "solve_restricted",
-    "solve_restricted_batch", "spectral_norm",
+    "make_loss", "newton_maximize", "omp", "pdal_maximize",
+    "pdal_root_state", "prox_topk_sq", "prox_topk_sq_conjugate", "pssr",
+    "root_node", "save_instance", "sga_maximize", "sga_root_state",
+    "solve_restricted", "solve_restricted_batch", "spectral_norm",
     "subtree_solve", "top_norm", "truncate_top",
 ]

@@ -292,7 +292,10 @@ def _add_gen_flags(p, with_seed):
 
 def _add_solver_flags(p):
     p.add_argument("--subroutine", choices=SUBROUTINES,
-                   default=SolverConfig.subroutine)
+                   default=SolverConfig.subroutine,
+                   help="node bound: newton (damped Newton on the node's "
+                        "relaxation, to a certified gap), pdal or sga (dual "
+                        "ascents); default: %(default)s")
 
 
 def build_parser():

@@ -24,43 +24,53 @@ start point and those points, so a child takes its entry test against the
 best bound the expansion has seen for it by its turn.  D never exceeds the
 subtree minimum, so no winner is pruned.
 
-A node with at most max(|tail|, t) leaves, where t is the number of dual
-iterations its parent's ascent took (0 at the root), is bounded exactly:
-its subtree minimum is the least restricted minimum over its leaves.  The
-parent's count stands in for the cost of the node's own ascent, and a leaf
-in a batch costs less than one dual iteration; the rule reads no clock, so
-the search stays deterministic.  The last level k - |S| = 1 is always
-listed.  Every listed node is bounded by an expansion: the search's of its
-parent, or subtree_solve's of the node alone.  A listed node that passes
-its entry test screens each leaf T by D with the top-k term exact on T,
-and its surviving leaves are solved in batches of at most
-_BATCH_ROWS * d rows, shared with its siblings'.  A child with more
-survivors than one batch holds keeps all their solutions at once: at most
-max(|tail|, t) rows of d floats.  It is EXACT, with its best leaf as
-candidate and bound, when that leaf does not exceed the incumbent: the
-search takes the leaf as a candidate and never expands the node, so it
-never creates a leaf.  Otherwise it is PRUNED, bounded by the least of its
-solved minima and screened leaf bounds (_leaf_bound).
+A node with at most max(|tail|, t) leaves, where t is the listing budget
+its parent's bound handed down (0 at the root), is bounded exactly: its
+subtree minimum is the least restricted minimum over its leaves.  The
+budget is the number of dual iterations of a pdal or sga ascent, and
+_LISTING_PER_STEP per step of a newton bound; it stands in for the cost of
+the node's own bound, and a leaf in a batch costs less than one dual
+iteration.  The rule reads no clock, so the search stays deterministic.
+The last level k - |S| = 1 is always listed.  Every listed node is bounded
+by an expansion: the search's of its parent, or subtree_solve's of the
+node alone.  A listed node that passes its entry test screens each leaf T
+by D with the top-k term exact on T, and its surviving leaves are solved
+in batches of at most _BATCH_ROWS * d rows, shared with its siblings'.  A
+child with more survivors than one batch holds keeps all their solutions
+at once: at most max(|tail|, t) rows of d floats.  It is EXACT, with its
+best leaf as candidate and bound, when that leaf does not exceed the
+incumbent: the search takes the leaf as a candidate and never expands the
+node, so it never creates a leaf.  Otherwise it is PRUNED, bounded by the
+least of its solved minima and screened leaf bounds (_leaf_bound).
 
-Every other node ascends.  Both dual maximizers run one loop (_ascend),
-which owns the entry test, the prune test after each iteration, the
-running max D_max, the convergence test (an improvement of at most
-_EPSILON times the incumbent), the polish restricted solve and the
-iteration cap.  Each maximizer holds only its method's state and a step
-closure that makes one iteration:
+Every other node is bounded by SolverConfig.subroutine, one of three
+bounds that run one loop (_ascend).  It owns the entry test, the prune
+test after each step, the running max D_max, the polish restricted solve
+and the iteration cap.  Each bound holds only its method's state, a step
+closure that makes one iteration, and its stop test:
 
+  * newton_maximize (the default): damped Newton on the node's relaxation
+    min_x L(Ax) + (lam/2) (||x_S||^2 + ||x_tail||_(sp,k-s)^2), whose
+    Fenchel dual is D (the r-support norm is the dual of the top-r norm).
+    D is read at beta = grad L(Ax) after each step, so every step gives a
+    bound, and the relaxation's value F(x) gives a certified gap: it stops
+    once F(x) - D_max is at most _EPSILON times the incumbent, or after a
+    failed step (a singular system or no Armijo step), at D_max;
   * pdal_maximize: a primal-dual iteration with linesearch, whose step
     returns before its linesearch when the new D already prunes;
   * sga_maximize: projected supergradient ascent with step backtracking.
 
-Pruning stops the ascent as soon as some D value exceeds the incumbent
-objective, which certifies the subtree cannot win.  Every child starts
-from its parent's final state, a DualState that either maximizer reads and
-writes: pdal starts from its dual and primal points (beta, y), sga from
-beta alone.  Both restart their step schedules at every call: a parent's
-spent pdal schedule barely moves the child and would stop its ascent at a
-loose bound, and a restarted sga schedule takes fewer dual iterations than
-an inherited step, with the same certified objectives.
+The two dual ascents stop once an iteration improves D by at most
+_EPSILON times the incumbent.  Pruning stops any bound as soon as some D
+value exceeds the incumbent objective, which certifies the subtree cannot
+win.  Every child starts from its parent's final state, a DualState that
+every bound reads and writes: newton starts from the primal point y (the
+parent's relaxation solution), pdal from its dual and primal points
+(beta, y), sga from beta alone.  pdal and sga restart their step schedules
+at every call: a parent's spent pdal schedule barely moves the child and
+would stop its ascent at a loose bound, and a restarted sga schedule takes
+fewer dual iterations than an inherited step, with the same certified
+objectives.
 """
 
 import heapq
@@ -69,18 +79,19 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
+from numpy.linalg import LinAlgError, solve
 
 from .linalg import l2_norm, top_norm, truncate_top
-from .restricted import (ConvergenceError, _integer, solve_restricted,
-                         solve_restricted_batch)
+from .restricted import (_ARMIJO, _MAX_HALVINGS, _ROUNDING, ConvergenceError,
+                         _integer, solve_restricted, solve_restricted_batch)
 from .state_space import Node
 from .topk_prox import prox_topk_sq_conjugate
 
 __all__ = [
     "EXACT", "DUAL_BOUND", "PRUNED", "ZERO_TOL",
     "SUBROUTINES", "SolverConfig", "DualState", "BoundResult",
-    "dual_value", "pdal_maximize", "sga_maximize", "subtree_solve",
-    "pdal_root_state", "sga_root_state",
+    "dual_value", "newton_maximize", "pdal_maximize", "sga_maximize",
+    "subtree_solve", "pdal_root_state", "sga_root_state",
 ]
 
 EXACT = "exact"
@@ -94,11 +105,20 @@ ZERO_TOL = 1e-12
 # Newton loop's fixed numpy cost once, and its peak size grows with d only
 _BATCH_ROWS = 16
 
-# the relative dual-improvement tolerance of an ascent (_converged)
+# the relative tolerance of a bound (_converged): on the newton bound's
+# certified gap, on a dual ascent's improvement per iteration
 _EPSILON = 1e-5
 
-# the dual maximizers SolverConfig.subroutine names
-SUBROUTINES = ("pdal", "sga")
+# the node bounds SolverConfig.subroutine names; newton is the default
+SUBROUTINES = ("newton", "pdal", "sga")
+
+# the listing budget a newton bound hands its children (DualState.iterations,
+# which Node.lists_leaves reads) per step it took, where a pdal or sga
+# ascent hands one per dual iteration.  A newton step does the work of
+# several pdal iterations, and a budget of one per step lists too little:
+# at 1, 4 and 10 per step the seed-0 hard pass took 470, 254 and 153 calls
+# (pdal: 153), planted 3,596, 3,596 and 3,578, and logistic 90 each
+_LISTING_PER_STEP = 10
 
 
 def _batch_size(inst):
@@ -108,16 +128,17 @@ def _batch_size(inst):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs for subtree_solve and the search driver: the dual maximizer
-    and its iteration cap.  The ascent's convergence tolerance is the
-    constant _EPSILON."""
+    """Knobs for subtree_solve and bfs_solve: the node bound and its
+    iteration cap (newton steps, or dual iterations).  The bound's
+    tolerance is the constant _EPSILON."""
 
-    subroutine: str = "pdal"  # one of SUBROUTINES
+    subroutine: str = "newton"  # one of SUBROUTINES
     max_dual_iters: int = 50_000
 
     def __post_init__(self):
         if self.subroutine not in SUBROUTINES:
-            raise ValueError("subroutine must be 'pdal' or 'sga'")
+            raise ValueError(f"subroutine must be one of {SUBROUTINES}, "
+                             f"got {self.subroutine!r}")
         if _integer("max_dual_iters", self.max_dual_iters) < 1:
             raise ValueError("max_dual_iters must be at least 1")
 
@@ -139,14 +160,16 @@ class _Shared:
 
 @dataclass(frozen=True)
 class DualState(_Shared):
-    """The point an ascent ends at, which the node's children start from;
-    both maximizers read and write it."""
+    """The point a bound ends at, which the node's children start from;
+    every bound reads and writes it."""
 
     beta: np.ndarray      # dual point, length n
     y: np.ndarray         # primal point, length d (sga: its polish point)
     w: np.ndarray         # A^T beta, length d
     conj: float           # L*(beta)
-    iterations: int = 0   # dual iterations of its ascent
+    # the children's listing budget (Node.lists_leaves): the dual iterations
+    # of its ascent, _LISTING_PER_STEP per step of a newton bound
+    iterations: int = 0
 
 
 class BoundResult(NamedTuple):
@@ -159,8 +182,8 @@ class BoundResult(NamedTuple):
 
 
 def pdal_root_state(inst):
-    """Cold start at the tree root, for either maximizer: zero dual and
-    primal points."""
+    """Cold start at the tree root, for every bound: zero dual and primal
+    points."""
     beta = np.zeros(inst.n)
     return DualState(beta=beta, y=np.zeros(inst.d), w=inst.AT @ beta,
                      conj=inst.loss.conjugate(beta))
@@ -379,22 +402,25 @@ def _converged(improve, incumbent):
     return improve <= _EPSILON
 
 
-def _ascend(inst, node, init, prune_threshold, cfg, step):
+def _ascend(inst, node, init, prune_threshold, cfg, step, stop=None):
     """Bound node from init, a DualState: one entry test, then an ascent.
 
     The entry test is D(init.beta; node), from init.w and init.conj.  A
     node that passes it maximizes D(.; node) by calls of step(beta, w, d,
     stop_above), which makes one iteration from beta (w = A^T beta, d its
     D value) and returns (beta, w, D, finish); finish(t) gives the primal
-    point to polish and the state for the children, which records the t
-    iterations taken.  The step may return early once D > stop_above,
-    since that iteration ends in a prune.  The returned bound is the
-    running max D_max.  Converged, from the second iteration on, when the D
-    improvement is _EPSILON-small relative to the incumbent and the current
-    D is D_max: a warm start at a near-fixed point shows no improvement on
-    its first step without having ascended.  A node pruned after t >= 1
-    iterations returns as its state init with the beta, w and conj of the
-    point it stopped at and t, for its siblings' re-screen.
+    point to polish and the state for the children, which records the
+    listing budget of the t iterations taken.  The step may return early
+    once D > stop_above, since that iteration ends in a prune.  The
+    returned bound is the running max D_max.  stop(d_max), when given,
+    ends the ascent after an iteration that does not prune (the newton
+    bound's certified gap or failed step).  Without it the ascent has
+    converged, from the second iteration on, when the D improvement is
+    _EPSILON-small relative to the incumbent and the current D is D_max: a
+    warm start at a near-fixed point shows no improvement on its first
+    step without having ascended.  A node pruned after t >= 1 iterations
+    returns as its state init with the beta, w and conj of the point it
+    stopped at and t, for its siblings' re-screen.
     cfg is a SolverConfig, or None for the default one.  ValueError for an
     init that is not a DualState.
     """
@@ -416,7 +442,10 @@ def _ascend(inst, node, init, prune_threshold, cfg, step):
                             conj=inst.loss.conjugate(beta), iterations=t)
             return BoundResult(low=d_max, x=None, value=np.inf,
                                status=PRUNED, state=state, iterations=t)
-        if (t >= 2 and d_cur >= d_max
+        if stop is not None:
+            if stop(d_max):
+                break
+        elif (t >= 2 and d_cur >= d_max
                 and _converged(d_cur - d_prev, prune_threshold)):
             break
         d_prev = d_cur
@@ -427,6 +456,201 @@ def _ascend(inst, node, init, prune_threshold, cfg, step):
     sol = solve_restricted(inst, np.flatnonzero(x))
     return BoundResult(low=d_max, x=sol.x, value=sol.value,
                        status=DUAL_BOUND, state=state, iterations=t)
+
+
+def _support_split(mags, r):
+    """The squared r-support norm of a vector with magnitudes mags (at
+    least r >= 1 of them) in closed form (Argyriou, Foygel & Srebro,
+    NeurIPS 2012, Prop. 2.1).  With z the magnitudes sorted
+    non-increasingly, the f largest are free and the rest form a block,
+    which counts as r - f entries at its mean theta:
+
+        ||.||_(sp,r)^2 = z_1^2 + ... + z_f^2 + (r - f) theta^2,
+        theta = (z_{f+1} + z_{f+2} + ...) / (r - f),
+
+    f being the least count in 0..r-1 with z_{f+1} <= theta.  That test
+    holds from some f on, and always at r - 1, so the scan walks down from
+    r - 1, adding each z_f to the block sum from below.  Returns (order, f,
+    theta, value), order the stable sort of mags, largest first."""
+    order = np.argsort(-mags, kind="stable")
+    top = mags[order[:r]].tolist()
+    f, block = r - 1, float(mags[order[r - 1:]].sum())
+    while f and block + top[f - 1] >= (r - f + 1) * top[f - 1]:
+        f -= 1
+        block += top[f]
+    theta = block / (r - f)
+    return order, f, theta, sum(v * v for v in top[:f]) + block * theta
+
+
+# the split of an empty tail (a node with |S| = k)
+_NO_TAIL = (np.empty(0, dtype=np.intp), 0, 0.0, 0.0)
+
+
+class _Point(NamedTuple):
+    """A newton bound's iterate x over the node's columns, with A x, the
+    relaxation's value there, the split of its tail (_support_split), and
+    the dual point beta = grad L(A x) with A^T beta, L*(beta) and D."""
+    x: np.ndarray
+    z: np.ndarray
+    value: float
+    split: tuple
+    beta: np.ndarray
+    w: np.ndarray
+    conj: float
+    d: float
+
+
+def newton_maximize(inst, node, init, prune_threshold, cfg):
+    """Bound node by damped Newton on its relaxation
+
+        F(x) = L(A x) + (lam/2) (||x_S||^2 + ||x_T||_(sp,r)^2)
+
+    over x supported on S and the open tail T, r = k - |S|.  The squared
+    r-support norm is the conjugate of the squared top-r norm in D, so
+    D(.; node) is F's Fenchel dual: D(grad L(A x); node) <= min F bounds
+    the subtree at every x, and equals min F at F's minimizer (the
+    perspective relaxation of the node; Pilanci, Wainwright & El Ghaoui
+    2015).  Hence, as L0BnB takes its node bounds (Hazimeh, Mazumder &
+    Saab 2022), a second-order method on x gives a bound at each step and
+    a certified gap F(x) - D_max to stop on.
+
+    The first step reads D at init.y on S and T, the parent's x.  Every
+    later step is one active-set Newton step.  The sort of |x_T| made when
+    x was evaluated splits the tail into free entries, which weigh lam/2
+    x_i^2, and a block, which weighs lam / (2 (r - f)) (sum |x_i|)^2.  A
+    zero block entry whose |grad_i| beats the block's threshold lam theta
+    joins it with sign -sign(grad_i).  One dense solve on the active set
+
+        (A_P^T diag(L'') A_P + lam I_free + lam / (r - f) s s^T) dx = grad
+
+    gives the step; a joining entry that the step would move against its
+    sign stays at zero.  The full step comes first, with each tail entry it
+    takes across zero set to zero; if it fails restricted's Armijo test
+    with rounding slack on the true F, the step to the first zero crossing
+    (a ratio test), halved until it passes.  Each trial sorts |x_T| once,
+    and the sort of the point taken splits its tail for the next step.  D
+    is read at beta = grad L(A x).
+
+    The bound stops when D prunes, when F(x) - D_max <= _EPSILON times the
+    incumbent (_converged), or after a failed step: a singular system, a
+    step with no predicted decrease, no Armijo step within _MAX_HALVINGS
+    halvings, or one that leaves F where it was.  A failed step ends the
+    bound at D_max, which is admissible; it never raises.  The children
+    start from beta, its w and conj, and y = x, with a listing budget of
+    _LISTING_PER_STEP per step; the polish point is the top-k truncation
+    of x.
+    """
+    AT, lam, loss = inst.AT, inst.lam, inst.loss
+    s, rem = node.size, node.k - node.size
+    cols = node.support_array
+    if rem:
+        cols = np.concatenate((cols, np.arange(node.cut, inst.d)))
+    AtJ = cur = None   # set at the first step, after _ascend has checked init
+    failed = False
+
+    def value_at(x, z):
+        """F at x over cols, with z = A x, and the split of its tail."""
+        xs = x[:s]
+        split = _support_split(np.abs(x[s:]), rem) if rem else _NO_TAIL
+        penalty = float(xs @ xs) + split[3]
+        return float(loss.value(z)) + 0.5 * lam * penalty, split
+
+    def evaluate(x, z, value, split):
+        beta = loss.grad(z)
+        w = AT @ beta
+        conj = loss.conjugate(beta)
+        return _Point(x, z, value, split, beta, w, conj,
+                      _entry_bound(inst, node, w, conj))
+
+    def newton_step(p):
+        """The point one damped Newton step from p reaches; None for a
+        failed step."""
+        order, f, theta, _ = p.split
+        grad = p.w[cols]
+        x_tail, g_tail = p.x[s:], grad[s:]
+        block = order[f:]
+        block = block[(x_tail[block] != 0)
+                      | (np.abs(g_tail[block]) > lam * theta)]
+        sign = np.sign(x_tail[block])
+        sign = np.where(sign == 0, -np.sign(g_tail[block]), sign)
+        q = s + f   # S and the free entries come first, then the block
+        P = np.concatenate((np.arange(s), s + order[:f], s + block))
+        x_p, g = p.x[P], grad[P]
+        g[:q] += lam * x_p[:q]
+        g[q:] += (lam * theta) * sign
+        AtP = AtJ[P]
+        hess = (AtP * loss.curvature(p.z)) @ AtP.T
+        hess.flat[:q * (len(P) + 1):len(P) + 1] += lam   # S and free: ridge
+        if block.size:
+            hess[q:, q:] += (lam / (rem - f)) * (sign[:, None] * sign)
+        try:
+            dx = solve(hess, g)
+        except LinAlgError:
+            return None
+        # a joining entry moves along its sign only
+        dx[q:][(x_p[q:] == 0) & (sign * dx[q:] > 0)] = 0.0
+        pred = float(g @ dx)
+        if not 0.0 < pred < math.inf:
+            return None
+        slack = _ROUNDING * abs(p.value)
+
+        def trial(x_t):
+            """The point at x_t on P, if it passes the Armijo test."""
+            x = np.zeros(len(cols))
+            x[P] = x_t
+            z = x_t @ AtP
+            value, split = value_at(x, z)
+            if value <= p.value - _ARMIJO * float(g @ (x_p - x_t)) + slack:
+                return evaluate(x, z, value, split)
+            return None
+
+        # the full step, with each tail entry it takes across zero set to
+        # zero; failing that, the step to the first zero crossing (the ratio
+        # test), halved until it passes
+        moving = s + np.flatnonzero(x_p[s:] * dx[s:] > 0)
+        ratios = x_p[moving] / dx[moving]
+        x_t = x_p - dx
+        x_t[moving[ratios < 1.0]] = 0.0
+        if (nxt := trial(x_t)) is not None:
+            return nxt
+        t = 0.5
+        if ratios.size and ratios.min() < 1.0:
+            first = int(np.argmin(ratios))
+            t = float(ratios[first])
+            x_t = x_p - t * dx
+            x_t[moving[first]] = 0.0
+            if (nxt := trial(x_t)) is not None:
+                return nxt
+            t *= 0.5
+        for _ in range(_MAX_HALVINGS):
+            if (nxt := trial(x_p - t * dx)) is not None:
+                return nxt
+            t *= 0.5
+        return None
+
+    def step(beta, w, d, stop_above):
+        nonlocal AtJ, cur, failed
+        if cur is None:
+            AtJ = AT[cols]
+            x = init.y[cols]
+            z = x @ AtJ
+            cur = evaluate(x, z, *value_at(x, z))
+        else:
+            nxt = newton_step(cur)
+            failed = nxt is None or nxt.value >= cur.value
+            cur = cur if nxt is None else nxt
+        return cur.beta, cur.w, cur.d, finish
+
+    def finish(t):
+        y = np.zeros(inst.d)
+        y[cols] = cur.x
+        return truncate_top(node.k, y), DualState(
+            cur.beta, y, cur.w, cur.conj, _LISTING_PER_STEP * t)
+
+    def stop(d_max):
+        return failed or _converged(cur.value - d_max, prune_threshold)
+
+    return _ascend(inst, node, init, prune_threshold, cfg, step, stop)
 
 
 def pdal_maximize(inst, node, init, prune_threshold, cfg):
@@ -540,20 +764,21 @@ def sga_maximize(inst, node, init, prune_threshold, cfg):
 def subtree_solve(inst, node, warm=None, prune_threshold=np.inf, cfg=None):
     """Lower bound + feasible candidate for the subtree below node.
 
-    warm is the start state: the parent's final DualState, from either
-    maximizer, or None for the root state (_start_state).  Its dual
-    iteration count sets which nodes Node.leaves lists.  A listed node is
-    bounded as an expansion of itself alone (_Siblings.lone), from D at the
-    start state; bfs_solve bounds it the same way in its parent's
-    expansion.  Any other node is bounded by cfg.subroutine's maximizer.
-    prune_threshold is the incumbent objective; it also scales the dual
-    convergence test.  Raises ValueError for a warm that is not a
-    DualState, or a node of another tree than inst's (other d or k).
+    warm is the start state: the parent's final DualState, from any bound,
+    or None for the root state (_start_state).  Its listing budget
+    (DualState.iterations) sets which nodes Node.leaves lists.  A listed
+    node is bounded as an expansion of itself alone (_Siblings.lone), from
+    D at the start state; bfs_solve bounds it the same way in its parent's
+    expansion.  Any other node is bounded by cfg.subroutine's bound.
+    prune_threshold is the incumbent objective; it also scales the bound's
+    stop test.  Raises ValueError for a warm that is not a DualState, or a
+    node of another tree than inst's (other d or k).
     """
     cfg = _solver_config(cfg)
     _check_node(inst, node)
     start = _start_state(inst, warm)
     if node.lists_leaves(0 if warm is None else warm.iterations):
         return _Siblings.lone(inst, node, warm).bound(0, prune_threshold)
-    maximize = pdal_maximize if cfg.subroutine == "pdal" else sga_maximize
+    maximize = {"newton": newton_maximize, "pdal": pdal_maximize,
+                "sga": sga_maximize}[cfg.subroutine]
     return maximize(inst, node, start, prune_threshold, cfg)

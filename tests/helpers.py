@@ -109,6 +109,42 @@ def subtree_min(inst, node, leaves=None):
     return min(leaves[s] for s in descendant_leaves(node))
 
 
+def support_norm_sq(v, r):
+    """Squared r-support norm of v by its variational form
+
+        inf { sum_i v_i^2 / t_i : 0 < t_i <= 1, sum_i t_i <= r }
+
+    (McDonald, Pontil & Stamos, NeurIPS 2014), whose minimizer is
+    t_i = min(1, |v_i| / a) with a set by bisection so that the t_i sum to
+    r; not the sort-and-scan closed form the library uses."""
+    u = np.abs(np.asarray(v, dtype=float))
+    if np.count_nonzero(u) <= r:
+        return float(u @ u)
+    a = u.sum() / r
+    if a < u.max():   # some t_i = 1: sum_i min(1, u_i / a) = r
+        lo, hi = 0.0, float(u.max())
+        for _ in range(200):
+            a = 0.5 * (lo + hi)
+            lo, hi = (a, hi) if np.minimum(1.0, u / a).sum() > r else (lo, a)
+        a = hi
+    capped = u >= a
+    return float(u[capped] @ u[capped]) + a * float(u[~capped].sum())
+
+
+def relaxation_value(inst, node, x):
+    """F(x) = L(Ax) + (lam/2) (||x_S||^2 + ||x_T||_(sp,r)^2) of node's
+    relaxation, r = k - |S|, T the open tail; x must vanish off S and T."""
+    x = np.asarray(x, dtype=float)
+    off = np.ones(inst.d, dtype=bool)
+    off[list(node.indices)] = False
+    off[node.cut:] = False
+    assert not x[off].any()
+    x_s = x[list(node.indices)]
+    return (inst.loss.value(inst.A @ x) + 0.5 * inst.lam
+            * (float(x_s @ x_s)
+               + support_norm_sq(x[node.cut:], node.k - node.size)))
+
+
 def listed_node_bound(inst, node, beta, threshold):
     """Bound a node by its leaves alone, one by one, from the dual point beta.
 

@@ -23,6 +23,7 @@ from l0bfs import (PRUNED, GenSpec, Node, SolverConfig, bfs_solve, dual_value,
                    top_norm)
 from l0bfs.cli import main as cli_main
 from l0bfs.cli import read_rows
+from l0bfs.subtree import SUBROUTINES
 
 pytestmark = pytest.mark.slow
 
@@ -319,11 +320,11 @@ def test_10_support_recovery_pipeline(tmp_path):
 def test_11_dual_subroutines_agree():
     worst = 0.0
     failures = 0
-    calls = {"pdal": [], "sga": []}
+    calls = {sub: [] for sub in SUBROUTINES}
     for seed in range(30):
         inst = generate(GenSpec(family="huber", d=15, k=3, seed=seed)).instance
         oracle = exhaustive_solve(inst).objective
-        for sub in ("pdal", "sga"):
+        for sub in SUBROUTINES:
             rep = bfs_solve(inst, cfg=SolverConfig(subroutine=sub))
             calls[sub].append(rep.solver_calls)
             rel = abs(rep.objective - oracle) / max(1.0, abs(oracle))
@@ -331,9 +332,10 @@ def test_11_dual_subroutines_agree():
             if rel > 1e-8:
                 failures += 1
     ok = failures == 0
+    mean_calls = " vs ".join(f"{np.mean(c):.1f} ({sub})"
+                             for sub, c in calls.items())
     record("11 dual-subroutines-agree", ok,
-           f"30 huber instances (d=15, k=3), both bound subroutines: worst "
+           f"30 huber instances (d=15, k=3), every bound subroutine: worst "
            f"gap to enumeration {worst:.2e} (tol 1e-8); mean solver calls "
-           f"{np.mean(calls['pdal']):.1f} (pdal) vs {np.mean(calls['sga']):.1f} "
-           f"(sga)")
+           f"{mean_calls}")
     assert ok

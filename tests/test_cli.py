@@ -261,7 +261,7 @@ class TestSolve:
         assert list(row) == COLUMNS
         assert row["method"] == "bfs"
         assert row["status"] == "ok"
-        assert row["subroutine"] == "pdal"
+        assert row["subroutine"] == "newton"
         assert row["seed"] == "0"
         assert row["ref_support"]  # generated instances carry their truth
         # a parsed row re-emits byte-identically

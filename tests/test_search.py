@@ -13,7 +13,7 @@ from helpers import (cold_start, leaf_values, listed_node_bound,
 from l0bfs import (DUAL_BOUND, EXACT, PRUNED, BoundResult, ConvergenceError,
                    Node, SolverConfig, bfs_solve, dual_value, exhaustive_solve,
                    solve_restricted, subtree_solve)
-from l0bfs.subtree import ZERO_TOL
+from l0bfs.subtree import SUBROUTINES, ZERO_TOL
 
 KINDS = ["quadratic", "huber", "logistic"]
 DELTAS = [1e-4, 1e-3, 1e-2, 1e-1]
@@ -223,7 +223,7 @@ class TestChildScreen:
             return report, bounded, screens
 
     @pytest.mark.parametrize("kind", KINDS)
-    @pytest.mark.parametrize("subroutine", ["pdal", "sga"])
+    @pytest.mark.parametrize("subroutine", SUBROUTINES)
     @pytest.mark.parametrize("overrides", CFGS)
     def test_same_search_as_without_the_screen(self, kind, subroutine,
                                                overrides, monkeypatch):
@@ -273,7 +273,7 @@ class TestRescreen:
                 for d, k in TestRescreen.SHAPES for seed in range(3)]
 
     @pytest.mark.parametrize("kind", KINDS)
-    @pytest.mark.parametrize("subroutine", ["pdal", "sga"])
+    @pytest.mark.parametrize("subroutine", SUBROUTINES)
     def test_raises_the_later_entry_bounds(self, kind, subroutine,
                                            monkeypatch):
         raised = []
@@ -299,6 +299,8 @@ class TestRescreen:
         assert sum(raised) > 0
 
     @pytest.mark.parametrize("kind", KINDS)
+    # the dual ascents: no warm newton child of these instances is pruned
+    # by a re-screen alone
     @pytest.mark.parametrize("subroutine", ["pdal", "sga"])
     @pytest.mark.parametrize("overrides", CFGS)
     def test_exact_with_admissible_lows(self, kind, subroutine, overrides,
@@ -559,7 +561,7 @@ class TestSiblingBatches:
         return expansions
 
     @pytest.mark.parametrize("kind", KINDS)
-    @pytest.mark.parametrize("subroutine", ["pdal", "sga"])
+    @pytest.mark.parametrize("subroutine", SUBROUTINES)
     @pytest.mark.parametrize("overrides", CFGS)
     def test_each_child_as_bounded_alone(self, kind, subroutine, overrides,
                                          monkeypatch):
@@ -595,7 +597,7 @@ class TestSiblingBatches:
         assert PRUNED in statuses
 
     @pytest.mark.parametrize("kind", KINDS)
-    @pytest.mark.parametrize("subroutine", ["pdal", "sga"])
+    @pytest.mark.parametrize("subroutine", SUBROUTINES)
     def test_one_batch_per_expansion_when_the_leaves_fit(
             self, kind, subroutine, monkeypatch):
         # every leaf of these trees fits one batch
@@ -610,6 +612,8 @@ class TestSiblingBatches:
         assert sum(map(len, expansions)) > 1
 
     @pytest.mark.parametrize("kind", KINDS)
+    # the dual ascents: a tighter tolerance barely lengthens a newton bound,
+    # so its children's listings fit one batch
     @pytest.mark.parametrize("subroutine", ["pdal", "sga"])
     @pytest.mark.parametrize("overrides", CFGS)
     def test_small_batches_give_the_same_search(self, kind, subroutine,

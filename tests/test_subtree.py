@@ -5,12 +5,13 @@ import pytest
 
 import l0bfs.subtree
 from helpers import (cold_start, domain_point, leaf_values, random_instance,
-                     random_interior_node, subtree_min)
+                     random_interior_node, relaxation_value, subtree_min,
+                     support_norm_sq)
 from l0bfs import (DUAL_BOUND, EXACT, PRUNED, DualState, Instance, Node,
-                   SolverConfig, dual_value, pdal_maximize, pdal_root_state,
-                   prox_topk_sq, root_node, sga_maximize, sga_root_state,
-                   solve_restricted, subtree_solve, top_norm)
-from l0bfs.subtree import ZERO_TOL
+                   SolverConfig, dual_value, newton_maximize, pdal_maximize,
+                   pdal_root_state, prox_topk_sq, root_node, sga_maximize,
+                   sga_root_state, solve_restricted, subtree_solve, top_norm)
+from l0bfs.subtree import SUBROUTINES, ZERO_TOL
 
 KINDS = ["quadratic", "huber", "logistic"]
 
@@ -42,8 +43,8 @@ def assert_rerun_is_stationary(maximize):
 
 class TestSolverConfig:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            SolverConfig(subroutine="newton")
+        with pytest.raises(ValueError, match="subroutine"):
+            SolverConfig(subroutine="lbfgs")
         with pytest.raises(ValueError):
             SolverConfig(max_dual_iters=0)
 
@@ -320,12 +321,137 @@ class TestSga:
             b.low, b.value, b.status, b.iterations)
 
 
+class TestNewton:
+    def test_support_split_matches_the_variational_form(self):
+        rng = np.random.default_rng(40)
+        for _ in range(500):
+            d = int(rng.integers(1, 12))
+            r = int(rng.integers(1, d + 1))
+            v = rng.standard_normal(d) * (rng.random(d) < 0.7)
+            if rng.random() < 0.3:   # ties
+                v = np.round(v)
+            order, f, theta, value = l0bfs.subtree._support_split(np.abs(v),
+                                                                  r)
+            assert value == pytest.approx(support_norm_sq(v, r), rel=1e-13,
+                                          abs=1e-300)
+            u = np.abs(v)[order]
+            assert 0 <= f < r
+            assert np.all(u[:f] > theta) and np.all(u[f:] <= theta)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_prunes_on_initial_dual_value(self, kind):
+        inst = small_instance(kind, 9)
+        node = root_node(inst.d, inst.k)
+        res = newton_maximize(inst, node, pdal_root_state(inst), -1.0,
+                              SolverConfig())
+        assert res.status == PRUNED and res.iterations == 0
+        assert res.x is None and res.value == np.inf
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_low_bounds_subtree_minimum_with_a_certified_gap(self, kind):
+        # F(y) - low <= _EPSILON * incumbent at the point y it hands its
+        # children, by a norm computed apart from the library's closed form
+        rng = np.random.default_rng(41)
+        cfg = SolverConfig()
+        bounded = 0
+        for seed in range(4):
+            inst = small_instance(kind, 50 + seed)
+            leaves = leaf_values(inst)
+            p0 = inst.objective(np.zeros(inst.d))
+            for _ in range(8):
+                node = random_interior_node(rng, inst.d, inst.k)
+                res = newton_maximize(inst, node, pdal_root_state(inst), p0,
+                                      cfg)
+                assert res.low <= subtree_min(inst, node, leaves) + 1e-9
+                if res.status != DUAL_BOUND:
+                    continue
+                bounded += 1
+                value = relaxation_value(inst, node, res.state.y)
+                assert res.low <= value + 1e-12
+                assert value - res.low <= l0bfs.subtree._EPSILON * p0 + 1e-15
+                assert res.value == pytest.approx(inst.objective(res.x),
+                                                  abs=1e-12)
+                assert np.flatnonzero(res.x).size <= inst.k
+        assert bounded
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_meets_the_dual_optimum(self, kind, monkeypatch):
+        # the relaxation's minimum is D's maximum: a tight newton bound and
+        # a tight pdal ascent meet
+        inst = small_instance(kind, 11)
+        node = root_node(inst.d, inst.k)
+        p0 = inst.objective(np.zeros(inst.d))
+        monkeypatch.setattr(l0bfs.subtree, "_EPSILON", 1e-10)
+        newton = newton_maximize(inst, node, pdal_root_state(inst), p0,
+                                 SolverConfig())
+        pdal = pdal_maximize(inst, node, pdal_root_state(inst), p0,
+                             SolverConfig())
+        assert newton.status == pdal.status == DUAL_BOUND
+        assert newton.low == pytest.approx(pdal.low, rel=1e-6)
+        assert newton.low >= pdal.low - 1e-9 * p0
+
+    def test_children_start_from_x_with_the_listing_budget(self):
+        inst = small_instance("huber", 12)
+        node = root_node(inst.d, inst.k)
+        p0 = inst.objective(np.zeros(inst.d))
+        res = newton_maximize(inst, node, pdal_root_state(inst), p0,
+                              SolverConfig())
+        state = res.state
+        assert res.status == DUAL_BOUND and res.iterations >= 2
+        assert state.iterations == (l0bfs.subtree._LISTING_PER_STEP
+                                    * res.iterations)
+        # beta = grad L(A y), with its w and conj, and the polish point is
+        # the top-k truncation of y
+        np.testing.assert_allclose(state.beta,
+                                   inst.loss.grad(inst.A @ state.y),
+                                   rtol=1e-12, atol=1e-15)
+        np.testing.assert_array_equal(state.w, inst.AT @ state.beta)
+        assert state.conj == inst.loss.conjugate(state.beta)
+        polish = solve_restricted(inst, np.flatnonzero(
+            l0bfs.subtree.truncate_top(inst.k, state.y)))
+        assert res.value == polish.value
+
+    def test_rerun_from_final_state_is_stationary(self):
+        # from its own minimizer a newton bound certifies at its first step
+        inst = small_instance("huber", 12)
+        node = root_node(inst.d, inst.k)
+        p0 = inst.objective(np.zeros(inst.d))
+        first = newton_maximize(inst, node, pdal_root_state(inst), p0,
+                                SolverConfig())
+        again = newton_maximize(inst, node, first.state, p0, SolverConfig())
+        assert again.status == DUAL_BOUND and again.iterations == 1
+        assert again.low >= first.low - l0bfs.subtree._EPSILON * p0
+
+    @pytest.mark.parametrize("fault", ["singular", "no_armijo_step"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_a_failed_step_ends_the_bound_at_its_best_value(
+            self, kind, fault, monkeypatch):
+        # the failed step is the second: the first reads D at the start
+        inst = small_instance(kind, 13)
+        node = root_node(inst.d, inst.k)
+        p0 = inst.objective(np.zeros(inst.d))
+        start = dual_value(inst, node, inst.loss.grad(np.zeros(inst.n)))
+        if fault == "singular":
+            def solve(*args):
+                raise np.linalg.LinAlgError("singular")
+            monkeypatch.setattr(l0bfs.subtree, "solve", solve)
+        else:
+            monkeypatch.setattr(l0bfs.subtree, "_ARMIJO", 1e300)
+        res = newton_maximize(inst, node, pdal_root_state(inst), p0,
+                              SolverConfig())
+        assert res.status == DUAL_BOUND and res.iterations == 2
+        assert res.low == max(start, dual_value(inst, node,
+                                                np.zeros(inst.n)))
+        assert res.low <= subtree_min(inst, node) + 1e-9
+
+
 class TestPruneAfterAscent:
-    MAXIMIZERS = {"pdal": (pdal_maximize, pdal_root_state),
+    MAXIMIZERS = {"newton": (newton_maximize, pdal_root_state),
+                  "pdal": (pdal_maximize, pdal_root_state),
                   "sga": (sga_maximize, sga_root_state)}
 
     @pytest.mark.parametrize("kind", KINDS)
-    @pytest.mark.parametrize("subroutine", ["pdal", "sga"])
+    @pytest.mark.parametrize("subroutine", SUBROUTINES)
     def test_prune_between_entry_and_final_bound(self, subroutine, kind,
                                                  monkeypatch):
         # a threshold halfway between the entry D and the unpruned final
@@ -393,7 +519,7 @@ class TestPdalWarmStart:
         inst = random_instance(kind, d=8, k=3, n=12, seed=0, lam=1e-2)
         root = root_node(inst.d, inst.k)
         p0 = inst.objective(np.zeros(inst.d))
-        cfg = SolverConfig()
+        cfg = SolverConfig(subroutine="pdal")
         parent = subtree_solve(inst, root, prune_threshold=p0, cfg=cfg)
         # a zero count keeps the children ascending instead of listing them
         handed = dataclasses.replace(parent.state, iterations=0)
@@ -448,7 +574,8 @@ class TestSubtreeSolveDispatch:
         node = Node(indices, 6, 2)
         with pytest.raises(ValueError, match="d=6"):
             subtree_solve(inst, node)
-        for maximize, root_state in ((pdal_maximize, pdal_root_state),
+        for maximize, root_state in ((newton_maximize, pdal_root_state),
+                                     (pdal_maximize, pdal_root_state),
                                      (sga_maximize, sga_root_state)):
             with pytest.raises(ValueError, match="d=6"):
                 maximize(inst, node, root_state(inst), np.inf, SolverConfig())
@@ -456,7 +583,7 @@ class TestSubtreeSolveDispatch:
         with pytest.raises(ValueError, match="k=3"):
             subtree_solve(inst, other_k)
 
-    @pytest.mark.parametrize("subroutine", ["pdal", "sga"])
+    @pytest.mark.parametrize("subroutine", SUBROUTINES)
     @pytest.mark.parametrize("indices", [(), (0,)])
     def test_a_wrong_warm_is_rejected_before_it_is_read(self, indices,
                                                         subroutine):
@@ -474,7 +601,8 @@ class TestSubtreeSolveDispatch:
                 l0bfs.subtree._Siblings(inst, root_node(inst.d, inst.k),
                                         wrong)
 
-    @pytest.mark.parametrize("maximize", [pdal_maximize, sga_maximize])
+    @pytest.mark.parametrize("maximize",
+                             [newton_maximize, pdal_maximize, sga_maximize])
     def test_maximizers_reject_a_wrong_init(self, maximize):
         inst = small_instance("quadratic", 21)
         node = root_node(inst.d, inst.k)
@@ -483,7 +611,7 @@ class TestSubtreeSolveDispatch:
                 maximize(inst, node, wrong, 1.0, SolverConfig())
 
     @pytest.mark.parametrize("kind", KINDS)
-    @pytest.mark.parametrize("subroutine", ["pdal", "sga"])
+    @pytest.mark.parametrize("subroutine", SUBROUTINES)
     def test_either_maximizer_starts_from_the_others_state(self, subroutine,
                                                            kind):
         # the root ascends with one maximizer, its children with the other:
@@ -524,7 +652,7 @@ class TestSubtreeSolveDispatch:
         with pytest.raises(TypeError):
             DualState(beta=zero, y=np.zeros(inst.d))
 
-    @pytest.mark.parametrize("subroutine", ["pdal", "sga"])
+    @pytest.mark.parametrize("subroutine", SUBROUTINES)
     def test_dual_state_returned_for_children(self, subroutine):
         inst = small_instance("quadratic", 23)
         node = root_node(inst.d, inst.k)
@@ -554,7 +682,8 @@ class TestSubtreeSolveDispatch:
             ref.status, ref.low, ref.iterations)
 
     @pytest.mark.parametrize("maximize,root_state",
-                             [(pdal_maximize, pdal_root_state),
+                             [(newton_maximize, pdal_root_state),
+                              (pdal_maximize, pdal_root_state),
                               (sga_maximize, sga_root_state)])
     def test_maximizers_take_none_cfg_as_the_default(self, maximize,
                                                      root_state):
@@ -567,7 +696,8 @@ class TestSubtreeSolveDispatch:
             ref.low, ref.value, ref.iterations)
 
     @pytest.mark.parametrize("maximize,root_state",
-                             [(pdal_maximize, pdal_root_state),
+                             [(newton_maximize, pdal_root_state),
+                              (pdal_maximize, pdal_root_state),
                               (sga_maximize, sga_root_state)])
     def test_maximizers_reject_a_dict_cfg(self, maximize, root_state):
         inst = small_instance("huber", 24)
@@ -590,7 +720,7 @@ class TestSharedParentState:
         return inst, root, res.state
 
     @pytest.mark.parametrize("kind", KINDS)
-    @pytest.mark.parametrize("subroutine", ["pdal", "sga"])
+    @pytest.mark.parametrize("subroutine", SUBROUTINES)
     def test_exact_child_pruned_at_entry_without_restricted_solve(
             self, subroutine, kind, monkeypatch):
         inst, root, state = self.parent_state(kind, subroutine)
@@ -619,7 +749,7 @@ class TestSharedParentState:
             assert res.low <= minimum
         assert calls[0] == 0
 
-    @pytest.mark.parametrize("subroutine", ["pdal", "sga"])
+    @pytest.mark.parametrize("subroutine", SUBROUTINES)
     def test_exact_node_pruned_at_entry_lists_no_leaves(self, subroutine,
                                                         monkeypatch):
         inst, root, state = self.parent_state("huber", subroutine)
@@ -644,7 +774,7 @@ class TestSharedParentState:
         assert calls == {"penalty": 1, "leaves": 0}
 
     @pytest.mark.parametrize("kind", KINDS)
-    @pytest.mark.parametrize("subroutine", ["pdal", "sga"])
+    @pytest.mark.parametrize("subroutine", SUBROUTINES)
     def test_entry_bound_bit_equal_to_dual_value(self, subroutine, kind):
         inst, root, state = self.parent_state(kind, subroutine)
         cfg = SolverConfig(subroutine=subroutine)
@@ -657,7 +787,7 @@ class TestSharedParentState:
             assert float(res.low).hex() == float(d).hex(), child.indices
 
     @pytest.mark.parametrize("kind", KINDS)
-    @pytest.mark.parametrize("subroutine", ["pdal", "sga"])
+    @pytest.mark.parametrize("subroutine", SUBROUTINES)
     def test_state_arrays_are_read_only(self, subroutine, kind):
         inst, _, state = self.parent_state(kind, subroutine)
         for st in (state, pdal_root_state(inst)):
@@ -785,7 +915,7 @@ class TestChildEntryBounds:
         return nodes
 
     @pytest.mark.parametrize("kind", KINDS)
-    @pytest.mark.parametrize("subroutine", ["pdal", "sga"])
+    @pytest.mark.parametrize("subroutine", SUBROUTINES)
     def test_equal_to_subtree_solve_entry_bound(self, subroutine, kind):
         rng = np.random.default_rng(9)
         cfg = SolverConfig(subroutine=subroutine)
@@ -811,7 +941,7 @@ class TestChildEntryBounds:
                     # the last child's tail holds exactly what it still needs
                     assert children[-1].tail_size == inst.k - node.size - 1
 
-    @pytest.mark.parametrize("subroutine", ["pdal", "sga"])
+    @pytest.mark.parametrize("subroutine", SUBROUTINES)
     def test_no_screen_where_children_do_not_start_from_the_state(
             self, subroutine):
         # an expansion whose children start cold or from a hand-built state

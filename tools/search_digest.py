@@ -1,30 +1,32 @@
 """Fingerprint the seed-0 searches of the benchmark's search workloads.
 
-Runs bfs_solve with pdal and with sga on every seed-0 instance of the
-planted, hard and logistic workloads (perfbench/workloads.py), 102 searches
-in all.  For each (workload, subroutine) pair it prints the calls, the
-prunes, the dual iterations (iters: the sum of BoundResult.iterations over
-the search's subtree_solve calls, outside every digest) and three SHA-256
-digests of its searches; the last line is one SHA-256 over all 102.
+Runs bfs_solve with each bound of subtree.SUBROUTINES (newton, pdal, sga)
+on every seed-0 instance of the planted, hard and logistic workloads
+(perfbench/workloads.py), 153 searches in all.  For each (workload,
+subroutine) pair it prints the calls, the prunes, the bound's iterations
+(iters: the sum of BoundResult.iterations over the search's subtree_solve
+calls, outside every digest: newton steps, pdal or sga dual iterations) and
+three SHA-256 digests of its searches; the last line is one SHA-256 over
+all 153.
 Before that last line, three lines do the same for exhaustive_solve on the
 13 seed-0 enum instances, one per loss family (quadratic, huber,
 logistic): the family's calls and one SHA-256 over each of its objectives,
 x and calls, so a change to one family's restricted solves can show that
 the other families' enumerations are unchanged.  One more line covers the
 ablation, which the searches never run: the seed-0 hard and logistic
-searches with pdal and sga with every node started cold, from the root
-state that both maximizers share (a patch of subtree._start_state), with
+searches with each bound with every node started cold, from the root
+state that every bound shares (a patch of subtree._start_state), with
 their calls and one SHA-256 over each objective, x and bound_log entry.
 Another line calls subtree_solve directly, as no search does, on the seed-0
-hard and logistic instances with pdal and sga: on the root, cold, then
+hard and logistic instances with each bound: on the root, cold, then
 on every child of each node it bounds by an ascent, warm from that node's
 result, all against P(0).  It gives the calls and one
 SHA-256 over each call's indices, low, status, value and iterations.  A
 last one covers delta > 0, which the other lines never set: the seed-0
-hard and logistic searches with pdal at delta 1e-3 and 1e-2, with their
-calls and one SHA-256 over each objective, x and bound_log entry.  The
-enum lines and these three stay out of the last line, which covers the
-default bfs searches alone.
+hard and logistic searches with the default bound at delta 1e-3 and 1e-2,
+with their calls and one SHA-256 over each objective, x and bound_log
+entry.  The enum lines and these three stay out of the last line, which
+covers the delta = 0 bfs searches alone.
 
   * sha256 hashes the objectives, x, calls, prunes, heap peaks and
     bound_log entries.  Two checkouts that print the same digest on a line
@@ -129,7 +131,7 @@ def _searches_line(name, runs):
 
 
 def _ablation_line():
-    """The seed-0 ablation searches: pdal and sga with every node started
+    """The seed-0 ablation searches: each bound with every node started
     cold."""
     start_state = l0bfs.subtree._start_state
     l0bfs.subtree._start_state = lambda inst, warm: pdal_root_state(inst)
@@ -142,7 +144,7 @@ def _ablation_line():
 
 
 def _delta_line():
-    """The seed-0 pdal searches at each delta of DELTAS."""
+    """The seed-0 default searches at each delta of DELTAS."""
     return _searches_line("delta   ", [(SolverConfig(), delta)
                                        for delta in DELTAS])
 
@@ -202,7 +204,7 @@ def main():
                 _update(pair, report)
                 _update(decided, report, decisions=True)
                 _update_shape(shape, report)
-            print(f"{workload:8s} {subroutine:4s} calls {calls:5d}  "
+            print(f"{workload:8s} {subroutine:6s} calls {calls:5d}  "
                   f"pruned {pruned:5d}  iters {iterations.total:5d}  "
                   f"sha256 {pair.hexdigest()}  "
                   f"decisions {decided.hexdigest()}  shape {shape.hexdigest()}")
