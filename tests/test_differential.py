@@ -12,9 +12,11 @@ slip: duplicate and collinear columns (tied or singular leaves), a ridge
 weight of 1e-10 (nearly singular Hessians and a steep dual penalty),
 linearly separable labels (the logistic loss alone has no minimizer),
 k = 1 (the root is a last-level node), k = d (the root is exact), an
-all-zero design (||A|| = 0, so every x has P(x) >= P(0)) and a generated
+all-zero design (||A|| = 0, so every x has P(x) >= P(0)), a generated
 low-sample d = n = 10, k = 3 shape, where nodes two indices short of a
-leaf are bounded by their listed leaves, up to 36 of them.
+leaf are bounded by their listed leaves, up to 36 of them, and a wide
+d = 40, n = 10 design, where a Newton system over more than n columns is
+singular.
 """
 
 import numpy as np
@@ -29,7 +31,7 @@ from l0bfs import (DUAL_BOUND, GenSpec, Instance, Node, SolverConfig,
 
 KINDS = ["quadratic", "huber", "logistic"]
 CASES = ["duplicate", "collinear", "tiny_lam", "separable", "k_one", "k_equals_d",
-         "zero_design", "low_sample"]
+         "zero_design", "low_sample", "wide"]
 # (subroutine, cold): each bound subroutine warm, and pdal cold, where its
 # siblings' ascent points are all that prune a child at entry
 CFGS = [("pdal", False), ("sga", False), ("pdal", True), ("newton", False)]
@@ -42,6 +44,8 @@ def case_instance(case, kind):
         return random_instance(kind, d=5, k=5, n=8, seed=81)
     if case == "low_sample":
         return generate(GenSpec(kind, d=10, k=3, seed=1, n=10)).instance
+    if case == "wide":
+        return random_instance(kind, d=40, k=2, n=10, seed=86)
     if case == "zero_design":
         inst = random_instance(kind, d=4, k=2, n=6, seed=85)
         return Instance(A=np.zeros((6, 4)), loss=inst.loss, lam=inst.lam, k=2)
@@ -128,10 +132,12 @@ def test_newton_dual_bounds_certify_their_gap(case, kind, monkeypatch):
 
 
 # (case, kind, root steps): the root bounds where pdal crawls, 22,305 and
-# 4,145 dual iterations for the logistic loss
+# 4,145 dual iterations for the logistic loss, and the wide design, whose
+# block system is singular once it holds more than n columns
 DEGENERATE_ROOTS = [("separable", "logistic", 200),
                     ("tiny_lam", "logistic", 50),
-                    ("separable", "huber", 50), ("tiny_lam", "quadratic", 50)]
+                    ("separable", "huber", 50), ("tiny_lam", "quadratic", 50),
+                    *(("wide", kind, 30) for kind in KINDS)]
 
 
 @pytest.mark.parametrize("case,kind,steps", DEGENERATE_ROOTS)
